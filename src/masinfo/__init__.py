@@ -17,7 +17,6 @@ from masinfo.spectral import (
     k_star_conditioned,
     mean_pairwise_cosine,
 )
-from masinfo.jacobi import jacobi_eigenvalues
 from masinfo.info_theory import (
     DiscreteJoint,
     TypeProfile,
@@ -51,7 +50,6 @@ __all__ = [
     "k_star",
     "k_star_conditioned",
     "mean_pairwise_cosine",
-    "jacobi_eigenvalues",
     "DiscreteJoint",
     "TypeProfile",
     "BudgetReport",

@@ -128,17 +128,17 @@ def _load_config(path):
                 "seed", "output_dir", "backend"):
         if key not in cfg:
             raise ValueError(f"config missing required field {key!r}")
-    if cfg["workflow"] not in ("vote", "debate"):
-        raise ValueError(f"invalid workflow {cfg['workflow']!r}")
     if cfg["layer"] not in harness.LAYERS:
         raise ValueError(f"invalid layer {cfg['layer']!r}")
     if not cfg["n_agents_list"]:
         raise ValueError("n_agents_list must be nonempty")
+    specs = [harness.WorkflowSpec(cfg["workflow"], n, cfg.get("rounds"))
+             for n in cfg["n_agents_list"]]
     if not os.path.exists(cfg["dataset_path"]):
         raise ValueError(f"dataset not found: {cfg['dataset_path']}")
     if cfg.get("persona_catalog_path") and not os.path.exists(cfg["persona_catalog_path"]):
         raise ValueError(f"persona catalog not found: {cfg['persona_catalog_path']}")
-    return cfg
+    return cfg, specs
 
 
 def _build_backends(cfg):
@@ -163,7 +163,7 @@ def _build_backends(cfg):
 
 def cmd_run(args):
     try:
-        cfg = _load_config(args.config)
+        cfg, specs = _load_config(args.config)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
 
@@ -193,7 +193,6 @@ def cmd_run(args):
         return _fail(str(exc))
 
     workflow = cfg["workflow"]
-    rounds = cfg.get("rounds", 1 if workflow == "vote" else 4)
     concurrency = cfg.get("concurrency_limit", 4)
     dataset_name = cfg.get("dataset_name", os.path.basename(cfg["dataset_path"]))
     started = time.time()
@@ -201,7 +200,8 @@ def cmd_run(args):
     all_invalid = True
     emb_path = os.path.join(out_dir, "embeddings.jsonl")
 
-    for n in cfg["n_agents_list"]:
+    for spec in specs:
+        n = spec.num_agents
         store_path = os.path.join(out_dir, f"{workflow}_{cfg['layer']}_N{n}.jsonl")
         store = harness.TranscriptStore(store_path)
         done = store.task_ids()
@@ -213,7 +213,7 @@ def cmd_run(args):
                 t = harness.run_vote(task, plan, n, chat, concurrency=concurrency,
                                      dataset=dataset_name)
             else:
-                t = harness.run_debate(task, plan, n, rounds=rounds, backend=chat,
+                t = harness.run_debate(task, plan, n, rounds=spec.rounds, backend=chat,
                                        concurrency=concurrency, dataset=dataset_name)
             store.append(t)
             if not t.invalid:

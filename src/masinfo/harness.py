@@ -287,32 +287,6 @@ class MockChatBackend:
         return f"I think the answer is ({letter})."
 
 
-class ScriptedChatBackend:
-    """Returns pre-scripted outputs in call order; raises when exhausted."""
-
-    deterministic = True
-
-    def __init__(self, outputs):
-        self._outputs = list(outputs)
-        self._lock = threading.Lock()
-
-    def chat(self, messages, model, decoding):
-        with self._lock:
-            if not self._outputs:
-                raise BackendError("scripted backend exhausted")
-            out = self._outputs.pop(0)
-        if isinstance(out, Exception):
-            raise out
-        return out
-
-
-class FailingChatBackend:
-    deterministic = True
-
-    def chat(self, messages, model, decoding):
-        raise BackendError("backend unavailable")
-
-
 class MockEmbeddingBackend:
     """Deterministic unit-vector embeddings hashed from the text."""
 
@@ -530,63 +504,12 @@ def _issue_round(configs, prompts, plan, backend, concurrency):
         return list(pool.map(one, range(len(configs))))
 
 
-def run_vote(task, plan: DiversityPlan, n_agents, backend, concurrency=4, dataset=""):
-    """Independent single-round generation plus majority aggregation.
+def _run_rounds(workflow, task, plan, n_agents, rounds, backend, concurrency, dataset):
+    """Build a transcript from `rounds` barrier-separated rounds of N calls.
 
-    Calls share no context.  A transcript with more than half its calls
-    failed is marked invalid and carries no final answer.
-    """
-    if n_agents < 1:
-        raise ValueError("n_agents must be >= 1")
-    configs = plan.configs(n_agents)
-    fmt = _task_format(task)
-    prompt = _question_text(task)
-    results = _issue_round(configs, [prompt] * n_agents, plan, backend, concurrency)
-
-    calls, answers, failures = [], [], 0
-    for i, (raw, err, latency) in enumerate(results):
-        ans = extract_answer(raw, fmt) if err is None else None
-        calls.append(
-            {
-                "call_index": i,
-                "agent_type_label": configs[i].type_label,
-                "round": 1,
-                "raw_output": raw,
-                "extracted_answer": ans,
-                "latency_ms": latency,
-                "error": err,
-            }
-        )
-        if err is None:
-            answers.append(ans)
-        else:
-            failures += 1
-    invalid = failures * 2 > n_agents
-    final, tie = (None, False) if invalid else majority_answer(answers)
-    return Transcript(
-        task_id=str(task["id"]),
-        question=task["question"],
-        gold_answer=task.get("answer"),
-        workflow="vote",
-        layer=plan.layer,
-        n_agents=n_agents,
-        rounds=1,
-        calls=calls,
-        final_answer=final,
-        tie=tie,
-        invalid=invalid,
-        timestamp=_timestamp(backend),
-        dataset=dataset,
-    )
-
-
-def run_debate(task, plan: DiversityPlan, n_agents, rounds=4, backend=None,
-               concurrency=4, dataset=""):
-    """Multi-round debate: each later round sees all previous-round outputs.
-
-    Rounds are strict barriers; calls within a round run concurrently.  The
-    final answer is the majority over last-round extracted answers with the
-    same tie-break as Vote.
+    Round 1 prompts with the question alone; each later round appends every
+    previous-round output.  A transcript with more than half its calls failed
+    is marked invalid and carries no final answer.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -637,7 +560,7 @@ def run_debate(task, plan: DiversityPlan, n_agents, rounds=4, backend=None,
         task_id=str(task["id"]),
         question=task["question"],
         gold_answer=task.get("answer"),
-        workflow="debate",
+        workflow=workflow,
         layer=plan.layer,
         n_agents=n_agents,
         rounds=rounds,
@@ -648,6 +571,22 @@ def run_debate(task, plan: DiversityPlan, n_agents, rounds=4, backend=None,
         timestamp=_timestamp(backend),
         dataset=dataset,
     )
+
+
+def run_vote(task, plan: DiversityPlan, n_agents, backend, concurrency=4, dataset=""):
+    """Independent single-round generation plus majority aggregation; calls share no context."""
+    return _run_rounds("vote", task, plan, n_agents, 1, backend, concurrency, dataset)
+
+
+def run_debate(task, plan: DiversityPlan, n_agents, rounds=4, backend=None,
+               concurrency=4, dataset=""):
+    """Multi-round debate: each later round sees all previous-round outputs.
+
+    Rounds are strict barriers; calls within a round run concurrently.  The
+    final answer is the majority over last-round extracted answers with the
+    same tie-break as Vote.
+    """
+    return _run_rounds("debate", task, plan, n_agents, rounds, backend, concurrency, dataset)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from masinfo.jacobi import jacobi_eigenvalues
+from masinfo.info_theory import _entropy_bits
 
 ZERO_NORM_TOL = 1e-12
 EIG_CLIP_TOL = 1e-10
@@ -147,14 +147,14 @@ def gram_matrix(emb: EmbeddingSet) -> GramMatrix:
     return GramMatrix(g)
 
 
-def symmetric_eigenvalues(g: GramMatrix):
-    """Eigenvalues of the Gram matrix, descending (Jacobi rotations)."""
-    return jacobi_eigenvalues(g.entries)
-
-
-def _entropy_bits(p):
-    p = p[p > 0.0]
-    return float(-np.sum(p * np.log2(p)))
+def symmetric_eigenvalues(matrix):
+    """Eigenvalues of a GramMatrix or square symmetric array, descending (LAPACK eigvalsh)."""
+    a = np.asarray(getattr(matrix, "entries", matrix), dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    if not np.allclose(a, a.T, atol=1e-10):
+        raise ValueError("matrix must be symmetric")
+    return np.linalg.eigvalsh(a)[::-1]
 
 
 def k_star(emb: EmbeddingSet) -> SpectralSummary:

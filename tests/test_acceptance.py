@@ -36,8 +36,7 @@ from masinfo.info_theory import (
     redundancy_identity_check,
     usable_evidence,
 )
-from masinfo.jacobi import jacobi_eigenvalues
-from masinfo.spectral import EmbeddingSet, k_star, normalize_embeddings
+from masinfo.spectral import EmbeddingSet, k_star, normalize_embeddings, symmetric_eigenvalues
 
 
 @pytest.fixture
@@ -103,7 +102,7 @@ def test_criterion_02_eigensolver_oracle(announce):
         (lambda a: 0.5 * (a + a.T))(rng.standard_normal((2, 2))) for _ in range(20)
     ]
     for m in fixtures_2:
-        got = jacobi_eigenvalues(m)
+        got = symmetric_eigenvalues(m)
         want = charpoly_roots_2x2(m)
         check(announce, np.allclose(got, want, atol=1e-8), f"2x2 mismatch: {got} vs {want}")
     fixtures_3 = [np.eye(3), np.full((3, 3), 1.0 / 3)]
@@ -111,14 +110,14 @@ def test_criterion_02_eigensolver_oracle(announce):
         (lambda a: 0.5 * (a + a.T))(rng.standard_normal((3, 3))) for _ in range(20)
     ]
     for m in fixtures_3:
-        got = jacobi_eigenvalues(m)
+        got = symmetric_eigenvalues(m)
         want = charpoly_roots_3x3(m)
         check(announce, np.allclose(got, want, atol=1e-8), f"3x3 mismatch: {got} vs {want}")
     for _ in range(30):
         n = int(rng.integers(2, 17))
         a = rng.standard_normal((n, n))
         m = 0.5 * (a + a.T)
-        eigs = jacobi_eigenvalues(m)
+        eigs = symmetric_eigenvalues(m)
         check(announce, abs(sum(eigs) - np.trace(m)) < 1e-6, "trace mismatch")
         check(announce,
               abs(float(np.sum(np.square(eigs))) - float(np.sum(m * m))) < 1e-6,

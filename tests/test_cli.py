@@ -232,7 +232,15 @@ class TestRun:
         assert code == 2
         assert "refused" in out.err
 
-    def test_unreachable_backend_exits_3(self, tmp_path, capsys):
+    def test_vote_with_rounds_exits_2(self, tmp_path, capsys):
+        cfg_path, _ = base_config(tmp_path, rounds=3)
+        code, out = run_cli("run", str(cfg_path), capsys=capsys)
+        assert code == 2
+        assert not (tmp_path / "store").exists()
+
+    def test_unreachable_backend_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the retries still run; only their back-off sleeps are skipped
+        monkeypatch.setattr("time.sleep", lambda seconds: None)
         cfg_path, _ = base_config(
             tmp_path,
             n_agents_list=[2],

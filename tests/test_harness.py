@@ -12,13 +12,11 @@ from masinfo.harness import (
     Decoding,
     DimensionMismatch,
     DiversityPlan,
-    FailingChatBackend,
     InsufficientPool,
     MockChatBackend,
     MockEmbeddingBackend,
     OpenAIChatBackend,
     OpenAIEmbeddingBackend,
-    ScriptedChatBackend,
     Transcript,
     TranscriptStore,
     WorkflowSpec,
@@ -30,6 +28,33 @@ from masinfo.harness import (
     run_debate,
     run_vote,
 )
+
+
+class ScriptedChatBackend:
+    """Returns pre-scripted outputs in call order; raises when exhausted."""
+
+    deterministic = True
+
+    def __init__(self, outputs):
+        self._outputs = list(outputs)
+        self._lock = threading.Lock()
+
+    def chat(self, messages, model, decoding):
+        with self._lock:
+            if not self._outputs:
+                raise BackendError("scripted backend exhausted")
+            out = self._outputs.pop(0)
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+
+class FailingChatBackend:
+    deterministic = True
+
+    def chat(self, messages, model, decoding):
+        raise BackendError("backend unavailable")
+
 
 TASK_MC = {"id": "t1", "question": "Which?", "choices": ["first", "second", "third"], "answer": "A"}
 
@@ -218,10 +243,9 @@ class TestDebate:
         plan = make_plan("L2", ["m1"], ["mathematician", "logician"])
         v = run_vote(TASK_MC, plan, 4, MockChatBackend(seed=5))
         d = run_debate(TASK_MC, plan, 4, rounds=1, backend=MockChatBackend(seed=5))
-        assert v.final_answer == d.final_answer
-        assert [c["extracted_answer"] for c in v.calls] == [
-            c["extracted_answer"] for c in d.calls
-        ]
+        vd, dd = v.to_dict(), d.to_dict()
+        assert (vd.pop("workflow"), dd.pop("workflow")) == ("vote", "debate")
+        assert vd == dd
 
     def test_call_budget_accounting(self):
         t = run_debate(TASK_MC, make_plan(), 2, rounds=4, backend=MockChatBackend(seed=1))
