@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 usage/validation error, 3 backend/environment error.
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -121,6 +122,12 @@ def _config_hash(config):
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
 
 
+def _check_count(value, name):
+    # bool is an int subclass; `true` is no count
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _load_config(path):
     with open(path) as fh:
         cfg = json.load(fh)
@@ -130,8 +137,13 @@ def _load_config(path):
             raise ValueError(f"config missing required field {key!r}")
     if cfg["layer"] not in harness.LAYERS:
         raise ValueError(f"invalid layer {cfg['layer']!r}")
-    if not cfg["n_agents_list"]:
-        raise ValueError("n_agents_list must be nonempty")
+    if not isinstance(cfg["n_agents_list"], list) or not cfg["n_agents_list"]:
+        raise ValueError("n_agents_list must be a nonempty list")
+    for n in cfg["n_agents_list"]:
+        _check_count(n, "each n_agents_list entry")
+    for key in ("rounds", "concurrency_limit"):
+        if cfg.get(key) is not None:
+            _check_count(cfg[key], key)
     specs = [harness.WorkflowSpec(cfg["workflow"], n, cfg.get("rounds"))
              for n in cfg["n_agents_list"]]
     if not os.path.exists(cfg["dataset_path"]):
@@ -193,45 +205,48 @@ def cmd_run(args):
         return _fail(str(exc))
 
     workflow = cfg["workflow"]
-    concurrency = cfg.get("concurrency_limit", 4)
+    concurrency = cfg.get("concurrency_limit") or 4
     dataset_name = cfg.get("dataset_name", os.path.basename(cfg["dataset_path"]))
     started = time.time()
     files = []
+    stores = {}
+    jobs = []
     all_invalid = True
     emb_path = os.path.join(out_dir, "embeddings.jsonl")
 
     for spec in specs:
         n = spec.num_agents
-        store_path = os.path.join(out_dir, f"{workflow}_{cfg['layer']}_N{n}.jsonl")
-        store = harness.TranscriptStore(store_path)
-        done = store.task_ids()
-        files.append(os.path.basename(store_path))
-        for task in tasks:
-            if str(task["id"]) in done:
-                continue
-            if workflow == "vote":
-                t = harness.run_vote(task, plan, n, chat, concurrency=concurrency,
-                                     dataset=dataset_name)
-            else:
-                t = harness.run_debate(task, plan, n, rounds=spec.rounds, backend=chat,
-                                       concurrency=concurrency, dataset=dataset_name)
-            store.append(t)
-            if not t.invalid:
-                all_invalid = False
-            if embed is not None and not t.invalid:
-                texts = [c["raw_output"] or "" for c in t.calls]
-                try:
-                    vectors = harness.fetch_embeddings(texts, embed)
-                except harness.BackendError:
-                    vectors = None
-                if vectors:
-                    with open(emb_path, "a") as fh:
-                        for c, v in zip(t.calls, vectors):
-                            fh.write(json.dumps(
-                                {"id": f"{t.task_id}:{c['call_index']}", "vector": v}
-                            ) + "\n")
+        name = f"{workflow}_{cfg['layer']}_N{n}.jsonl"
+        files.append(name)
+        if n in stores:
+            continue
+        stores[n] = harness.TranscriptStore(os.path.join(out_dir, name))
+        done = stores[n].task_ids()
         if done:
             all_invalid = False
+        jobs += [(spec, task) for task in tasks if str(task["id"]) not in done]
+
+    results = harness.run_tasks(jobs, plan, chat, embed, concurrency, dataset_name)
+    try:
+        with contextlib.closing(results):
+            for spec, t, vectors, error in results:
+                if error is not None:
+                    print(f"warning: embeddings of task {t.task_id} (N={t.n_agents}) failed: "
+                          f"{error}", file=sys.stderr)
+                # the vectors land before the transcript: a crash between the
+                # two leaves the task undone, and its rerun's rows win
+                if vectors:
+                    with open(emb_path, "a") as fh:
+                        fh.writelines(
+                            json.dumps({"id": f"{t.task_id}:{c['call_index']}", "vector": v})
+                            + "\n" for c, v in zip(t.calls, vectors))
+                stores[spec.num_agents].append(t)
+                if not t.invalid:
+                    all_invalid = False
+    finally:
+        for backend in (chat, embed):
+            if hasattr(backend, "close"):
+                backend.close()
 
     manifest = {
         "schema": 1,

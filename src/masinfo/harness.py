@@ -13,18 +13,25 @@ schema, or a deterministic in-process mock for tests and dry runs.
 Transcripts persist as append-only JSONL, one per line, schema-versioned.
 """
 
+import base64
+import collections
 import hashlib
+import http.client
+import itertools
 import json
 import math
 import re
+import select
+import ssl
 import threading
 import time
+import urllib.parse
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from decimal import Decimal, InvalidOperation
 
 import numpy as np
-import requests
 
 SCHEMA_VERSION = 1
 FIXED_TIMESTAMP = "1970-01-01T00:00:00Z"
@@ -44,9 +51,16 @@ DEFAULT_PERSONAS = {
 
 
 class BackendError(RuntimeError):
+    """A backend request failed, and retrying it will not help unless the
+    error is a TransientBackendError."""
+
     def __init__(self, message, call_index=None):
         self.call_index = call_index
         super().__init__(message)
+
+
+class TransientBackendError(BackendError):
+    """A failure a retry may cure: HTTP 5xx or 429, a connection error or a timeout."""
 
 
 class DimensionMismatch(ValueError):
@@ -310,26 +324,107 @@ class MockEmbeddingBackend:
         return vectors
 
 
-def _request_with_retries(session, url, payload, headers, max_retries, backoff, timeout):
-    last = None
-    for attempt in range(max_retries + 1):
+class JSONClient:
+    """POSTs JSON to paths under one base URL and returns the decoded reply.
+
+    Keep-alive connections are reused across threads: a request takes an
+    idle one or opens a new one, so there are never more connections than
+    requests in flight at once.  Proxies come from the environment
+    (HTTP_PROXY, HTTPS_PROXY, NO_PROXY); HTTPS verifies against the system
+    CA store.  HTTP 5xx and 429, connection errors and timeouts are retried
+    up to `max_retries` times with exponential back-off; any other 4xx
+    fails at once.
+    """
+
+    def __init__(self, base_url, api_key=None, max_retries=3, backoff=1.0, timeout=60.0):
+        url = urllib.parse.urlsplit(base_url.rstrip("/"))
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"backend URL must be http(s)://host/...: {base_url!r}")
+        self.max_retries = max_retries
+        self.backoff = backoff
+        self.timeout = timeout
+        self._https = url.scheme == "https"
+        self._target = (url.hostname, url.port)
+        self._prefix = url.path
+        self._headers = {"Content-Type": "application/json"}
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
+        self._proxy = None
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.netloc):
+            proxy = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            self._proxy = (proxy.hostname, proxy.port or 80)
+            proxy_headers = {}
+            if proxy.username:
+                creds = f"{urllib.parse.unquote(proxy.username)}:" \
+                        f"{urllib.parse.unquote(proxy.password or '')}"
+                proxy_headers["Proxy-Authorization"] = \
+                    "Basic " + base64.b64encode(creds.encode()).decode()
+            if self._https:
+                self._tunnel_headers = proxy_headers
+            else:
+                # a plain-HTTP proxy takes the absolute URI in the request line
+                self._prefix = f"http://{url.netloc}{url.path}"
+                self._headers.update(proxy_headers)
+        self._ssl = ssl.create_default_context() if self._https else None
+        self._lock = threading.Lock()
+        self._idle = []
+
+    def _connect(self):
+        host, port = self._proxy or self._target
+        if not self._https:
+            return http.client.HTTPConnection(host, port, timeout=self.timeout)
+        conn = http.client.HTTPSConnection(host, port, timeout=self.timeout, context=self._ssl)
+        if self._proxy:
+            conn.set_tunnel(*self._target, headers=self._tunnel_headers)
+        return conn
+
+    def _exchange(self, url, body):
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            conn = self._connect()
+        elif conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            # an idle keep-alive socket that reads as ready was closed by the
+            # server; a closed connection reopens on its next request
+            conn.close()
         try:
-            resp = session.post(url, json=payload, headers=headers, timeout=timeout)
-            if resp.status_code >= 500:
-                raise BackendError(f"server error {resp.status_code} from {url}")
-            if resp.status_code >= 400:
-                # client errors are not transient; fail immediately
-                raise BackendError(f"request rejected ({resp.status_code}): {resp.text[:200]}")
-            return resp.json()
-        except BackendError as exc:
-            last = exc
-            if "rejected" in str(exc):
-                raise
-        except (requests.RequestException, ValueError) as exc:
-            last = BackendError(str(exc))
-        if attempt < max_retries:
-            time.sleep(backoff * (2 ** attempt))
-    raise last
+            # a bytes body goes out in the same write as the headers
+            conn.request("POST", url, body, self._headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise TransientBackendError(f"POST {url}: {exc!r}") from exc
+        finally:
+            with self._lock:
+                self._idle.append(conn)
+        if resp.status == 429 or resp.status >= 500:
+            raise TransientBackendError(f"server error {resp.status} from {url}")
+        if resp.status >= 400:
+            raise BackendError(f"request rejected ({resp.status}) by {url}: {data[:200]!r}")
+        try:
+            return json.loads(data)
+        except ValueError as exc:
+            raise TransientBackendError(f"malformed JSON from {url}: {exc}") from exc
+
+    def post(self, path, payload):
+        url = self._prefix + path
+        body = json.dumps(payload).encode()
+        for attempt in range(self.max_retries + 1):
+            if attempt:
+                time.sleep(self.backoff * 2 ** (attempt - 1))
+            try:
+                return self._exchange(url, body)
+            except TransientBackendError as exc:
+                last = exc
+        raise last
+
+    def close(self):
+        with self._lock:
+            conns, self._idle = self._idle, []
+        for conn in conns:
+            conn.close()
 
 
 class OpenAIChatBackend:
@@ -337,37 +432,24 @@ class OpenAIChatBackend:
 
     deterministic = False
 
-    def __init__(self, base_url, api_key=None, session=None, max_retries=3,
-                 backoff=1.0, timeout=60.0):
-        self.base_url = base_url.rstrip("/")
-        self.api_key = api_key
-        self.session = session or requests.Session()
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.timeout = timeout
-
-    def _headers(self):
-        h = {"Content-Type": "application/json"}
-        if self.api_key:
-            h["Authorization"] = f"Bearer {self.api_key}"
-        return h
+    def __init__(self, base_url, api_key=None, max_retries=3, backoff=1.0, timeout=60.0):
+        self.client = JSONClient(base_url, api_key, max_retries, backoff, timeout)
 
     def chat(self, messages, model, decoding):
-        payload = {
+        data = self.client.post("/chat/completions", {
             "model": model,
             "messages": messages,
             "temperature": decoding.temperature,
             "top_p": decoding.top_p,
             "max_tokens": decoding.max_tokens,
-        }
-        data = _request_with_retries(
-            self.session, f"{self.base_url}/chat/completions", payload,
-            self._headers(), self.max_retries, self.backoff, self.timeout,
-        )
+        })
         try:
             return data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed chat response: {data}") from exc
+
+    def close(self):
+        self.client.close()
 
 
 class OpenAIEmbeddingBackend:
@@ -375,31 +457,23 @@ class OpenAIEmbeddingBackend:
 
     deterministic = False
 
-    def __init__(self, base_url, model, api_key=None, session=None, max_retries=3,
-                 backoff=1.0, timeout=60.0, max_batch=128):
-        self.base_url = base_url.rstrip("/")
+    def __init__(self, base_url, model, api_key=None, max_retries=3, backoff=1.0,
+                 timeout=60.0, max_batch=128):
+        self.client = JSONClient(base_url, api_key, max_retries, backoff, timeout)
         self.model = model
-        self.api_key = api_key
-        self.session = session or requests.Session()
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.timeout = timeout
         self.max_batch = max_batch
 
     def embed(self, texts, model=None):
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        data = _request_with_retries(
-            self.session, f"{self.base_url}/embeddings",
-            {"model": model or self.model, "input": list(texts)},
-            headers, self.max_retries, self.backoff, self.timeout,
-        )
+        data = self.client.post("/embeddings", {"model": model or self.model,
+                                                "input": list(texts)})
         try:
             rows = sorted(data["data"], key=lambda d: d["index"])
             return [r["embedding"] for r in rows]
         except (KeyError, TypeError) as exc:
             raise BackendError(f"malformed embedding response: {data}") from exc
+
+    def close(self):
+        self.client.close()
 
 
 def fetch_embeddings(texts, backend, model=None):
@@ -479,8 +553,8 @@ def _timestamp(backend):
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _issue_round(configs, prompts, plan, backend, concurrency):
-    """Run one round of calls concurrently; results ordered by agent index."""
+def _issue_round(configs, prompts, plan, backend, pool):
+    """Run one round of calls on `pool`; results ordered by agent index."""
 
     def one(i):
         cfg = configs[i]
@@ -500,11 +574,10 @@ def _issue_round(configs, prompts, plan, backend, concurrency):
         )
         return raw, err, latency
 
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
-        return list(pool.map(one, range(len(configs))))
+    return list(pool.map(one, range(len(configs))))
 
 
-def _run_rounds(workflow, task, plan, n_agents, rounds, backend, concurrency, dataset):
+def _run_rounds(workflow, task, plan, n_agents, rounds, backend, pool, dataset):
     """Build a transcript from `rounds` barrier-separated rounds of N calls.
 
     Round 1 prompts with the question alone; each later round appends every
@@ -533,7 +606,7 @@ def _run_rounds(workflow, task, plan, n_agents, rounds, backend, concurrency, da
                 + block
                 + "\n\nReconsider and state your final answer."
             ] * n_agents
-        results = _issue_round(configs, prompts, plan, backend, concurrency)
+        results = _issue_round(configs, prompts, plan, backend, pool)
         prev_outputs = [raw for raw, _, _ in results]
         round_answers = []
         for i, (raw, err, latency) in enumerate(results):
@@ -573,20 +646,72 @@ def _run_rounds(workflow, task, plan, n_agents, rounds, backend, concurrency, da
     )
 
 
-def run_vote(task, plan: DiversityPlan, n_agents, backend, concurrency=4, dataset=""):
-    """Independent single-round generation plus majority aggregation; calls share no context."""
-    return _run_rounds("vote", task, plan, n_agents, 1, backend, concurrency, dataset)
+def _run_on_pool(workflow, task, plan, n_agents, rounds, backend, concurrency, dataset, pool):
+    if pool is not None:
+        return _run_rounds(workflow, task, plan, n_agents, rounds, backend, pool, dataset)
+    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as own:
+        return _run_rounds(workflow, task, plan, n_agents, rounds, backend, own, dataset)
+
+
+def run_vote(task, plan: DiversityPlan, n_agents, backend, concurrency=4, dataset="", *,
+             pool=None):
+    """Independent single-round generation plus majority aggregation; calls share no context.
+
+    Calls run on `pool` when given (an executor shared across tasks), else on
+    a pool of `concurrency` threads opened for this transcript.
+    """
+    return _run_on_pool("vote", task, plan, n_agents, 1, backend, concurrency, dataset, pool)
 
 
 def run_debate(task, plan: DiversityPlan, n_agents, rounds=4, backend=None,
-               concurrency=4, dataset=""):
+               concurrency=4, dataset="", *, pool=None):
     """Multi-round debate: each later round sees all previous-round outputs.
 
-    Rounds are strict barriers; calls within a round run concurrently.  The
-    final answer is the majority over last-round extracted answers with the
-    same tie-break as Vote.
+    Rounds are strict barriers; calls within a round run concurrently, on
+    `pool` or a transcript's own pool as in `run_vote`.  The final answer is
+    the majority over last-round extracted answers with the same tie-break
+    as Vote.
     """
-    return _run_rounds("debate", task, plan, n_agents, rounds, backend, concurrency, dataset)
+    return _run_on_pool("debate", task, plan, n_agents, rounds, backend, concurrency, dataset,
+                        pool)
+
+
+def run_tasks(jobs, plan: DiversityPlan, backend, embedder=None, concurrency=4, dataset=""):
+    """Run (WorkflowSpec, task) jobs; yield (spec, transcript, vectors, error) in job order.
+
+    One pool of `concurrency` threads issues every backend request, chat
+    and embedding alike, so at most `concurrency` are in flight.  Up to
+    `concurrency` jobs run ahead of the one the caller is consuming, each on
+    a driver thread that runs its rounds and then embeds its transcript's
+    outputs through the same pool.  `vectors` is None when there is no
+    embedder, the transcript is invalid or embedding failed; `error` is the
+    BackendError or DimensionMismatch of a failed embedding.
+    """
+
+    def drive(spec, task):
+        if spec.kind == "vote":
+            t = run_vote(task, plan, spec.num_agents, backend, dataset=dataset, pool=calls)
+        else:
+            t = run_debate(task, plan, spec.num_agents, rounds=spec.rounds, backend=backend,
+                           dataset=dataset, pool=calls)
+        if embedder is None or t.invalid:
+            return spec, t, None, None
+        texts = [c["raw_output"] or "" for c in t.calls]
+        try:
+            return spec, t, calls.submit(fetch_embeddings, texts, embedder).result(), None
+        except (BackendError, DimensionMismatch) as exc:
+            return spec, t, None, exc
+
+    jobs = iter(jobs)
+    # drivers block on the call pool, so they never run on it
+    with ThreadPoolExecutor(concurrency) as calls, ThreadPoolExecutor(concurrency) as drivers:
+        window = collections.deque(
+            drivers.submit(drive, *job) for job in itertools.islice(jobs, concurrency))
+        while window:
+            outcome = window.popleft().result()
+            for job in itertools.islice(jobs, 1):
+                window.append(drivers.submit(drive, *job))
+            yield outcome
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,23 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+import masinfo
+from masinfo import cli
 from masinfo.cli import main
-from masinfo.harness import TranscriptStore
+from masinfo.harness import (
+    BackendError,
+    MockChatBackend,
+    MockEmbeddingBackend,
+    TranscriptStore,
+)
 
 
 def write_jsonl(path, rows):
@@ -148,6 +160,16 @@ class TestFitAlpha:
         assert code == 2
 
 
+def test_cli_import_leaves_out_requests():
+    src = os.path.dirname(os.path.dirname(masinfo.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, masinfo.cli; print('requests' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def make_dataset(tmp_path, n_tasks=3):
     path = tmp_path / "tasks.jsonl"
     write_jsonl(path, [
@@ -158,10 +180,10 @@ def make_dataset(tmp_path, n_tasks=3):
     return path
 
 
-def base_config(tmp_path, **overrides):
+def base_config(tmp_path, n_tasks=3, **overrides):
     tmp_path.mkdir(parents=True, exist_ok=True)
     cfg = {
-        "dataset_path": str(make_dataset(tmp_path)),
+        "dataset_path": str(make_dataset(tmp_path, n_tasks)),
         "workflow": "vote",
         "layer": "L1",
         "n_agents_list": [2, 4],
@@ -257,6 +279,177 @@ class TestRun:
         a = (tmp_path / "a" / "store" / "vote_L1_N3.jsonl").read_bytes()
         b = (tmp_path / "b" / "store" / "vote_L1_N3.jsonl").read_bytes()
         assert a == b
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("overrides", [
+        {"n_agents_list": [0]},
+        {"n_agents_list": [2.5]},
+        {"n_agents_list": [True]},
+        {"workflow": "debate", "rounds": "3"},
+        {"concurrency_limit": "4"},
+        {"concurrency_limit": 0},
+    ], ids=["n-zero", "n-float", "n-bool", "rounds-string", "concurrency-string",
+            "concurrency-zero"])
+    def test_bad_count_exits_2_before_output_dir(self, tmp_path, capsys, overrides):
+        cfg_path, _ = base_config(tmp_path, **overrides)
+        code, out = run_cli("run", str(cfg_path), capsys=capsys)
+        assert code == 2
+        assert "must be an integer >= 1" in out.err
+        assert not (tmp_path / "store").exists()
+
+
+class InflightChat(MockChatBackend):
+    """Mock chat that counts calls in flight, sharing the count with InflightEmbed.
+
+    With `meet` set, each call waits (up to a timeout) until `meet` calls are
+    in flight at once, so overlap shows without relying on timing.
+    """
+
+    def __init__(self, seed, meet=None):
+        super().__init__(seed=seed)
+        self.meet = meet
+        self.met = threading.Event()
+        self.lock = threading.Lock()
+        self.now = self.peak = 0
+
+    def enter(self):
+        with self.lock:
+            self.now += 1
+            self.peak = max(self.peak, self.now)
+            if self.meet is not None and self.now >= self.meet:
+                self.met.set()
+
+    def leave(self):
+        with self.lock:
+            self.now -= 1
+
+    def chat(self, messages, model, decoding):
+        self.enter()
+        try:
+            if self.meet is not None:
+                self.met.wait(2.0)
+            else:
+                time.sleep(0.001)
+            return super().chat(messages, model, decoding)
+        finally:
+            self.leave()
+
+
+class InflightEmbed(MockEmbeddingBackend):
+    def __init__(self, chat, dim, seed):
+        super().__init__(dim=dim, seed=seed)
+        self.chat = chat
+
+    def embed(self, texts, model=None):
+        self.chat.enter()
+        try:
+            time.sleep(0.001)
+            return super().embed(texts, model)
+        finally:
+            self.chat.leave()
+
+
+def store_bytes(store_dir):
+    return {name: (store_dir / name).read_bytes()
+            for name in sorted(os.listdir(store_dir)) if name.endswith(".jsonl")}
+
+
+class TestPipeline:
+    def test_requests_in_flight_within_limit(self, tmp_path, monkeypatch):
+        chat = InflightChat(seed=11)
+        embed = InflightEmbed(chat, dim=4, seed=11)
+        monkeypatch.setattr(cli, "_build_backends", lambda cfg: (chat, embed))
+        cfg_path, _ = base_config(tmp_path, n_tasks=6, workflow="debate", rounds=2,
+                                  n_agents_list=[2, 4], concurrency_limit=2)
+        assert main(["run", str(cfg_path)]) == 0
+        assert 1 <= chat.peak <= 2
+        assert chat.now == 0
+
+    def test_tasks_overlap(self, tmp_path, monkeypatch):
+        chat = InflightChat(seed=11, meet=2)
+        monkeypatch.setattr(
+            cli, "_build_backends", lambda cfg: (chat, MockEmbeddingBackend(dim=4, seed=11)))
+        cfg_path, _ = base_config(tmp_path, n_tasks=4, n_agents_list=[1], concurrency_limit=2)
+        assert main(["run", str(cfg_path)]) == 0
+        assert chat.peak == 2
+
+    @pytest.mark.parametrize("workflow", ["vote", "debate"])
+    def test_store_bytes_independent_of_concurrency(self, tmp_path, workflow):
+        stores = []
+        for limit in (1, 4):
+            cfg_path, _ = base_config(
+                tmp_path / f"c{limit}", n_tasks=5, workflow=workflow, layer="L4",
+                model_pool=["m1", "m2", "m3"], n_agents_list=[2, 4, 8],
+                concurrency_limit=limit)
+            assert main(["run", str(cfg_path)]) == 0
+            stores.append(store_bytes(tmp_path / f"c{limit}" / "store"))
+        assert len(stores[0]) == 4  # three stores and embeddings.jsonl
+        assert stores[0] == stores[1]
+
+
+class FailingEmbed:
+    max_batch = None
+
+    def __init__(self, failure):
+        self.failure = failure
+
+    def embed(self, texts, model=None):
+        if self.failure == "backend":
+            raise BackendError("embedding service down")
+        return [[1.0] * (i + 1) for i in range(len(texts))]  # ragged widths
+
+
+class TestEmbeddingFailures:
+    @pytest.mark.parametrize("failure", ["backend", "dimensions"])
+    def test_warns_per_task_and_keeps_running(self, tmp_path, capsys, monkeypatch, failure):
+        monkeypatch.setattr(
+            cli, "_build_backends", lambda cfg: (MockChatBackend(seed=11), FailingEmbed(failure)))
+        cfg_path, _ = base_config(tmp_path, n_agents_list=[2])
+        code, out = run_cli("run", str(cfg_path), capsys=capsys)
+        assert code == 0
+        warnings = out.err.strip().splitlines()
+        assert len(warnings) == 3
+        for i, line in enumerate(warnings):
+            assert line.startswith("warning:")
+            assert f"task t{i} " in line and "N=2" in line
+            assert ("embedding service down" if failure == "backend"
+                    else "inconsistent embedding dimensions") in line
+        assert len(list(TranscriptStore(tmp_path / "store" / "vote_L1_N2.jsonl"))) == 3
+        assert not (tmp_path / "store" / "embeddings.jsonl").exists()
+
+    def test_crash_before_transcript_append_is_redone(self, tmp_path, monkeypatch):
+        ref_cfg, _ = base_config(tmp_path / "ref", n_agents_list=[2])
+        assert main(["run", str(ref_cfg)]) == 0
+        cfg_path, _ = base_config(tmp_path / "crash", n_agents_list=[2])
+        store = tmp_path / "crash" / "store"
+        append = TranscriptStore.append
+        appends = []
+
+        def crash_on_second(self, transcript):
+            appends.append(transcript.task_id)
+            if len(appends) == 2:
+                raise OSError("disk full")
+            append(self, transcript)
+
+        monkeypatch.setattr(TranscriptStore, "append", crash_on_second)
+        with pytest.raises(OSError, match="disk full"):
+            main(["run", str(cfg_path)])
+        monkeypatch.setattr(TranscriptStore, "append", append)
+
+        # t1's vectors are written, its transcript is not: t1 is not done
+        assert TranscriptStore(store / "vote_L1_N2.jsonl").task_ids() == {"t0"}
+        rows = [json.loads(l)["id"] for l in (store / "embeddings.jsonl").read_text().splitlines()]
+        assert rows == ["t0:0", "t0:1", "t1:0", "t1:1"]
+
+        assert main(["run", str(cfg_path)]) == 0
+        ref = tmp_path / "ref" / "store"
+        assert (store / "vote_L1_N2.jsonl").read_bytes() == (ref / "vote_L1_N2.jsonl").read_bytes()
+        rows = [json.loads(l) for l in (store / "embeddings.jsonl").read_text().splitlines()]
+        assert [r["id"] for r in rows].count("t1:0") == 2  # the rerun's rows come later
+        ref_rows = [json.loads(l) for l in (ref / "embeddings.jsonl").read_text().splitlines()]
+        assert {r["id"]: r["vector"] for r in rows} == {r["id"]: r["vector"] for r in ref_rows}
+        assert main(["analyze", str(store)]) == 0
 
 
 class TestAnalyze:

@@ -1,3 +1,4 @@
+import base64
 import json
 import threading
 from collections import Counter
@@ -18,6 +19,7 @@ from masinfo.harness import (
     OpenAIChatBackend,
     OpenAIEmbeddingBackend,
     Transcript,
+    TransientBackendError,
     TranscriptStore,
     WorkflowSpec,
     build_layer_pool,
@@ -328,15 +330,18 @@ class TestTaskLoading:
 
 class _Handler(BaseHTTPRequestHandler):
     fail_first = 0
+    fail_status = 500
+    hits = 0
 
     def log_message(self, *args):
         pass
 
     def do_POST(self):
         cls = type(self)
+        cls.hits += 1
         if cls.fail_first > 0:
             cls.fail_first -= 1
-            self.send_response(500)
+            self.send_response(cls.fail_status)
             self.end_headers()
             return
         length = int(self.headers["Content-Length"])
@@ -372,9 +377,10 @@ def http_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    _Handler.fail_first = 0
+    _Handler.fail_first, _Handler.fail_status, _Handler.hits = 0, 500, 0
     yield f"http://127.0.0.1:{server.server_port}/v1"
     server.shutdown()
+    server.server_close()
 
 
 class TestHTTPBackends:
@@ -397,6 +403,21 @@ class TestHTTPBackends:
         with pytest.raises(BackendError):
             backend.chat([{"role": "user", "content": "hi"}], "m", Decoding())
 
+    def test_chat_retries_429(self, http_server):
+        _Handler.fail_first, _Handler.fail_status = 1, 429
+        backend = OpenAIChatBackend(http_server, backoff=0)
+        out = backend.chat([{"role": "user", "content": "hi"}], "m", Decoding())
+        assert "(A)" in out
+        assert _Handler.hits == 2
+
+    def test_client_error_fails_on_first_request(self, http_server):
+        _Handler.fail_first, _Handler.fail_status = 5, 400
+        backend = OpenAIChatBackend(http_server, backoff=0)
+        with pytest.raises(BackendError) as info:
+            backend.chat([{"role": "user", "content": "hi"}], "m", Decoding())
+        assert not isinstance(info.value, TransientBackendError)
+        assert _Handler.hits == 1
+
     def test_embeddings_order_preserved(self, http_server):
         backend = OpenAIEmbeddingBackend(http_server, "emb-model", backoff=0.01)
         vectors = fetch_embeddings(["a", "b", "c"], backend)
@@ -407,6 +428,97 @@ class TestHTTPBackends:
         t = run_vote(TASK_MC, make_plan(), 3, backend)
         assert t.final_answer == "A"
         assert not t.invalid
+
+
+class _KeepAliveHandler(_Handler):
+    """Promises keep-alive but closes the connection after every response."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        super().do_POST()
+        self.close_connection = True
+
+
+class _ClosingServer(HTTPServer):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.closed = threading.Event()
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.set()
+
+
+class _ProxyRecorder(BaseHTTPRequestHandler):
+    """A forward proxy that records each request line and answers itself."""
+
+    seen = []
+
+    def log_message(self, *args):
+        pass
+
+    def do_POST(self):
+        type(self).seen.append(
+            (self.path, self.headers["Host"], self.headers["Proxy-Authorization"]))
+        self.rfile.read(int(self.headers["Content-Length"]))
+        data = json.dumps({"choices": [{"message": {"content": "via proxy (C)"}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+
+@pytest.fixture
+def proxy(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    server = HTTPServer(("127.0.0.1", 0), _ProxyRecorder)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    _ProxyRecorder.seen = []
+    yield f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()
+    server.server_close()
+
+
+class TestHTTPClient:
+    def test_reconnects_after_server_closes_idle_connection(self):
+        server = _ClosingServer(("127.0.0.1", 0), _KeepAliveHandler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        _KeepAliveHandler.fail_first, _KeepAliveHandler.hits = 0, 0
+        backend = OpenAIChatBackend(f"http://127.0.0.1:{server.server_port}/v1", max_retries=0)
+        try:
+            messages = [{"role": "user", "content": "hi"}]
+            assert "(A)" in backend.chat(messages, "m", Decoding())
+            assert server.closed.wait(5)
+            # no retries left: the stale socket must be replaced, not tried
+            assert "(A)" in backend.chat(messages, "m", Decoding())
+        finally:
+            backend.close()
+            server.shutdown()
+            server.server_close()
+        assert _KeepAliveHandler.hits == 2
+
+    def test_env_proxy_gets_absolute_uri(self, proxy, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", proxy.replace("http://", "http://user:p%40ss@"))
+        # an address nothing listens on: only the proxy can answer
+        backend = OpenAIChatBackend("http://127.0.0.2:9/v1", max_retries=0)
+        out = backend.chat([{"role": "user", "content": "hi"}], "m", Decoding())
+        assert out == "via proxy (C)"
+        creds = "Basic " + base64.b64encode(b"user:p@ss").decode()
+        assert _ProxyRecorder.seen == [
+            ("http://127.0.0.2:9/v1/chat/completions", "127.0.0.2:9", creds)]
+
+    def test_no_proxy_bypasses_proxy(self, proxy, http_server, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", proxy)
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        backend = OpenAIChatBackend(http_server, max_retries=0)
+        assert "(A)" in backend.chat([{"role": "user", "content": "hi"}], "m", Decoding())
+        assert _ProxyRecorder.seen == []
+        assert _Handler.hits == 1
 
 
 class TestDimensionChecks:
