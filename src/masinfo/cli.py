@@ -150,7 +150,20 @@ def _load_config(path):
         raise ValueError(f"dataset not found: {cfg['dataset_path']}")
     if cfg.get("persona_catalog_path") and not os.path.exists(cfg["persona_catalog_path"]):
         raise ValueError(f"persona catalog not found: {cfg['persona_catalog_path']}")
-    return cfg, specs
+    catalog = dict(harness.DEFAULT_PERSONAS)
+    if cfg.get("persona_catalog_path"):
+        catalog = harness.load_persona_catalog(cfg["persona_catalog_path"])
+    plan = harness.DiversityPlan(
+        layer=cfg["layer"],
+        model_pool=tuple(cfg["model_pool"]),
+        persona_pool=tuple(cfg.get("persona_pool", list(catalog))),
+        persona_catalog=catalog,
+    )
+    # build every pool now, so a config no pool fits fails before output_dir exists
+    for spec in specs:
+        for agent in plan.configs(spec.num_agents):
+            plan.persona_text(agent.persona_id)
+    return cfg, specs, plan
 
 
 def _build_backends(cfg):
@@ -175,7 +188,7 @@ def _build_backends(cfg):
 
 def cmd_run(args):
     try:
-        cfg, specs = _load_config(args.config)
+        cfg, specs, plan = _load_config(args.config)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
 
@@ -192,15 +205,6 @@ def cmd_run(args):
     try:
         tasks = harness.load_tasks_jsonl(cfg["dataset_path"])
         chat, embed = _build_backends(cfg)
-        catalog = dict(harness.DEFAULT_PERSONAS)
-        if cfg.get("persona_catalog_path"):
-            catalog = harness.load_persona_catalog(cfg["persona_catalog_path"])
-        plan = harness.DiversityPlan(
-            layer=cfg["layer"],
-            model_pool=tuple(cfg["model_pool"]),
-            persona_pool=tuple(cfg.get("persona_pool", list(catalog))),
-            persona_catalog=catalog,
-        )
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
 

@@ -24,6 +24,7 @@ class DegenerateCurve(ValueError):
 
 
 DEFAULT_TRIALS = 100_000
+_SUB_BLOCK = 1024  # trials per cache-resident pass of simulate_coverage
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,11 @@ def simulate_coverage(params: CoverageParams, trials: int = DEFAULT_TRIALS) -> C
 
     Counter-based Philox stream keyed by the seed; each trial consumes a
     fixed block of draws in trial order, so extending `trials` never
-    reshuffles earlier trials.  The reduction is an ordered sum over trial
-    index, so results are bit-identical for fixed (params, trials).
+    reshuffles earlier trials.  Trials are reduced in chunks of 20,000 by an
+    ordered sum over trial index, so results are bit-identical for fixed
+    (params, trials).  Each chunk's per-trial fractions are computed in
+    sub-blocks of _SUB_BLOCK trials through preallocated buffers, so memory
+    is bounded by the sub-block, not by `trials`.
     """
     if trials < 1:
         raise BadParams("trials must be >= 1")
@@ -121,18 +125,27 @@ def simulate_coverage(params: CoverageParams, trials: int = DEFAULT_TRIALS) -> C
     sum_frac = np.zeros(k_max + 1)
     sum_frac_sq = np.zeros(k_max + 1)
     chunk = 20_000
+    frac = np.ones((min(chunk, trials), k_max + 1))  # column 0: K = 0 hides everything
+    block = min(_SUB_BLOCK, trials)
+    draws = np.empty((block, k_max, m))
+    hidden = np.empty((block, k_max, m), dtype=bool)
+    weighted = np.empty((block, k_max, m))
     done = 0
     while done < trials:
         t = min(chunk, trials - done)
-        if k_max > 0:
-            covered_once = rng.random((t, k_max, m)) < params.alpha
-            uncovered = np.cumsum(covered_once, axis=1) == 0  # still hidden after k channels
-            frac = (uncovered * h).sum(axis=2) / total  # (t, k_max)
-            frac = np.concatenate([np.ones((t, 1)), frac], axis=1)
-        else:
-            frac = np.ones((t, 1))
-        sum_frac += frac.sum(axis=0)
-        sum_frac_sq += (frac * frac).sum(axis=0)
+        for lo in range(0, t, block):
+            b = min(block, t - lo)
+            rng.random(out=draws[:b])
+            # bit j stays hidden after channel k iff channels 1..k all miss it
+            np.greater_equal(draws[:b], params.alpha, out=hidden[:b])
+            for k in range(1, k_max):
+                np.logical_and(hidden[:b, k - 1], hidden[:b, k], out=hidden[:b, k])
+            np.multiply(hidden[:b], h, out=weighted[:b])
+            rows = frac[lo:lo + b, 1:]
+            np.sum(weighted[:b], axis=2, out=rows)
+            rows /= total
+        sum_frac += frac[:t].sum(axis=0)
+        sum_frac_sq += (frac[:t] * frac[:t]).sum(axis=0)
         done += t
 
     mean = sum_frac / trials

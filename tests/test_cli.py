@@ -18,6 +18,7 @@ from masinfo.harness import (
     MockEmbeddingBackend,
     TranscriptStore,
 )
+from masinfo.info_theory import bsc_views_joint
 
 
 def write_jsonl(path, rows):
@@ -134,6 +135,15 @@ class TestBounds:
         assert abs(report["h_y_given_x"] - 1.0) < 1e-9
         assert abs(report["i_mas"] - 0.531004) < 1e-6
         assert report["i_mas"] <= report["h_y_given_x"] + 1e-9
+
+    @pytest.mark.parametrize("calls", ["-1", "0", "5"])
+    def test_calls_out_of_range_exits_2(self, tmp_path, capsys, calls):
+        joint = tmp_path / "joint.json"
+        joint.write_text(bsc_views_joint(0.1, 3).to_json())
+        code, out = run_cli("bounds", str(joint), "--calls", calls, capsys=capsys)
+        assert code == 2
+        assert "1..3" in out.err
+        assert out.out == ""
 
     def test_bad_joint_exits_2(self, tmp_path, capsys):
         joint = tmp_path / "joint.json"
@@ -296,6 +306,18 @@ class TestConfigValidation:
         code, out = run_cli("run", str(cfg_path), capsys=capsys)
         assert code == 2
         assert "must be an integer >= 1" in out.err
+        assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"layer": "L2", "persona_pool": ["skeptic"]},
+        {"layer": "L3", "model_pool": ["m1"]},
+        {"layer": "L2", "persona_pool": ["skeptic", "nobody"]},
+    ], ids=["l2-one-persona", "l3-one-model", "persona-missing-from-catalog"])
+    def test_unbuildable_pool_exits_2_before_output_dir(self, tmp_path, capsys, overrides):
+        cfg_path, _ = base_config(tmp_path, **overrides)
+        code, out = run_cli("run", str(cfg_path), capsys=capsys)
+        assert code == 2
+        assert out.err.startswith("error: ")
         assert not (tmp_path / "store").exists()
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -78,6 +79,18 @@ class TestSimulate:
         curve = simulate_coverage(p, trials=100_000)
         for k in range(5):
             assert abs(curve.mean_residual_fraction[k] - 0.65 ** k) <= 3 * max(curve.stderr[k], 1e-12)
+
+    @pytest.mark.parametrize("params, trials, digest", [
+        (CoverageParams.equal_bits(alpha=0.3, num_channels=10, seed=1, num_bits=16), 45_000,
+         "5f80a034754cba4599bf2bcb345254b76d31609e1985a4051bb41851463299c6"),
+        (CoverageParams(7, tuple(np.linspace(0.01, 0.2, 7)), 0.35, 6, 17), 21_001,
+         "6f33abbefd9bc4c307869bb0623fcfc84409cb262825e9c00d2ce395e907df53"),
+    ], ids=["equal-m16", "nonuniform-m7"])
+    def test_stream_and_reduction_pinned(self, params, trials, digest):
+        # the Philox draw order and the chunked reduction fix every digit of
+        # the curve; a change to either shows here
+        csv = simulate_coverage(params, trials=trials).to_csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
     def test_bad_trials(self):
         p = CoverageParams.equal_bits(alpha=0.3, num_channels=2, seed=0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from masinfo.info_theory import (
     InvalidVariable,
     TypeProfile,
     bsc_views_joint,
+    call_names,
     conditional_entropy,
     conditional_mutual_information,
     conditionally_independent_joint,
@@ -169,6 +171,19 @@ class TestUsableEvidence:
             assert processed <= direct + 1e-9
 
 
+class TestNCalls:
+    def test_prefix(self):
+        j = bsc_views_joint(0.1, 3)
+        full = usable_evidence(j)
+        two = usable_evidence(j, n_calls=2)
+        assert two.increments == full.increments[:2]
+
+    @pytest.mark.parametrize("n_calls", [-1, 0, 4])
+    def test_out_of_range_rejected(self, n_calls):
+        with pytest.raises(InvalidVariable, match=r"1\.\.3"):
+            usable_evidence(bsc_views_joint(0.1, 3), n_calls=n_calls)
+
+
 class TestCeilings:
     def test_parallel_arithmetic(self):
         p = TypeProfile(("b",), (3,), (0.2,))
@@ -210,9 +225,61 @@ class TestCeilings:
         rng = np.random.default_rng(5)
         for _ in range(5):
             j = random_joint(rng, (2, 2, 2, 2))
-            # sup over histories can only exceed the history-free slice average
             assert max_step_info(j, "Z1") == single_call_info(j, "Z1")
-            assert max_step_info(j, "Z2") >= 0.0
+            # the increment I(Z_i; Y | X, Z_<i) averages the per-history MI
+            # over p(z_<i), so their supremum is at least the increment
+            increments = usable_evidence(j).increments
+            for i, call in enumerate(("Z1", "Z2")):
+                assert max_step_info(j, call) >= increments[i] - 1e-12
+
+
+def max_step_info_by_enumeration(joint, call):
+    """Reference: condition on each history z_<i in turn, skipping zero-mass ones."""
+    calls = call_names(joint)
+    prev = calls[:calls.index(call)]
+    if not prev:
+        return single_call_info(joint, call)
+    sizes = [joint.alphabet_sizes[joint.names.index(p)] for p in prev]
+    best = 0.0
+    for assignment in itertools.product(*(range(s) for s in sizes)):
+        try:
+            cond = joint.condition_on(dict(zip(prev, assignment)))
+        except ValueError:
+            continue  # zero-probability history
+        best = max(best, conditional_mutual_information(cond, call, "Y", "X"))
+    return best
+
+
+class TestMaxStepInfo:
+    def test_matches_enumeration_on_random_joints(self):
+        rng = np.random.default_rng(7)
+        for trial in range(60):
+            n = int(rng.integers(1, 5))
+            sizes = (int(rng.integers(1, 4)), int(rng.integers(2, 4))) + tuple(
+                int(rng.integers(2, 4)) for _ in range(n)
+            )
+            p = rng.random(sizes)
+            if trial % 2:
+                p[rng.random(sizes) < 0.3] = 0.0  # zero cells
+            if trial % 3 == 0 and n > 1:
+                p[:, :, 0] = 0.0  # every history with Z1 = 0 has zero mass
+            p /= p.sum()
+            j = DiscreteJoint(tuple(["X", "Y"] + [f"Z{i}" for i in range(1, n + 1)]), p)
+            for call in call_names(j):
+                assert abs(max_step_info(j, call) - max_step_info_by_enumeration(j, call)) < 1e-12
+
+    def test_matches_enumeration_on_bsc_views(self):
+        j = bsc_views_joint(0.2, 6)
+        for call in call_names(j):
+            assert abs(max_step_info(j, call) - max_step_info_by_enumeration(j, call)) < 1e-12
+
+    def test_every_history_zero_mass_gives_zero(self):
+        # the constructor rejects an all-zero table, so build one around it
+        j = object.__new__(DiscreteJoint)
+        object.__setattr__(j, "names", ("X", "Y", "Z1", "Z2"))
+        object.__setattr__(j, "probabilities", np.zeros((1, 2, 2, 2)))
+        assert max_step_info(j, "Z2") == 0.0
+        assert max_step_info_by_enumeration(j, "Z2") == 0.0
 
 
 class TestRedundancyIdentity:
