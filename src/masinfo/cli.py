@@ -292,7 +292,7 @@ def _load_store_dir(store_dir):
     emb_path = os.path.join(store_dir, "embeddings.jsonl")
     if os.path.exists(emb_path):
         ids, raw = spectral.load_embeddings_jsonl(emb_path)
-        embeddings = {i: v for i, v in zip(ids, raw.tolist())}
+        embeddings = dict(zip(ids, raw))
     return transcripts, embeddings
 
 

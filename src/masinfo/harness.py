@@ -403,8 +403,11 @@ class JSONClient:
             raise TransientBackendError(f"server error {resp.status} from {url}")
         if resp.status >= 400:
             raise BackendError(f"request rejected ({resp.status}) by {url}: {data[:200]!r}")
+        # imported here, so mock runs and the toolkit never load it
+        import orjson
+
         try:
-            return json.loads(data)
+            return orjson.loads(data)
         except ValueError as exc:
             raise TransientBackendError(f"malformed JSON from {url}: {exc}") from exc
 

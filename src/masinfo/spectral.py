@@ -206,24 +206,33 @@ def mean_pairwise_cosine(emb: EmbeddingSet) -> RedundancyScore:
 def load_embeddings_jsonl(path):
     """Read one {"id": str, "vector": [...]} object per line; returns (ids, raw rows).
 
-    Raises ValueError naming the offending line number on malformed input.
+    Each vector must be a flat list of finite numbers: `null`, `NaN`,
+    `Infinity`, a literal that overflows a double (`1e400`) or a nested list
+    is rejected.  Raises ValueError naming the offending line number on
+    malformed input.
     """
+    # imported here, so processes that never read embeddings do not load it
+    import orjson
+
     ids, rows = [], []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = orjson.loads(line)
                 ids.append(str(obj["id"]))
-                vec = [float(x) for x in obj["vector"]]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                vec = np.array(obj["vector"], dtype=float)
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed embedding row at line {lineno}: {exc}") from exc
+            if vec.ndim != 1 or not np.isfinite(vec).all():
+                raise ValueError(f"malformed embedding row at line {lineno}: "
+                                 "vector must be a flat list of finite numbers")
             rows.append(vec)
     if not rows:
         raise ValueError("embedding file is empty")
     dims = {len(r) for r in rows}
     if len(dims) != 1:
         raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")
-    return ids, np.array(rows, dtype=float)
+    return ids, np.stack(rows)

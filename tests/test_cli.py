@@ -66,6 +66,16 @@ class TestKstar:
         assert code == 2
         assert "line 2" in out.err
 
+    @pytest.mark.parametrize("vector", [
+        "[1.0, null]", "[NaN, 1.0]", "[1.0, Infinity]", "[1e400, 1.0]", "[[1.0, 0.0]]",
+    ], ids=["null", "nan", "infinity", "overflow", "nested"])
+    def test_non_finite_row_exits_2_with_line(self, tmp_path, capsys, vector):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "a", "vector": [1.0, 0.0]}\n{"id": "b", "vector": %s}\n' % vector)
+        code, out = run_cli("kstar", str(path), capsys=capsys)
+        assert code == 2
+        assert "line 2" in out.err
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, out = run_cli("kstar", str(tmp_path / "none.jsonl"), capsys=capsys)
         assert code == 2
@@ -176,6 +186,23 @@ def test_cli_import_leaves_out_requests():
         [sys.executable, "-c", "import sys, masinfo.cli; print('requests' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
     )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_mock_run_and_toolkit_leave_out_orjson(tmp_path):
+    # orjson is imported only where bulk JSON is decoded: analyze, kstar, HTTP replies
+    cfg_path, _ = base_config(tmp_path)
+    src = os.path.dirname(os.path.dirname(masinfo.__file__))
+    script = (
+        "import os, sys\n"
+        "from masinfo.cli import main\n"
+        f"assert main(['run', {str(cfg_path)!r}]) == 0\n"
+        "assert main(['simulate', '--alpha', '0.2', '--trials', '10', '--output', os.devnull]) == 0\n"
+        "print('orjson' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 

@@ -331,6 +331,7 @@ class TestTaskLoading:
 class _Handler(BaseHTTPRequestHandler):
     fail_first = 0
     fail_status = 500
+    garbage_first = 0  # requests answered 200 with a body that is not JSON
     hits = 0
 
     def log_message(self, *args):
@@ -343,6 +344,14 @@ class _Handler(BaseHTTPRequestHandler):
             cls.fail_first -= 1
             self.send_response(cls.fail_status)
             self.end_headers()
+            return
+        if cls.garbage_first > 0:
+            cls.garbage_first -= 1
+            data = b"<html>upstream hiccup</html>"
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
             return
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
@@ -378,6 +387,7 @@ def http_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _Handler.fail_first, _Handler.fail_status, _Handler.hits = 0, 500, 0
+    _Handler.garbage_first = 0
     yield f"http://127.0.0.1:{server.server_port}/v1"
     server.shutdown()
     server.server_close()
@@ -417,6 +427,20 @@ class TestHTTPBackends:
             backend.chat([{"role": "user", "content": "hi"}], "m", Decoding())
         assert not isinstance(info.value, TransientBackendError)
         assert _Handler.hits == 1
+
+    def test_reply_not_json_is_retried(self, http_server):
+        _Handler.garbage_first = 1
+        backend = OpenAIChatBackend(http_server, backoff=0)
+        out = backend.chat([{"role": "user", "content": "hi"}], "m", Decoding())
+        assert "(A)" in out
+        assert _Handler.hits == 2
+
+    def test_reply_never_json_raises_transient(self, http_server):
+        _Handler.garbage_first = 10
+        backend = OpenAIChatBackend(http_server, max_retries=2, backoff=0)
+        with pytest.raises(TransientBackendError, match="malformed JSON"):
+            backend.chat([{"role": "user", "content": "hi"}], "m", Decoding())
+        assert _Handler.hits == 3
 
     def test_embeddings_order_preserved(self, http_server):
         backend = OpenAIEmbeddingBackend(http_server, "emb-model", backoff=0.01)

@@ -208,3 +208,83 @@ class TestJsonl:
         path.write_text('{"id": "a", "vector": [1.0]}\n{"id": "b", "vector": [1.0, 2.0]}\n')
         with pytest.raises(ValueError, match="dimension"):
             load_embeddings_jsonl(path)
+
+
+def stdlib_load(path):
+    # the loader's reference: stdlib decoder, one float() per element
+    ids, rows = [], []
+    with open(path) as fh:
+        for line in fh:
+            if line.strip():
+                obj = json.loads(line)
+                ids.append(str(obj["id"]))
+                rows.append([float(x) for x in obj["vector"]])
+    return ids, np.array(rows, dtype=float)
+
+
+def random_literal(rng):
+    """A JSON number of 1-25 digits, often not the shortest form of its double."""
+    digits = "".join(map(str, rng.integers(0, 10, int(rng.integers(1, 26)))))
+    cut = int(rng.integers(1, len(digits) + 1))
+    whole, frac = digits[:cut].lstrip("0") or "0", digits[cut:]
+    text = ("-" if rng.random() < 0.5 else "") + whole + ("." + frac if frac else "")
+    if rng.random() < 0.7:
+        # exponents stay below overflow: 25 digits times 1e280 is finite
+        text += str(rng.choice(["e", "E"])) + str(rng.choice(["", "+", "-"]))
+        text += str(rng.integers(0, 281))
+    return text
+
+
+class TestJsonlDecoding:
+    def test_matches_stdlib_decoder_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(17)
+        doubles = np.concatenate([
+            rng.standard_normal(600),
+            rng.standard_normal(300) * 10.0 ** rng.integers(-300, 301, 300),
+            rng.random(100) * 2.2250738585072014e-308,  # subnormal
+            [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e300],
+        ])
+        literals = [repr(float(v)) for v in doubles]
+        literals += [random_literal(rng) for _ in range(1400)]
+        literals += ["1E5", "1e-05", "2.5e+3", "0.1000000000000000055511151231257827",
+                     "9007199254740993", "123456789012345678901234567890", "-0", "1.0e-400"]
+        width = 12
+        literals += ["0"] * (-len(literals) % width)
+        rng.shuffle(literals)
+        lines = [
+            '{"id": "r%d", "vector": [%s]}' % (i, ", ".join(literals[j:j + width]))
+            for i, j in enumerate(range(0, len(literals), width))
+        ]
+        path = tmp_path / "emb.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        ids, raw = load_embeddings_jsonl(path)
+        ref_ids, ref = stdlib_load(path)
+        assert ids == ref_ids
+        assert raw.shape == ref.shape == (len(lines), width)
+        assert raw.dtype == np.float64
+        assert np.array_equal(raw.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("row", [
+        '{"id": "b", "vector": [1.0, null]}',
+        '{"id": "b", "vector": [1.0, NaN]}',
+        '{"id": "b", "vector": [Infinity, 1.0]}',
+        '{"id": "b", "vector": [1.0, -Infinity]}',
+        '{"id": "b", "vector": [1e400, 1.0]}',
+        '{"id": "b", "vector": [[1.0, 2.0]]}',
+        '{"id": "b", "vector": 1.5}',
+        '{"id": "b", "vector": ["x", 1.0]}',
+        '{"id": "b"}',
+    ], ids=["null", "nan", "infinity", "minus-infinity", "overflow", "nested", "scalar",
+            "string", "missing-vector"])
+    def test_bad_row_names_line(self, tmp_path, row):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "a", "vector": [1.0, 0.0]}\n' + row + "\n")
+        with pytest.raises(ValueError, match="line 2"):
+            load_embeddings_jsonl(path)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
+    def test_empty_file_rejected(self, tmp_path, text):
+        path = tmp_path / "emb.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="empty"):
+            load_embeddings_jsonl(path)
