@@ -79,28 +79,37 @@ def summarize_runs(transcripts, embeddings=None, mode="per-question"):
     """One RunSummary per (dataset, layer, workflow, N) group.
 
     `embeddings` maps "<task_id>:<call_index>" to a raw vector; when None,
-    the spectral columns are None and only accuracy is reported.  Mode
-    "per-question" computes K* per task then averages; "pooled" stacks all
-    call embeddings of the group into one set.
+    the spectral columns are None and only accuracy is reported.  Ids are
+    only unique within one store, so for transcripts merged from several
+    stores pass a list instead, aligned with `transcripts`, holding the
+    mapping of the store each transcript came from (an empty one for a
+    store without embeddings, whose transcripts raise MissingEmbeddings).
+    Mode "per-question" computes K* per task then averages; "pooled" stacks
+    all call embeddings of the group into one set.
     """
     if mode not in ("per-question", "pooled"):
         raise ValueError("mode must be 'per-question' or 'pooled'")
+    if isinstance(embeddings, list):
+        pairs = zip(transcripts, embeddings, strict=True)
+    else:
+        pairs = ((t, embeddings) for t in transcripts)
     groups = {}
-    for t in transcripts:
+    for t, lookup in pairs:
         if t.invalid:
             continue
-        groups.setdefault((t.dataset, t.layer, t.workflow, t.n_agents), []).append(t)
+        groups.setdefault((t.dataset, t.layer, t.workflow, t.n_agents), []).append((t, lookup))
 
     summaries = []
-    for (dataset, layer, workflow, n), ts in sorted(groups.items()):
+    for (dataset, layer, workflow, n), members in sorted(groups.items()):
+        ts = [t for t, _ in members]
         correct = sum(1 for t in ts if t.final_answer is not None and t.final_answer == t.gold_answer)
         acc = correct / len(ts)
         ks = ks_c = ks_w = cos = None
         if embeddings is not None:
             if mode == "per-question":
                 per_ks, per_c, per_w, per_cos = [], [], [], []
-                for t in ts:
-                    emb = _transcript_embeddings(t, embeddings)
+                for t, lookup in members:
+                    emb = _transcript_embeddings(t, lookup)
                     per_ks.append(k_star(emb).k_star)
                     mask = [
                         c["extracted_answer"] is not None
@@ -117,7 +126,7 @@ def summarize_runs(transcripts, embeddings=None, mode="per-question"):
                 ks_w = _mean_or_none(per_w)
                 cos = _mean_or_none(per_cos)
             else:
-                embs = [_transcript_embeddings(t, embeddings) for t in ts]
+                embs = [_transcript_embeddings(t, lookup) for t, lookup in members]
                 pooled = normalize_embeddings(np.vstack([e.vectors for e in embs]))
                 ks = k_star(pooled).k_star
                 mask = [

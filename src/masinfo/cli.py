@@ -298,18 +298,18 @@ def _load_store_dir(store_dir):
 
 def cmd_analyze(args):
     store_dirs = [args.store_dir] + (args.merge or [])
-    transcripts, embeddings = [], {}
+    # ids repeat across stores, so each transcript keeps its own store's vectors
+    transcripts, embeddings = [], []
     try:
         for d in store_dirs:
             ts, emb = _load_store_dir(d)
             transcripts.extend(ts)
-            if emb:
-                embeddings.update(emb)
+            embeddings.extend([emb or {}] * len(ts))
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     if not transcripts:
         return _fail("store contains no transcripts")
-    if not embeddings:
+    if not any(embeddings):
         embeddings = None
         print("warning: no embeddings found; spectral columns omitted", file=sys.stderr)
 

@@ -130,6 +130,31 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize_runs([], mode="median")
 
+    @pytest.mark.parametrize("mode", ["per-question", "pooled"])
+    def test_per_transcript_lookups(self, mode):
+        # one task id in two stores, with different vectors in each
+        ts = [make_transcript("t1", ["A", "A"], layer="L1"),
+              make_transcript("t1", ["A", "A"], layer="L2")]
+        lookups = [embeddings_for("t1", np.eye(2)),
+                   embeddings_for("t1", [[1.0, 0.0], [1.0, 0.0]])]
+        s1, s2 = summarize_runs(ts, lookups, mode=mode)
+        assert (s1.layer, s2.layer) == ("L1", "L2")
+        assert abs(s1.k_star - 2.0) < 1e-6
+        assert abs(s2.k_star - 1.0) < 1e-6
+
+    def test_per_transcript_lookup_without_embeddings(self):
+        ts = [make_transcript("t1", ["A", "A"], layer="L1"),
+              make_transcript("t2", ["A", "A"], layer="L2")]
+        lookups = [{**embeddings_for("t1", np.eye(2)), **embeddings_for("t2", np.eye(2))}, {}]
+        with pytest.raises(MissingEmbeddings) as exc:
+            summarize_runs(ts, lookups)
+        assert exc.value.task_id == "t2"
+
+    def test_per_transcript_lookups_must_align(self):
+        ts = [make_transcript("t1", ["A", "A"])]
+        with pytest.raises(ValueError):
+            summarize_runs(ts, [embeddings_for("t1", np.eye(2))] * 2)
+
 
 class TestMarginalGains:
     def test_basic(self):

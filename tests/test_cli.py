@@ -547,6 +547,35 @@ class TestAnalyze:
         assert {r["n_agents"] for r in rows} == {2, 4}
         assert all(r["task_count"] == 3 for r in rows)
 
+    def test_merged_stores_keep_their_own_vectors(self, tmp_path):
+        # same tasks and call indices, so the same embedding ids, but other vectors
+        s1 = self.run_store(tmp_path / "r1", layer="L1", seed=11)
+        s2 = self.run_store(tmp_path / "r2", layer="L2", seed=12)
+        rows = [{json.loads(l)["id"]: json.loads(l)["vector"]
+                 for l in (s / "embeddings.jsonl").read_text().splitlines()} for s in (s1, s2)]
+        assert rows[0].keys() == rows[1].keys()
+        assert rows[0] != rows[1]
+        alone = {}
+        for store in (s1, s2):
+            assert main(["analyze", str(store)]) == 0
+            for r in json.loads((store / "reports" / "summaries.json").read_text()):
+                alone[(r["layer"], r["n_agents"])] = r
+        out = tmp_path / "merged_reports"
+        assert main(["analyze", str(s1), "--merge", str(s2), "--output", str(out)]) == 0
+        merged = json.loads((out / "summaries.json").read_text())
+        assert len(merged) == len(alone) == 4
+        for r in merged:
+            assert r == alone[(r["layer"], r["n_agents"])]
+
+    def test_merged_store_without_embeddings_exits_2(self, tmp_path, capsys):
+        s1 = self.run_store(tmp_path / "r1", layer="L1")
+        s2 = self.run_store(tmp_path / "r2", layer="L2")
+        (s2 / "embeddings.jsonl").unlink()
+        code, out = run_cli("analyze", str(s1), "--merge", str(s2),
+                            "--output", str(tmp_path / "out"), capsys=capsys)
+        assert code == 2
+        assert "no embeddings for task" in out.err
+
     def test_pooled_mode_recorded(self, tmp_path):
         store = self.run_store(tmp_path, n_agents_list=[2])
         assert main(["analyze", str(store), "--mode", "pooled"]) == 0
