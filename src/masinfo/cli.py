@@ -128,6 +128,13 @@ def _check_count(value, name):
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _check_names(value, name):
+    # a bare string would be split into one-character names
+    if not isinstance(value, list) or not value or not all(
+            isinstance(v, str) and v for v in value):
+        raise ValueError(f"{name} must be a nonempty list of nonempty strings, got {value!r}")
+
+
 def _load_config(path):
     with open(path) as fh:
         cfg = json.load(fh)
@@ -144,6 +151,9 @@ def _load_config(path):
     for key in ("rounds", "concurrency_limit"):
         if cfg.get(key) is not None:
             _check_count(cfg[key], key)
+    _check_names(cfg["model_pool"], "model_pool")
+    if "persona_pool" in cfg:
+        _check_names(cfg["persona_pool"], "persona_pool")
     specs = [harness.WorkflowSpec(cfg["workflow"], n, cfg.get("rounds"))
              for n in cfg["n_agents_list"]]
     if not os.path.exists(cfg["dataset_path"]):

@@ -28,7 +28,7 @@ import time
 import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 
 import numpy as np
@@ -518,7 +518,10 @@ class Transcript:
     schema: int = SCHEMA_VERSION
 
     def to_dict(self):
-        return asdict(self)
+        # call dicts hold only scalars, so one level of copying detaches the result
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["calls"] = [dict(c) for c in self.calls]
+        return d
 
     @classmethod
     def from_dict(cls, d):

@@ -348,6 +348,25 @@ class TestConfigValidation:
         assert not (tmp_path / "store").exists()
 
 
+    @pytest.mark.parametrize("overrides", [
+        {"layer": "L3", "model_pool": "gpt4"},
+        {"model_pool": [""]},
+        {"layer": "L3", "model_pool": ["m1", 3]},
+        {"model_pool": None},
+        {"persona_pool": "skeptic"},
+        {"persona_pool": []},
+        {"persona_pool": [""]},
+        {"persona_pool": None},
+    ], ids=["model-string", "model-empty-name", "model-not-string", "model-null",
+            "persona-string", "persona-empty", "persona-empty-name", "persona-null"])
+    def test_bad_pool_list_exits_2_before_output_dir(self, tmp_path, capsys, overrides):
+        cfg_path, _ = base_config(tmp_path, n_agents_list=[2], **overrides)
+        code, out = run_cli("run", str(cfg_path), capsys=capsys)
+        assert code == 2
+        assert "must be a nonempty list of nonempty strings" in out.err
+        assert not (tmp_path / "store").exists()
+
+
 class InflightChat(MockChatBackend):
     """Mock chat that counts calls in flight, sharing the count with InflightEmbed.
 

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import threading
 from collections import Counter
@@ -303,6 +304,16 @@ class TestTranscriptStore:
 
     def test_missing_file_is_empty(self, tmp_path):
         assert list(TranscriptStore(tmp_path / "none.jsonl")) == []
+
+    def test_to_dict_matches_deep_copy(self):
+        t = run_debate(TASK_MC, make_plan(), 3, rounds=2, backend=MockChatBackend(seed=4))
+        d = t.to_dict()
+        assert d == dataclasses.asdict(t)
+        assert list(d) == [f.name for f in dataclasses.fields(t)]
+        d["calls"][0]["raw_output"] = "changed"
+        d["calls"].append({})
+        assert t.calls[0]["raw_output"] != "changed"
+        assert len(t.calls) == 6
 
     def test_task_ids(self, tmp_path):
         store = TranscriptStore(tmp_path / "s.jsonl")
