@@ -51,7 +51,7 @@ def main():
     print("\n== transcripts embed and summarize ==")
     texts = [c["raw_output"] or "" for c in vote.calls]
     vectors = fetch_embeddings(texts, MockEmbeddingBackend(dim=8, seed=3))
-    embeddings = {f"{vote.task_id}:{c['call_index']}": v for c, v in zip(vote.calls, vectors)}
+    embeddings = dict(zip(vote.embedding_ids(), vectors))
     (summary,) = summarize_runs([vote], embeddings)
     print(f"  {summary.config_label}: accuracy {summary.accuracy:.2f}, "
           f"K* {summary.k_star:.3f}")

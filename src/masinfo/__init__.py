@@ -8,11 +8,9 @@ layers L1-L4.
 
 from masinfo.spectral import (
     EmbeddingSet,
-    GramMatrix,
     SpectralSummary,
     RedundancyScore,
     normalize_embeddings,
-    gram_matrix,
     k_star,
     k_star_conditioned,
     mean_pairwise_cosine,
@@ -42,11 +40,9 @@ from masinfo.coverage import (
 
 __all__ = [
     "EmbeddingSet",
-    "GramMatrix",
     "SpectralSummary",
     "RedundancyScore",
     "normalize_embeddings",
-    "gram_matrix",
     "k_star",
     "k_star_conditioned",
     "mean_pairwise_cosine",

@@ -4,14 +4,19 @@ Turns persisted Vote/Debate transcripts plus embeddings into per-config
 summaries (accuracy, K*, K*_c/K*_w, mean cosine), marginal-gain curves,
 rank correlations, permutation sanity checks, incremental-R^2 regressions,
 agents-to-match efficiency tables, and the correct/wrong-dominant boundary
-classification.
+classification; `report_bundle` renders all of them as the `analyze` report
+files.
 """
 
+import csv
+import io
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from masinfo.harness import LAYERS
 from masinfo.spectral import (
     normalize_embeddings,
     k_star,
@@ -67,12 +72,25 @@ def _mean_or_none(values):
 
 
 def _transcript_embeddings(transcript, embeddings):
-    ids = [f"{transcript.task_id}:{c['call_index']}" for c in transcript.calls]
+    ids = transcript.embedding_ids()
     try:
         rows = [embeddings[i] for i in ids]
     except KeyError:
         raise MissingEmbeddings(transcript.task_id) from None
     return normalize_embeddings(rows, ids)
+
+
+def _correct_mask(t):
+    """Per call of transcript `t`: did that call extract the gold answer?"""
+    return [c["extracted_answer"] is not None and c["extracted_answer"] == t.gold_answer
+            for c in t.calls]
+
+
+def _spectral_columns(emb, mask):
+    """(K*, K*_c, K*_w, mean cosine) of one embedding set; no cosine below 2 rows."""
+    c, w = k_star_conditioned(emb, mask)
+    cos = mean_pairwise_cosine(emb).mean_pairwise_cosine if emb.n >= 2 else None
+    return k_star(emb).k_star, c, w, cos
 
 
 def summarize_runs(transcripts, embeddings=None, mode="per-question"):
@@ -107,36 +125,14 @@ def summarize_runs(transcripts, embeddings=None, mode="per-question"):
         ks = ks_c = ks_w = cos = None
         if embeddings is not None:
             if mode == "per-question":
-                per_ks, per_c, per_w, per_cos = [], [], [], []
-                for t, lookup in members:
-                    emb = _transcript_embeddings(t, lookup)
-                    per_ks.append(k_star(emb).k_star)
-                    mask = [
-                        c["extracted_answer"] is not None
-                        and c["extracted_answer"] == t.gold_answer
-                        for c in t.calls
-                    ]
-                    c_val, w_val = k_star_conditioned(emb, mask)
-                    per_c.append(c_val)
-                    per_w.append(w_val)
-                    if emb.n >= 2:
-                        per_cos.append(mean_pairwise_cosine(emb).mean_pairwise_cosine)
-                ks = _mean_or_none(per_ks)
-                ks_c = _mean_or_none(per_c)
-                ks_w = _mean_or_none(per_w)
-                cos = _mean_or_none(per_cos)
+                per_task = [_spectral_columns(_transcript_embeddings(t, lookup), _correct_mask(t))
+                            for t, lookup in members]
+                ks, ks_c, ks_w, cos = (_mean_or_none(col) for col in zip(*per_task))
             else:
                 embs = [_transcript_embeddings(t, lookup) for t, lookup in members]
                 pooled = normalize_embeddings(np.vstack([e.vectors for e in embs]))
-                ks = k_star(pooled).k_star
-                mask = [
-                    c["extracted_answer"] is not None and c["extracted_answer"] == t.gold_answer
-                    for t in ts
-                    for c in t.calls
-                ]
-                ks_c, ks_w = k_star_conditioned(pooled, mask)
-                if pooled.n >= 2:
-                    cos = mean_pairwise_cosine(pooled).mean_pairwise_cosine
+                ks, ks_c, ks_w, cos = _spectral_columns(
+                    pooled, [m for t in ts for m in _correct_mask(t)])
         summaries.append(
             RunSummary(dataset, layer, workflow, n, acc, ks, ks_c, ks_w, cos, len(ts), mode)
         )
@@ -321,3 +317,96 @@ def boundary_classification(summaries):
         side = "correct-dominant" if s.k_star_c > s.k_star_w else "wrong-dominant"
         entries.append((s.config_label, side, tie))
     return entries, skipped
+
+
+SUMMARY_COLUMNS = ("dataset", "workflow", "layer", "n_agents", "accuracy", "k_star",
+                   "k_star_c", "k_star_w", "mean_cosine", "task_count", "mode")
+SPECTRAL_REPORTS = ("boundary.csv", "kstar_vs_accuracy.csv")
+STATS_REPORTS = ("permutation_report.json", "regression_report.json")
+STATS_MIN_CONFIGS = 5
+
+
+def _csv_text(header, rows):
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def report_bundle(summaries, seed=0):
+    """Every `analyze` report of `summaries`, and why any report was left out.
+
+    Returns (files, skipped): `files` maps each report file name to its text,
+    `skipped` maps each report not produced to the reason.  The spectral
+    reports need K* in some summary; the permutation test (seeded with
+    `seed`) and the K* regression also need K* for at least
+    STATS_MIN_CONFIGS configs and data they can be computed on.
+    """
+    files, skipped = {}, {}
+    rows = [[getattr(s, c) for c in SUMMARY_COLUMNS] for s in summaries]
+    files["summaries.csv"] = _csv_text(SUMMARY_COLUMNS, rows)
+    files["summaries.json"] = json.dumps([dict(zip(SUMMARY_COLUMNS, r)) for r in rows], indent=2)
+
+    # accuracy-vs-N plot data plus marginal gains per configuration series
+    series = {}
+    for s in summaries:
+        series.setdefault((s.dataset, s.workflow, s.layer), []).append((s.n_agents, s.accuracy))
+    acc_rows, gain_rows = [], []
+    for key, pts in sorted(series.items()):
+        pts.sort()
+        acc_rows += [[*key, n, a] for n, a in pts]
+        if len(pts) >= 2:
+            gain_rows += [[*key, n, g] for n, g in marginal_gains(pts)]
+    files["accuracy_vs_n.csv"] = _csv_text(
+        ["dataset", "workflow", "layer", "n_agents", "accuracy"], acc_rows)
+    files["marginal_gains.csv"] = _csv_text(
+        ["dataset", "workflow", "layer", "n_agents", "delta_per_agent"], gain_rows)
+
+    # agents-to-match: the L1 series is the baseline within each (dataset, workflow)
+    match_rows = []
+    for dataset, workflow in dict.fromkeys((d, w) for d, w, _ in series):
+        base = series.get((dataset, workflow, "L1"))
+        if not base:
+            continue
+        for layer in LAYERS[1:]:
+            cand = series.get((dataset, workflow, layer))
+            if cand:
+                n_match, acc = agents_to_match(sorted(base), sorted(cand))
+                match_rows.append([dataset, workflow, layer, n_match, acc])
+    files["agents_to_match.csv"] = _csv_text(
+        ["dataset", "workflow", "layer", "n_match", "acc_at_match"], match_rows)
+
+    spectral = [s for s in summaries if s.k_star is not None]
+    if not spectral:
+        reason = "no config has K* (no embeddings, or no valid transcript)"
+        skipped.update(dict.fromkeys(SPECTRAL_REPORTS + STATS_REPORTS, reason))
+        return files, skipped
+    entries, _ = boundary_classification(summaries)
+    files["boundary.csv"] = _csv_text(["config", "side", "tie"], entries)
+    files["kstar_vs_accuracy.csv"] = _csv_text(
+        ["k_star", "accuracy"], [[s.k_star, s.accuracy] for s in spectral])
+
+    if len(spectral) < STATS_MIN_CONFIGS:
+        reason = f"{len(spectral)} configs with K*, need at least {STATS_MIN_CONFIGS}"
+        skipped.update(dict.fromkeys(STATS_REPORTS, reason))
+        return files, skipped
+    x = [s.k_star for s in spectral]
+    y = [s.accuracy for s in spectral]
+    try:
+        perm = permutation_test(x, y, shuffles=1000, seed=seed)
+        files["permutation_report.json"] = json.dumps(asdict(perm), indent=2)
+    except DegenerateInput as exc:
+        skipped["permutation_report.json"] = str(exc)
+    layers = sorted({s.layer for s in summaries})
+    try:
+        reg = ols_incremental_r2(
+            [[s.n_agents] + [1.0 if s.layer == l else 0.0 for l in layers[1:]] for s in spectral],
+            [[s.k_star] for s in spectral],
+            y,
+            names=["n_agents"] + [f"layer_{l}" for l in layers[1:]] + ["k_star"],
+        )
+        files["regression_report.json"] = json.dumps(asdict(reg), indent=2)
+    except (SingularDesign, DegenerateInput) as exc:
+        skipped["regression_report.json"] = str(exc)
+    return files, skipped

@@ -8,13 +8,10 @@ import argparse
 import contextlib
 import csv
 import hashlib
-import io
 import json
 import os
 import sys
 import time
-
-import numpy as np
 
 from masinfo import analysis, coverage, harness, info_theory, spectral
 
@@ -49,9 +46,11 @@ def cmd_kstar(args):
         if args.mask:
             with open(args.mask) as fh:
                 mask = json.load(fh)
-            if not isinstance(mask, list) or len(mask) != emb.n:
+            # bool("false") is True: only JSON booleans are read as booleans
+            if (not isinstance(mask, list) or len(mask) != emb.n
+                    or not all(isinstance(m, bool) for m in mask)):
                 raise ValueError(f"mask must be a JSON list of {emb.n} booleans")
-            c, w = spectral.k_star_conditioned(emb, [bool(m) for m in mask])
+            c, w = spectral.k_star_conditioned(emb, mask)
             result["k_star_c"] = c
             result["k_star_w"] = w
     except (ValueError, OSError) as exc:
@@ -98,17 +97,22 @@ def cmd_bounds(args):
 
 def cmd_fit_alpha(args):
     try:
-        points = []
+        points, header_allowed = [], True
         with open(args.curve) as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row or not row[0].strip():
                     continue
                 try:
                     points.append((float(row[0]), float(row[1])))
-                except ValueError:
-                    continue  # header row
+                except (ValueError, IndexError):
+                    if not header_allowed:
+                        raise ValueError(f"malformed row at line {reader.line_num}: "
+                                         f"expected two numbers, got {row!r}") from None
+                # only the first nonblank row may be a header
+                header_allowed = False
         alpha_hat, rss = coverage.fit_alpha(points)
-    except (coverage.DegenerateCurve, ValueError, OSError, IndexError) as exc:
+    except (coverage.DegenerateCurve, ValueError, OSError) as exc:
         return _fail(str(exc))
     _write_out(json.dumps({"alpha_hat": alpha_hat, "rss": rss}), args.output)
     return EXIT_OK
@@ -184,6 +188,8 @@ def _build_backends(cfg):
         embed = harness.MockEmbeddingBackend(dim=b.get("dim", 8), seed=cfg["seed"])
         return chat, embed
     if kind == "openai":
+        if not b.get("chat_url"):
+            raise ValueError("backend kind 'openai' needs a chat_url")
         # secrets come only from the environment variable named in config
         api_key = os.environ.get(b.get("api_key_env", ""), None)
         chat = harness.OpenAIChatBackend(b["chat_url"], api_key=api_key)
@@ -197,13 +203,16 @@ def _build_backends(cfg):
 
 
 def cmd_run(args):
+    # everything that can reject the input runs before output_dir exists;
+    # the backends open no connection until their first request
     try:
         cfg, specs, plan = _load_config(args.config)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        tasks = harness.load_tasks_jsonl(cfg["dataset_path"])
+        chat, embed = _build_backends(cfg)
+    except (ValueError, OSError) as exc:
         return _fail(str(exc))
 
     out_dir = cfg["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     chash = _config_hash(cfg)
     manifest_path = os.path.join(out_dir, "manifest.json")
     if os.path.exists(manifest_path):
@@ -211,12 +220,7 @@ def cmd_run(args):
             old = json.load(fh)
         if old.get("config_hash") != chash:
             return _fail("output_dir holds a run with a different config; resume refused")
-
-    try:
-        tasks = harness.load_tasks_jsonl(cfg["dataset_path"])
-        chat, embed = _build_backends(cfg)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc))
+    os.makedirs(out_dir, exist_ok=True)
 
     workflow = cfg["workflow"]
     concurrency = cfg.get("concurrency_limit") or 4
@@ -251,9 +255,8 @@ def cmd_run(args):
                 # two leaves the task undone, and its rerun's rows win
                 if vectors:
                     with open(emb_path, "a") as fh:
-                        fh.writelines(
-                            json.dumps({"id": f"{t.task_id}:{c['call_index']}", "vector": v})
-                            + "\n" for c, v in zip(t.calls, vectors))
+                        fh.writelines(json.dumps({"id": i, "vector": v}) + "\n"
+                                      for i, v in zip(t.embedding_ids(), vectors))
                 stores[spec.num_agents].append(t)
                 if not t.invalid:
                     all_invalid = False
@@ -282,14 +285,6 @@ def cmd_run(args):
 
 # ---------------------------------------------------------------------------
 # analyze
-
-
-def _csv_text(header, rows):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
 
 
 def _load_store_dir(store_dir):
@@ -327,90 +322,15 @@ def cmd_analyze(args):
         summaries = analysis.summarize_runs(transcripts, embeddings, mode=args.mode)
     except analysis.MissingEmbeddings as exc:
         return _fail(str(exc))
+    files, skipped = analysis.report_bundle(summaries, seed=args.seed)
 
     out_dir = args.output or os.path.join(args.store_dir, "reports")
     os.makedirs(out_dir, exist_ok=True)
-
-    def emit(name, text):
+    for name, text in files.items():
         with open(os.path.join(out_dir, name), "w") as fh:
             fh.write(text)
-
-    header = ["dataset", "workflow", "layer", "n_agents", "accuracy", "k_star",
-              "k_star_c", "k_star_w", "mean_cosine", "task_count", "mode"]
-    rows = [
-        [s.dataset, s.workflow, s.layer, s.n_agents, s.accuracy, s.k_star,
-         s.k_star_c, s.k_star_w, s.mean_cosine, s.task_count, s.mode]
-        for s in summaries
-    ]
-    emit("summaries.csv", _csv_text(header, rows))
-    emit("summaries.json", json.dumps([dict(zip(header, r)) for r in rows], indent=2))
-
-    # accuracy-vs-N plot data plus marginal gains per configuration series
-    series = {}
-    for s in summaries:
-        series.setdefault((s.dataset, s.workflow, s.layer), []).append((s.n_agents, s.accuracy))
-    acc_rows, gain_rows = [], []
-    for (dataset, workflow, layer), pts in sorted(series.items()):
-        pts.sort()
-        acc_rows += [[dataset, workflow, layer, n, a] for n, a in pts]
-        if len(pts) >= 2:
-            gain_rows += [
-                [dataset, workflow, layer, n, g] for n, g in analysis.marginal_gains(pts)
-            ]
-    emit("accuracy_vs_n.csv", _csv_text(["dataset", "workflow", "layer", "n_agents", "accuracy"], acc_rows))
-    emit("marginal_gains.csv", _csv_text(["dataset", "workflow", "layer", "n_agents", "delta_per_agent"], gain_rows))
-
-    # agents-to-match: L1 series is the baseline within each (dataset, workflow)
-    match_rows = []
-    for (dataset, workflow), _ in {(d, w): None for d, w, _l in series}.items():
-        base = series.get((dataset, workflow, "L1"))
-        if not base:
-            continue
-        for layer in harness.LAYERS[1:]:
-            cand = series.get((dataset, workflow, layer))
-            if not cand:
-                continue
-            n_match, acc = analysis.agents_to_match(sorted(base), sorted(cand))
-            match_rows.append([dataset, workflow, layer, n_match, acc])
-    emit("agents_to_match.csv",
-         _csv_text(["dataset", "workflow", "layer", "n_match", "acc_at_match"], match_rows))
-
-    if embeddings is not None:
-        entries, skipped = analysis.boundary_classification(summaries)
-        emit("boundary.csv", _csv_text(
-            ["config", "side", "tie"], [[c, side, t] for c, side, t in entries]
-        ))
-        spec_rows = [(s.k_star, s.accuracy) for s in summaries if s.k_star is not None]
-        emit("kstar_vs_accuracy.csv",
-             _csv_text(["k_star", "accuracy"], [list(r) for r in spec_rows]))
-        if len(spec_rows) >= 5:
-            x = [r[0] for r in spec_rows]
-            y = [r[1] for r in spec_rows]
-            try:
-                perm = analysis.permutation_test(x, y, shuffles=1000, seed=args.seed)
-                emit("permutation_report.json", json.dumps(perm.__dict__, indent=2))
-            except analysis.DegenerateInput:
-                pass
-            layers = sorted({s.layer for s in summaries})
-            base_feats = [
-                [s.n_agents] + [1.0 if s.layer == l else 0.0 for l in layers[1:]]
-                for s in summaries if s.k_star is not None
-            ]
-            extra = [[s.k_star] for s in summaries if s.k_star is not None]
-            try:
-                reg = analysis.ols_incremental_r2(
-                    np.array(base_feats), np.array(extra), np.array(y),
-                    names=["n_agents"] + [f"layer_{l}" for l in layers[1:]] + ["k_star"],
-                )
-                emit("regression_report.json", json.dumps({
-                    "r2_baseline": reg.r2_baseline,
-                    "r2_augmented": reg.r2_augmented,
-                    "delta_r2": reg.delta_r2,
-                    "coefficients": list(reg.coefficients),
-                    "n_obs": reg.n_obs,
-                }, indent=2))
-            except (analysis.SingularDesign, analysis.DegenerateInput):
-                pass
+    for name, reason in skipped.items():
+        print(f"note: {name} skipped: {reason}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -533,6 +533,10 @@ class Transcript:
     def call_budget(self):
         return self.n_agents * self.rounds
 
+    def embedding_ids(self):
+        """Ids of this transcript's call vectors in `embeddings.jsonl`, in call order."""
+        return [f"{self.task_id}:{c['call_index']}" for c in self.calls]
+
 
 def _task_format(task):
     fmt = task.get("format")
@@ -747,8 +751,11 @@ class TranscriptStore:
 
 
 def load_tasks_jsonl(path):
-    """Tasks as {"id", "question", "choices"?, "answer"?} objects, one per line."""
-    tasks = []
+    """Tasks as {"id", "question", "choices"?, "answer"?} objects, one per line.
+
+    Ids must be unique: they name the task's transcript and its embedding rows.
+    """
+    tasks, seen = [], set()
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -756,9 +763,14 @@ def load_tasks_jsonl(path):
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
                 obj["id"], obj["question"]
-            except (json.JSONDecodeError, KeyError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"malformed task at line {lineno}: {exc}") from exc
+            if str(obj["id"]) in seen:
+                raise ValueError(f"task at line {lineno} repeats id {obj['id']!r}")
+            seen.add(str(obj["id"]))
             tasks.append(obj)
     return tasks
 

@@ -9,7 +9,7 @@ are collinear, n when they are pairwise orthogonal.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,34 +70,6 @@ class EmbeddingSet:
 
 
 @dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric n x n cosine-similarity matrix of unit rows."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.entries, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError("Gram matrix must be square")
-        if not np.array_equal(g, g.T):
-            g = 0.5 * (g + g.T)
-        if np.any(np.abs(np.diag(g) - 1.0) > 1e-9):
-            raise ValueError("Gram diagonal must be 1 (unit rows)")
-        if np.any(g < -1.0 - 1e-9) or np.any(g > 1.0 + 1e-9):
-            raise ValueError("cosine entries must lie in [-1, 1]")
-        object.__setattr__(self, "entries", g)
-        self.entries.setflags(write=False)
-
-    @property
-    def n(self):
-        return self.entries.shape[0]
-
-    @property
-    def trace(self):
-        return float(np.trace(self.entries))
-
-
-@dataclass(frozen=True)
 class SpectralSummary:
     """Spectrum of rho = G/Tr(G), its entropy in bits, and K* = 2**entropy."""
 
@@ -139,17 +111,9 @@ def normalize_embeddings(raw, source_ids=None):
     return EmbeddingSet(unit, tuple(source_ids) if source_ids else ())
 
 
-def gram_matrix(emb: EmbeddingSet) -> GramMatrix:
-    """Cosine-similarity Gram matrix G_ij = <z_i, z_j> of the unit rows."""
-    g = emb.vectors @ emb.vectors.T
-    g = 0.5 * (g + g.T)
-    np.fill_diagonal(g, 1.0)
-    return GramMatrix(g)
-
-
 def symmetric_eigenvalues(matrix):
-    """Eigenvalues of a GramMatrix or square symmetric array, descending (LAPACK eigvalsh)."""
-    a = np.asarray(getattr(matrix, "entries", matrix), dtype=float)
+    """Eigenvalues of a square symmetric array, descending (LAPACK eigvalsh)."""
+    a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if not np.allclose(a, a.T, atol=1e-10):
@@ -164,8 +128,11 @@ def k_star(emb: EmbeddingSet) -> SpectralSummary:
     PSD in exact arithmetic); anything more negative means corrupted input.
     0*log(0) is taken as 0.
     """
-    g = gram_matrix(emb)
-    eigs = symmetric_eigenvalues(g) / g.trace
+    g = emb.vectors @ emb.vectors.T
+    g = 0.5 * (g + g.T)
+    np.fill_diagonal(g, 1.0)
+    # unit rows: Tr(G) = n exactly
+    eigs = symmetric_eigenvalues(g) / emb.n
     if np.any(eigs < -EIG_CLIP_TOL):
         raise ValueError(f"eigenvalue {eigs.min():.3e} below -{EIG_CLIP_TOL}; Gram not PSD")
     eigs = np.clip(eigs, 0.0, None)
@@ -193,14 +160,16 @@ def k_star_conditioned(emb: EmbeddingSet, correct_mask):
 
 
 def mean_pairwise_cosine(emb: EmbeddingSet) -> RedundancyScore:
-    """Average off-diagonal cosine: (2 / n(n-1)) * sum_{i<j} <z_i, z_j>."""
+    """Average off-diagonal cosine: (2 / n(n-1)) * sum_{i<j} <z_i, z_j>.
+
+    For unit rows ||sum_i z_i||^2 = n + 2 * sum_{i<j} <z_i, z_j>, so the mean
+    takes O(nd) work and no n x n matrix.
+    """
     n = emb.n
     if n < 2:
         raise TooFewRows("mean pairwise cosine needs at least 2 rows")
-    g = gram_matrix(emb).entries
-    pairs = n * (n - 1) // 2
-    total = (g.sum() - n) / 2.0
-    return RedundancyScore(float(total / pairs), pairs)
+    s = emb.vectors.sum(axis=0)
+    return RedundancyScore(float((s @ s - n) / (n * (n - 1))), n * (n - 1) // 2)
 
 
 def load_embeddings_jsonl(path):

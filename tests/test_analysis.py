@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,12 +10,14 @@ from masinfo.analysis import (
     EmptySeries,
     MissingEmbeddings,
     NeedTwoPoints,
+    RunSummary,
     agents_to_match,
     boundary_classification,
     marginal_gains,
     ols_incremental_r2,
     pearson_r,
     permutation_test,
+    report_bundle,
     spearman_rho,
     summarize_runs,
     _ranks,
@@ -357,3 +361,75 @@ class TestBoundary:
     def test_labels_carry_config(self):
         entries, _ = boundary_classification([self.make_summary(1.5, 1.2)])
         assert entries[0][0] == "d1/vote/L4/N2"
+
+
+BASE_REPORTS = {"summaries.csv", "summaries.json", "accuracy_vs_n.csv", "marginal_gains.csv",
+                "agents_to_match.csv"}
+SPECTRAL_REPORTS = {"boundary.csv", "kstar_vs_accuracy.csv"}
+STATS_REPORTS = {"permutation_report.json", "regression_report.json"}
+
+
+def run_summary(layer, n, acc, ks):
+    ks_c = None if ks is None else ks + 0.1
+    return RunSummary("d1", layer, "vote", n, acc, ks, ks_c, ks, ks, 10)
+
+
+def layered_summaries(layers, accuracies, ns=(2, 4, 8, 16)):
+    """One summary per (layer, N), accuracies in order.
+
+    K* grows with layer and N but is no linear function of them, so the
+    K* regression has a full-rank design.
+    """
+    acc = iter(accuracies)
+    return [run_summary(l, n, next(acc), 1.0 + 0.3 * i + 0.05 * n * (i + 1) ** 0.5)
+            for i, l in enumerate(layers) for n in ns]
+
+
+class TestReportBundle:
+    def test_every_report_written(self):
+        summaries = layered_summaries(["L1", "L2"], [0.4, 0.5, 0.55, 0.57, 0.45, 0.6, 0.7, 0.8])
+        files, skipped = report_bundle(summaries, seed=3)
+        assert skipped == {}
+        assert set(files) == BASE_REPORTS | SPECTRAL_REPORTS | STATS_REPORTS
+        assert files["summaries.csv"].splitlines()[0] == (
+            "dataset,workflow,layer,n_agents,accuracy,k_star,k_star_c,k_star_w,"
+            "mean_cosine,task_count,mode")
+        assert files["agents_to_match.csv"].splitlines()[1:] == ["d1,vote,L2,4,0.6"]
+        x = [s.k_star for s in summaries]
+        y = [s.accuracy for s in summaries]
+        assert json.loads(files["permutation_report.json"]) == asdict(
+            permutation_test(x, y, shuffles=1000, seed=3))
+        reg = json.loads(files["regression_report.json"])
+        assert reg["n_obs"] == 8
+        assert [name for name, _ in reg["coefficients"]] == [
+            "intercept", "n_agents", "layer_L2", "k_star"]
+
+    @pytest.mark.parametrize("summaries", [
+        [run_summary("L1", 2, 0.5, None), run_summary("L1", 4, 0.6, None)], [],
+    ], ids=["no-embeddings", "no-valid-transcript"])
+    def test_no_k_star_skips_spectral_reports(self, summaries):
+        files, skipped = report_bundle(summaries)
+        assert set(files) == BASE_REPORTS
+        assert set(skipped) == SPECTRAL_REPORTS | STATS_REPORTS
+        assert all(r.startswith("no config has K*") for r in skipped.values())
+
+    def test_fewer_than_five_configs_skips_stats(self):
+        files, skipped = report_bundle(layered_summaries(["L1"], [0.4, 0.5, 0.6, 0.65]))
+        assert set(files) == BASE_REPORTS | SPECTRAL_REPORTS
+        assert skipped == dict.fromkeys(STATS_REPORTS, "4 configs with K*, need at least 5")
+
+    def test_constant_accuracy_skips_stats(self):
+        files, skipped = report_bundle(layered_summaries(["L1", "L2"], [0.5] * 8))
+        assert set(files) == BASE_REPORTS | SPECTRAL_REPORTS
+        assert skipped == {"permutation_report.json": "zero variance",
+                           "regression_report.json": "constant target"}
+
+    def test_singular_design_skips_regression(self):
+        # N, three layer dummies, K* and an intercept: 6 columns for 5 configs
+        summaries = layered_summaries(["L1", "L2", "L3", "L4"], [0.3, 0.4, 0.5, 0.6, 0.7],
+                                      ns=(2,))
+        summaries.append(run_summary("L4", 4, 0.7, 3.0))
+        files, skipped = report_bundle(summaries)
+        assert "permutation_report.json" in files
+        assert skipped == {
+            "regression_report.json": "need more observations than augmented columns"}

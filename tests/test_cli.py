@@ -59,6 +59,18 @@ class TestKstar:
         assert abs(result["k_star_c"] - 2.0) < 1e-6
         assert abs(result["k_star_w"] - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("mask", ['["true", "true", "false"]', "[1, 1, 0]"],
+                             ids=["strings", "integers"])
+    def test_mask_of_non_booleans_exits_2(self, tmp_path, capsys, mask):
+        # bool("false") is True, so reading these as truth values misreports K*_c/K*_w
+        path = tmp_path / "emb.jsonl"
+        write_jsonl(path, [{"id": str(i), "vector": row} for i, row in enumerate(np.eye(3).tolist())])
+        mask_path = tmp_path / "mask.json"
+        mask_path.write_text(mask)
+        code, out = run_cli("kstar", str(path), "--mask", str(mask_path), capsys=capsys)
+        assert code == 2
+        assert "booleans" in out.err
+
     def test_malformed_row_exits_2_with_line(self, tmp_path, capsys):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id": "a", "vector": [1.0]}\nnope\n')
@@ -178,6 +190,16 @@ class TestFitAlpha:
         curve.write_text("1,0.0\n2,0.0\n3,0.0\n")
         code, _ = run_cli("fit-alpha", str(curve), capsys=capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("bad", ["3,oops", "3"], ids=["not-a-number", "one-column"])
+    def test_bad_row_after_first_exits_2_with_line(self, tmp_path, capsys, bad):
+        # only the first nonblank row may be a header; a bad row later is no header
+        curve = tmp_path / "curve.csv"
+        rows = ["k,fraction", "", "1,0.26", "2,0.45", bad, "4,0.70", "5,0.78"]
+        curve.write_text("\n".join(rows) + "\n")
+        code, out = run_cli("fit-alpha", str(curve), capsys=capsys)
+        assert code == 2
+        assert "line 5" in out.err
 
 
 def test_cli_import_leaves_out_requests():
@@ -366,6 +388,24 @@ class TestConfigValidation:
         assert "must be a nonempty list of nonempty strings" in out.err
         assert not (tmp_path / "store").exists()
 
+    @pytest.mark.parametrize("tasks, backend, message", [
+        ('{"id": "t0", "question": "Q?"}\n[1, 2]\n', None, "line 2"),
+        ('{"id": "t0", "question": "Q?"}\n{"id": "t0", "question": "Again?"}\n', None,
+         "line 2 repeats id 't0'"),
+        (None, {"kind": "openai"}, "chat_url"),
+        (None, {"kind": "bogus"}, "bogus"),
+    ], ids=["task-not-object", "task-id-repeated", "openai-without-chat-url",
+            "unknown-backend-kind"])
+    def test_bad_tasks_or_backend_exit_2_before_output_dir(self, tmp_path, capsys, tasks,
+                                                           backend, message):
+        cfg_path, _ = base_config(tmp_path, **({"backend": backend} if backend else {}))
+        if tasks is not None:
+            (tmp_path / "tasks.jsonl").write_text(tasks)
+        code, out = run_cli("run", str(cfg_path), capsys=capsys)
+        assert code == 2
+        assert message in out.err
+        assert not (tmp_path / "store").exists()
+
 
 class InflightChat(MockChatBackend):
     """Mock chat that counts calls in flight, sharing the count with InflightEmbed.
@@ -537,6 +577,14 @@ class TestAnalyze:
         rows = json.loads((reports / "summaries.json").read_text())
         assert {r["n_agents"] for r in rows} == {2, 4}
         assert all(r["k_star"] is not None for r in rows)
+
+    def test_skipped_stats_reports_print_notes(self, tmp_path, capsys):
+        store = self.run_store(tmp_path)
+        code, out = run_cli("analyze", str(store), capsys=capsys)
+        assert code == 0
+        for name in ("permutation_report.json", "regression_report.json"):
+            assert f"note: {name} skipped: 2 configs with K*, need at least 5" in out.err
+            assert not (store / "reports" / name).exists()
 
     def test_no_embeddings_warns_but_reports_accuracy(self, tmp_path, capsys):
         store = self.run_store(tmp_path)

@@ -7,7 +7,6 @@ from masinfo.spectral import (
     EmbeddingSet,
     ZeroNormVector,
     TooFewRows,
-    gram_matrix,
     k_star,
     k_star_conditioned,
     load_embeddings_jsonl,
@@ -49,26 +48,31 @@ class TestNormalize:
 
 
 class TestGram:
+    """The cosine Gram matrix G, seen through the functions that read it."""
+
     def test_identical_rows(self):
         emb = normalize_embeddings([[1.0, 0.0], [2.0, 0.0]])
-        np.testing.assert_allclose(gram_matrix(emb).entries, [[1, 1], [1, 1]])
+        np.testing.assert_allclose(mean_pairwise_cosine(emb).mean_pairwise_cosine, 1.0)
+        np.testing.assert_allclose(k_star(emb).k_star, 1.0)
 
     def test_orthogonal_rows(self):
         emb = normalize_embeddings([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(gram_matrix(emb).entries, np.eye(2))
+        np.testing.assert_allclose(mean_pairwise_cosine(emb).mean_pairwise_cosine, 0.0)
+        np.testing.assert_allclose(k_star(emb).k_star, 2.0)
 
     def test_sixty_degrees(self):
         # cos 60 deg = 0.5, checked against the direct dot product
         a = np.array([1.0, 0.0])
         b = np.array([np.cos(np.pi / 3), np.sin(np.pi / 3)])
         emb = normalize_embeddings([a, b])
-        assert abs(gram_matrix(emb).entries[0, 1] - float(a @ b)) < 1e-12
-        assert abs(gram_matrix(emb).entries[0, 1] - 0.5) < 1e-12
+        assert abs(mean_pairwise_cosine(emb).mean_pairwise_cosine - float(a @ b)) < 1e-12
+        assert abs(mean_pairwise_cosine(emb).mean_pairwise_cosine - 0.5) < 1e-12
 
     def test_trace_is_n(self):
+        # rho = G / n has unit trace exactly when Tr(G) = n
         rng = np.random.default_rng(1)
         emb = EmbeddingSet(random_unit_rows(rng, 7, 5))
-        assert abs(gram_matrix(emb).trace - 7) < 1e-8
+        assert abs(sum(k_star(emb).eigenvalues) - 1.0) < 1e-8
 
 
 class TestKStar:
@@ -186,6 +190,16 @@ class TestRedundancy:
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
             mean_pairwise_cosine(normalize_embeddings([[1.0, 0.0]]))
+
+    @pytest.mark.parametrize("d", [3, 1536])
+    @pytest.mark.parametrize("n", [2, 3, 17, 64])
+    def test_matches_pair_loop(self, n, d):
+        # the closed form against the definition: every pair's dot product
+        rows = random_unit_rows(np.random.default_rng(n * d), n, d)
+        pairs = [float(rows[i] @ rows[j]) for i in range(n) for j in range(i + 1, n)]
+        r = mean_pairwise_cosine(EmbeddingSet(rows))
+        assert r.pair_count == len(pairs)
+        assert abs(r.mean_pairwise_cosine - sum(pairs) / len(pairs)) < 1e-12
 
 
 class TestJsonl:
