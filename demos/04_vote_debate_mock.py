@@ -6,15 +6,16 @@ seeded, so transcripts are byte-identical across re-runs.
 """
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 from masinfo.analysis import summarize_runs
 from masinfo.harness import (
     DiversityPlan,
     MockChatBackend,
     MockEmbeddingBackend,
+    WorkflowSpec,
     fetch_embeddings,
-    run_debate,
-    run_vote,
+    run_workflow,
 )
 
 TASK = {
@@ -25,7 +26,7 @@ TASK = {
 }
 
 
-def main():
+def main(pool):
     plan = DiversityPlan(
         layer="L4",
         model_pool=("model-a", "model-b"),
@@ -34,14 +35,14 @@ def main():
 
     print("== vote: 5 independent agents, majority wins ==")
     scripted = MockChatBackend(seed=3, initial_answers=["A", "A", "B", "A", "C"])
-    vote = run_vote(TASK, plan, 5, scripted, dataset="demo")
+    vote = run_workflow(TASK, WorkflowSpec("vote", 5), plan, scripted, pool, dataset="demo")
     for call in vote.calls:
         print(f"  [{call['agent_type_label']}] -> {call['extracted_answer']}")
     print(f"  final: {vote.final_answer} (tie: {vote.tie})")
 
     print("\n== debate: 3 agents, 3 rounds; followers converge ==")
-    backend = MockChatBackend(seed=3, follow_majority=True, initial_answers=["A", "A", "B"])
-    debate = run_debate(TASK, plan, 3, rounds=3, backend=backend, concurrency=1)
+    backend = MockChatBackend(seed=3, initial_answers=["A", "A", "B"])
+    debate = run_workflow(TASK, WorkflowSpec("debate", 3, rounds=3), plan, backend, pool)
     for r in range(1, 4):
         answers = [c["extracted_answer"] for c in debate.calls if c["round"] == r]
         print(f"  round {r}: {answers}")
@@ -57,9 +58,9 @@ def main():
           f"K* {summary.k_star:.3f}")
 
     print("\n== transcripts are deterministic ==")
-    again = run_vote(
-        TASK, plan, 5,
-        MockChatBackend(seed=3, initial_answers=["A", "A", "B", "A", "C"]),
+    again = run_workflow(
+        TASK, WorkflowSpec("vote", 5), plan,
+        MockChatBackend(seed=3, initial_answers=["A", "A", "B", "A", "C"]), pool,
         dataset="demo",
     )
     same = json.dumps(vote.to_dict(), sort_keys=True) == json.dumps(again.to_dict(), sort_keys=True)
@@ -67,4 +68,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    # one worker issues the calls in agent order, so the scripted answers
+    # reach the agents in the order listed
+    with ThreadPoolExecutor(max_workers=1) as calls:
+        main(calls)

@@ -18,6 +18,8 @@ import numpy as np
 
 from masinfo.harness import LAYERS
 from masinfo.spectral import (
+    ZERO_NORM_TOL,
+    ZeroNormVector,
     normalize_embeddings,
     k_star,
     k_star_conditioned,
@@ -77,7 +79,10 @@ def _transcript_embeddings(transcript, embeddings):
         rows = [embeddings[i] for i in ids]
     except KeyError:
         raise MissingEmbeddings(transcript.task_id) from None
-    return normalize_embeddings(rows, ids)
+    try:
+        return normalize_embeddings(rows)
+    except ZeroNormVector as exc:
+        raise ValueError(f"embedding {ids[exc.index]} has norm < {ZERO_NORM_TOL}") from None
 
 
 def _correct_mask(t):

@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 usage/validation error, 3 backend/environment error.
 """
 
 import argparse
+import collections
 import contextlib
 import csv
 import hashlib
@@ -39,8 +40,8 @@ def _write_out(text, output):
 
 def cmd_kstar(args):
     try:
-        ids, raw = spectral.load_embeddings_jsonl(args.embeddings)
-        emb = spectral.normalize_embeddings(raw, ids)
+        _, raw = spectral.load_embeddings_jsonl(args.embeddings)
+        emb = spectral.normalize_embeddings(raw)
         summary = spectral.k_star(emb)
         result = json.loads(summary.to_json())
         if args.mask:
@@ -182,10 +183,17 @@ def _load_config(path):
 
 def _build_backends(cfg):
     b = cfg["backend"]
+    if not isinstance(b, dict):
+        raise ValueError(f"backend must be a JSON object, got {b!r}")
+    for key in ("chat_url", "embed_url", "embed_model", "api_key_env"):
+        if key in b and not isinstance(b[key], str):
+            raise ValueError(f"backend {key} must be a string, got {b[key]!r}")
     kind = b.get("kind", "mock")
     if kind == "mock":
+        dim = b.get("dim", 8)
+        _check_count(dim, "backend dim")
         chat = harness.MockChatBackend(seed=cfg["seed"])
-        embed = harness.MockEmbeddingBackend(dim=b.get("dim", 8), seed=cfg["seed"])
+        embed = harness.MockEmbeddingBackend(dim=dim, seed=cfg["seed"])
         return chat, embed
     if kind == "openai":
         if not b.get("chat_url"):
@@ -209,6 +217,12 @@ def cmd_run(args):
         cfg, specs, plan = _load_config(args.config)
         tasks = harness.load_tasks_jsonl(cfg["dataset_path"])
         chat, embed = _build_backends(cfg)
+        # equal specs share a store; a resumed run reads its stores here, so a
+        # malformed line stops it before any call
+        stores = {spec: harness.TranscriptStore(os.path.join(
+            cfg["output_dir"], f"{cfg['workflow']}_{cfg['layer']}_N{spec.num_agents}.jsonl"))
+            for spec in specs}
+        done = {spec: store.task_ids() for spec, store in stores.items()}
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
 
@@ -222,27 +236,13 @@ def cmd_run(args):
             return _fail("output_dir holds a run with a different config; resume refused")
     os.makedirs(out_dir, exist_ok=True)
 
-    workflow = cfg["workflow"]
     concurrency = cfg.get("concurrency_limit") or 4
     dataset_name = cfg.get("dataset_name", os.path.basename(cfg["dataset_path"]))
     started = time.time()
-    files = []
-    stores = {}
-    jobs = []
-    all_invalid = True
+    all_invalid = not any(done.values())
     emb_path = os.path.join(out_dir, "embeddings.jsonl")
-
-    for spec in specs:
-        n = spec.num_agents
-        name = f"{workflow}_{cfg['layer']}_N{n}.jsonl"
-        files.append(name)
-        if n in stores:
-            continue
-        stores[n] = harness.TranscriptStore(os.path.join(out_dir, name))
-        done = stores[n].task_ids()
-        if done:
-            all_invalid = False
-        jobs += [(spec, task) for task in tasks if str(task["id"]) not in done]
+    jobs = [(spec, task) for spec, ids in done.items() for task in tasks
+            if str(task["id"]) not in ids]
 
     results = harness.run_tasks(jobs, plan, chat, embed, concurrency, dataset_name)
     try:
@@ -257,7 +257,7 @@ def cmd_run(args):
                     with open(emb_path, "a") as fh:
                         fh.writelines(json.dumps({"id": i, "vector": v}) + "\n"
                                       for i, v in zip(t.embedding_ids(), vectors))
-                stores[spec.num_agents].append(t)
+                stores[spec].append(t)
                 if not t.invalid:
                     all_invalid = False
     finally:
@@ -269,10 +269,10 @@ def cmd_run(args):
         "schema": 1,
         "config_hash": chash,
         "seed": cfg["seed"],
-        "workflow": workflow,
+        "workflow": cfg["workflow"],
         "layer": cfg["layer"],
         "n_agents_list": cfg["n_agents_list"],
-        "files": files,
+        "files": [os.path.basename(stores[spec].path) for spec in specs],
         "started": started,
         "finished": time.time(),
     }
@@ -298,6 +298,11 @@ def _load_store_dir(store_dir):
     if os.path.exists(emb_path):
         ids, raw = spectral.load_embeddings_jsonl(emb_path)
         embeddings = dict(zip(ids, raw))
+        if len(embeddings) < len(ids):
+            # ids name no N, so every N of one output_dir writes the same ones
+            repeated = next(i for i, c in collections.Counter(ids).items() if c > 1)
+            print(f"warning: {emb_path} repeats embedding id {repeated!r}; "
+                  "each repeated id keeps its last row", file=sys.stderr)
     return transcripts, embeddings
 
 
@@ -320,7 +325,7 @@ def cmd_analyze(args):
 
     try:
         summaries = analysis.summarize_runs(transcripts, embeddings, mode=args.mode)
-    except analysis.MissingEmbeddings as exc:
+    except (analysis.MissingEmbeddings, ValueError) as exc:
         return _fail(str(exc))
     files, skipped = analysis.report_bundle(summaries, seed=args.seed)
 

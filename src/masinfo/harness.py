@@ -89,7 +89,6 @@ class AgentConfig:
     model_id: str
     persona_id: str = None
     decoding: Decoding = field(default_factory=Decoding)
-    tool_access: tuple = ()
 
     @property
     def type_label(self):
@@ -102,7 +101,7 @@ class AgentConfig:
         )
 
 
-def build_layer_pool(layer, models, personas, n_agents, decoding=None):
+def build_layer_pool(layer, models, personas, n_agents):
     """Assemble n agent configs for a diversity layer.
 
     L1 repeats one config; L2 cycles personas over one model; L3 cycles
@@ -116,7 +115,7 @@ def build_layer_pool(layer, models, personas, n_agents, decoding=None):
         raise ValueError("n_agents must be >= 1")
     if not models:
         raise InsufficientPool("model pool is empty")
-    decoding = decoding or Decoding()
+    decoding = Decoding()
 
     if layer == "L1":
         return [AgentConfig(models[0], None, decoding) for _ in range(n_agents)]
@@ -149,12 +148,10 @@ class DiversityPlan:
     model_pool: tuple
     persona_pool: tuple = ()
     persona_catalog: dict = field(default_factory=lambda: dict(DEFAULT_PERSONAS))
-    decoding: Decoding = field(default_factory=Decoding)
 
     def configs(self, n_agents):
-        return build_layer_pool(
-            self.layer, list(self.model_pool), list(self.persona_pool), n_agents, self.decoding
-        )
+        return build_layer_pool(self.layer, list(self.model_pool), list(self.persona_pool),
+                                n_agents)
 
     def persona_text(self, persona_id):
         if persona_id is None:
@@ -167,6 +164,12 @@ class DiversityPlan:
 
 @dataclass(frozen=True)
 class WorkflowSpec:
+    """A workflow: `num_agents` agents over `rounds` rounds, N*R calls in all.
+
+    Vote (sampling and majority voting) is the single-round case; Debate runs
+    4 rounds unless told otherwise.
+    """
+
     kind: str  # "vote" | "debate"
     num_agents: int
     rounds: int = None
@@ -265,17 +268,15 @@ class MockChatBackend:
 
     Round-1 answers come from `initial_answers` when given, otherwise from
     a seeded hash of the full prompt.  In later debate rounds the mock
-    answers the majority of the previous round when `follow_majority` is
-    set, which makes convergence behavior easy to script in tests.
+    answers the majority of the previous round, which makes convergence
+    behavior easy to script in tests.
     """
 
     deterministic = True
+    choices = ("A", "B", "C", "D")
 
-    def __init__(self, seed=0, choices=("A", "B", "C", "D"), follow_majority=True,
-                 initial_answers=None):
+    def __init__(self, seed=0, initial_answers=None):
         self.seed = seed
-        self.choices = tuple(choices)
-        self.follow_majority = follow_majority
         self._initial = list(initial_answers) if initial_answers else None
         self._lock = threading.Lock()
 
@@ -286,7 +287,7 @@ class MockChatBackend:
     def chat(self, messages, model, decoding):
         user = next((m["content"] for m in messages if m["role"] == "user"), "")
         system = next((m["content"] for m in messages if m["role"] == "system"), "")
-        if self.follow_majority and "Other agents answered:" in user:
+        if "Other agents answered:" in user:
             block = user.split("Other agents answered:", 1)[1]
             prev = [extract_answer(line, "mc") for line in block.splitlines()]
             winner, _ = majority_answer(prev)
@@ -587,15 +588,16 @@ def _issue_round(configs, prompts, plan, backend, pool):
     return list(pool.map(one, range(len(configs))))
 
 
-def _run_rounds(workflow, task, plan, n_agents, rounds, backend, pool, dataset):
-    """Build a transcript from `rounds` barrier-separated rounds of N calls.
+def run_workflow(task, spec: WorkflowSpec, plan: DiversityPlan, backend, pool, dataset=""):
+    """Build the transcript of `spec` on `task`, issuing every call on the executor `pool`.
 
-    Round 1 prompts with the question alone; each later round appends every
-    previous-round output.  A transcript with more than half its calls failed
-    is marked invalid and carries no final answer.
+    Round 1 prompts with the question alone, so a single round is Vote's N
+    independent samples.  Each later round (Debate) appends every
+    previous-round output; rounds are strict barriers.  The final answer is
+    the majority over last-round extracted answers.  A transcript with more
+    than half its calls failed is marked invalid and carries no final answer.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
+    n_agents, rounds = spec.num_agents, spec.rounds
     configs = plan.configs(n_agents)
     fmt = _task_format(task)
     base_prompt = _question_text(task)
@@ -643,7 +645,7 @@ def _run_rounds(workflow, task, plan, n_agents, rounds, backend, pool, dataset):
         task_id=str(task["id"]),
         question=task["question"],
         gold_answer=task.get("answer"),
-        workflow=workflow,
+        workflow=spec.kind,
         layer=plan.layer,
         n_agents=n_agents,
         rounds=rounds,
@@ -654,36 +656,6 @@ def _run_rounds(workflow, task, plan, n_agents, rounds, backend, pool, dataset):
         timestamp=_timestamp(backend),
         dataset=dataset,
     )
-
-
-def _run_on_pool(workflow, task, plan, n_agents, rounds, backend, concurrency, dataset, pool):
-    if pool is not None:
-        return _run_rounds(workflow, task, plan, n_agents, rounds, backend, pool, dataset)
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as own:
-        return _run_rounds(workflow, task, plan, n_agents, rounds, backend, own, dataset)
-
-
-def run_vote(task, plan: DiversityPlan, n_agents, backend, concurrency=4, dataset="", *,
-             pool=None):
-    """Independent single-round generation plus majority aggregation; calls share no context.
-
-    Calls run on `pool` when given (an executor shared across tasks), else on
-    a pool of `concurrency` threads opened for this transcript.
-    """
-    return _run_on_pool("vote", task, plan, n_agents, 1, backend, concurrency, dataset, pool)
-
-
-def run_debate(task, plan: DiversityPlan, n_agents, rounds=4, backend=None,
-               concurrency=4, dataset="", *, pool=None):
-    """Multi-round debate: each later round sees all previous-round outputs.
-
-    Rounds are strict barriers; calls within a round run concurrently, on
-    `pool` or a transcript's own pool as in `run_vote`.  The final answer is
-    the majority over last-round extracted answers with the same tie-break
-    as Vote.
-    """
-    return _run_on_pool("debate", task, plan, n_agents, rounds, backend, concurrency, dataset,
-                        pool)
 
 
 def run_tasks(jobs, plan: DiversityPlan, backend, embedder=None, concurrency=4, dataset=""):
@@ -699,11 +671,7 @@ def run_tasks(jobs, plan: DiversityPlan, backend, embedder=None, concurrency=4, 
     """
 
     def drive(spec, task):
-        if spec.kind == "vote":
-            t = run_vote(task, plan, spec.num_agents, backend, dataset=dataset, pool=calls)
-        else:
-            t = run_debate(task, plan, spec.num_agents, rounds=spec.rounds, backend=backend,
-                           dataset=dataset, pool=calls)
+        t = run_workflow(task, spec, plan, backend, calls, dataset)
         if embedder is None or t.invalid:
             return spec, t, None, None
         texts = [c["raw_output"] or "" for c in t.calls]
@@ -743,8 +711,17 @@ class TranscriptStore:
             fh = open(self.path)
         except FileNotFoundError:
             return iter(())
+        transcripts = []
         with fh:
-            return iter([Transcript.from_dict(json.loads(line)) for line in fh if line.strip()])
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    transcripts.append(Transcript.from_dict(json.loads(line)))
+                except (ValueError, TypeError) as exc:
+                    raise ValueError(f"{self.path}: malformed transcript at line {lineno}: "
+                                     f"{exc}") from exc
+        return iter(transcripts)
 
     def task_ids(self):
         return {t.task_id for t in self}

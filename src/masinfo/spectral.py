@@ -31,10 +31,9 @@ class TooFewRows(ValueError):
 
 @dataclass(frozen=True)
 class EmbeddingSet:
-    """n unit-normalized d-dimensional rows with aligned source ids."""
+    """n unit-normalized d-dimensional rows."""
 
     vectors: np.ndarray
-    source_ids: tuple = ()
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=float)
@@ -47,12 +46,6 @@ class EmbeddingSet:
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise ValueError("rows must be unit-normalized; use normalize_embeddings")
         object.__setattr__(self, "vectors", v)
-        ids = tuple(self.source_ids) if self.source_ids else tuple(
-            str(i) for i in range(v.shape[0])
-        )
-        if len(ids) != v.shape[0]:
-            raise ValueError("source_ids length must match row count")
-        object.__setattr__(self, "source_ids", ids)
         self.vectors.setflags(write=False)
 
     @property
@@ -64,9 +57,7 @@ class EmbeddingSet:
         return self.vectors.shape[1]
 
     def subset(self, mask):
-        mask = np.asarray(mask, dtype=bool)
-        ids = tuple(i for i, keep in zip(self.source_ids, mask) if keep)
-        return EmbeddingSet(self.vectors[mask].copy(), ids)
+        return EmbeddingSet(self.vectors[np.asarray(mask, dtype=bool)].copy())
 
 
 @dataclass(frozen=True)
@@ -95,7 +86,7 @@ class RedundancyScore:
     pair_count: int
 
 
-def normalize_embeddings(raw, source_ids=None):
+def normalize_embeddings(raw):
     """Scale each raw vector to unit Euclidean norm, preserving row order.
 
     Raises ZeroNormVector for rows with norm below 1e-12.
@@ -108,7 +99,7 @@ def normalize_embeddings(raw, source_ids=None):
     if bad.size:
         raise ZeroNormVector(int(bad[0]))
     unit = v / norms[:, None]
-    return EmbeddingSet(unit, tuple(source_ids) if source_ids else ())
+    return EmbeddingSet(unit)
 
 
 def symmetric_eigenvalues(matrix):

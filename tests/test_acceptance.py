@@ -28,7 +28,7 @@ from masinfo.coverage import (
     marginal_gain,
     simulate_coverage,
 )
-from masinfo.harness import DiversityPlan, MockChatBackend, run_debate, run_vote
+from masinfo.harness import DiversityPlan, MockChatBackend, WorkflowSpec, run_workflow
 from masinfo.info_theory import (
     DiscreteJoint,
     conditional_mutual_information,
@@ -219,28 +219,30 @@ def test_criterion_07_alpha_round_trip(announce):
 TASK = {"id": "t1", "question": "Which?", "choices": ["one", "two", "three"], "answer": "A"}
 
 
-def test_criterion_08_harness_determinism_and_accounting(announce):
+def test_criterion_08_harness_determinism_and_accounting(announce, pool, serial_pool):
     announce["label"] = "criterion 8 (harness determinism and accounting)"
     plan = DiversityPlan(layer="L1", model_pool=("m1",), persona_pool=())
     for seed in range(50):
         n = 2 + seed % 4
-        a = run_vote(TASK, plan, n, MockChatBackend(seed=seed))
-        b = run_vote(TASK, plan, n, MockChatBackend(seed=seed))
+        a = run_workflow(TASK, WorkflowSpec("vote", n), plan, MockChatBackend(seed=seed), pool)
+        b = run_workflow(TASK, WorkflowSpec("vote", n), plan, MockChatBackend(seed=seed), pool)
         check(announce,
               json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True),
               f"vote transcript differs on re-run (seed {seed})")
         check(announce, len(a.calls) == n, "vote call count != N")
     for seed in range(50):
         n, rounds = 2 + seed % 3, 2 + seed % 3
-        a = run_debate(TASK, plan, n, rounds=rounds, backend=MockChatBackend(seed=seed))
-        b = run_debate(TASK, plan, n, rounds=rounds, backend=MockChatBackend(seed=seed))
+        spec = WorkflowSpec("debate", n, rounds=rounds)
+        a = run_workflow(TASK, spec, plan, MockChatBackend(seed=seed), pool)
+        b = run_workflow(TASK, spec, plan, MockChatBackend(seed=seed), pool)
         check(announce,
               json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True),
               f"debate transcript differs on re-run (seed {seed})")
         check(announce, len(a.calls) == n * rounds, "debate call count != N*R")
     for seed in range(1000):
         n = 1 + seed % 8
-        t = run_vote(TASK, plan, n, MockChatBackend(seed=seed), concurrency=1)
+        t = run_workflow(TASK, WorkflowSpec("vote", n), plan, MockChatBackend(seed=seed),
+                         serial_pool)
         answers = [c["extracted_answer"] for c in t.calls if c["extracted_answer"]]
         counts = Counter(answers)
         best = max(counts.values())

@@ -304,6 +304,18 @@ class TestRun:
         ids = [json.loads(l)["task_id"] for l in store_path.read_text().strip().splitlines()]
         assert sorted(ids) == ["t0", "t1", "t2"]
 
+    def test_resume_on_malformed_store_exits_2_before_any_call(self, tmp_path, capsys):
+        cfg_path, _ = base_config(tmp_path, n_agents_list=[2])
+        assert main(["run", str(cfg_path)]) == 0
+        store = tmp_path / "store"
+        lines = (store / "vote_L1_N2.jsonl").read_text().splitlines()
+        (store / "vote_L1_N2.jsonl").write_text(lines[0] + "\n" + lines[1][:40] + "\n")
+        before = store_bytes(store)
+        code, out = run_cli("run", str(cfg_path), capsys=capsys)
+        assert code == 2
+        assert "vote_L1_N2.jsonl: malformed transcript at line 2" in out.err
+        assert store_bytes(store) == before
+
     def test_resume_refuses_config_mismatch(self, tmp_path, capsys):
         cfg_path, cfg = base_config(tmp_path, n_agents_list=[2])
         assert main(["run", str(cfg_path)]) == 0
@@ -394,8 +406,15 @@ class TestConfigValidation:
          "line 2 repeats id 't0'"),
         (None, {"kind": "openai"}, "chat_url"),
         (None, {"kind": "bogus"}, "bogus"),
+        (None, "mock", "backend must be a JSON object"),
+        (None, {"kind": "mock", "dim": "8"}, "backend dim must be an integer >= 1"),
+        (None, {"kind": "mock", "dim": 0}, "backend dim must be an integer >= 1"),
+        (None, {"kind": "openai", "chat_url": 5}, "backend chat_url must be a string"),
+        (None, {"kind": "openai", "chat_url": "http://127.0.0.1:9/v1", "api_key_env": 5},
+         "backend api_key_env must be a string"),
     ], ids=["task-not-object", "task-id-repeated", "openai-without-chat-url",
-            "unknown-backend-kind"])
+            "unknown-backend-kind", "backend-string", "mock-dim-string", "mock-dim-zero",
+            "chat-url-number", "api-key-env-number"])
     def test_bad_tasks_or_backend_exit_2_before_output_dir(self, tmp_path, capsys, tasks,
                                                            backend, message):
         cfg_path, _ = base_config(tmp_path, **({"backend": backend} if backend else {}))
@@ -642,6 +661,37 @@ class TestAnalyze:
                             "--output", str(tmp_path / "out"), capsys=capsys)
         assert code == 2
         assert "no embeddings for task" in out.err
+
+    def test_malformed_store_line_exits_2_with_file_and_line(self, tmp_path, capsys):
+        store = self.run_store(tmp_path, n_agents_list=[2])
+        lines = (store / "vote_L1_N2.jsonl").read_text().splitlines()
+        lines[2] = lines[2][:40]
+        (store / "vote_L1_N2.jsonl").write_text("\n".join(lines) + "\n")
+        code, out = run_cli("analyze", str(store), capsys=capsys)
+        assert code == 2
+        assert f"{store / 'vote_L1_N2.jsonl'}: malformed transcript at line 3" in out.err
+
+    def test_zero_norm_embedding_exits_2_naming_its_id(self, tmp_path, capsys):
+        store = self.run_store(tmp_path, n_agents_list=[2])
+        rows = [json.loads(l) for l in (store / "embeddings.jsonl").read_text().splitlines()]
+        for r in rows:
+            if r["id"] == "t1:1":
+                r["vector"] = [0.0] * len(r["vector"])
+        write_jsonl(store / "embeddings.jsonl", rows)
+        code, out = run_cli("analyze", str(store), capsys=capsys)
+        assert code == 2
+        assert "embedding t1:1 has norm" in out.err
+
+    def test_repeated_embedding_ids_warn_once_per_store(self, tmp_path, capsys):
+        # N=2 and N=4 of one output_dir write the same ids t0:0, t0:1, ...
+        two_n = self.run_store(tmp_path / "two", n_agents_list=[2, 4])
+        one_n = self.run_store(tmp_path / "one", n_agents_list=[4])
+        code, out = run_cli("analyze", str(two_n), "--merge", str(one_n),
+                            "--output", str(tmp_path / "out"), capsys=capsys)
+        assert code == 0
+        warnings = [l for l in out.err.splitlines() if l.startswith("warning:")]
+        assert warnings == [f"warning: {two_n / 'embeddings.jsonl'} repeats embedding id "
+                            "'t0:0'; each repeated id keeps its last row"]
 
     def test_pooled_mode_recorded(self, tmp_path):
         store = self.run_store(tmp_path, n_agents_list=[2])

@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import json
+import re
 import threading
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -28,8 +29,7 @@ from masinfo.harness import (
     fetch_embeddings,
     load_tasks_jsonl,
     majority_answer,
-    run_debate,
-    run_vote,
+    run_workflow,
 )
 
 
@@ -187,76 +187,80 @@ class TestMajority:
 
 
 class TestVote:
-    def test_majority_final(self):
+    def test_majority_final(self, pool):
         backend = ScriptedChatBackend(
             ["the answer is (A)", "the answer is (A)", "the answer is (B)"]
         )
-        t = run_vote(TASK_MC, make_plan(), 3, backend)
+        t = run_workflow(TASK_MC, WorkflowSpec("vote", 3), make_plan(), backend, pool)
         assert t.final_answer == "A"
         assert not t.tie
         assert len(t.calls) == 3
 
-    def test_tie_flagged(self):
+    def test_tie_flagged(self, pool):
         backend = ScriptedChatBackend(["(A)", "(B)"])
-        t = run_vote(TASK_MC, make_plan(), 2, backend)
+        t = run_workflow(TASK_MC, WorkflowSpec("vote", 2), make_plan(), backend, pool)
         assert t.final_answer == "A"
         assert t.tie
 
-    def test_all_failures_invalid(self):
-        t = run_vote(TASK_MC, make_plan(), 3, FailingChatBackend())
+    def test_all_failures_invalid(self, pool):
+        t = run_workflow(TASK_MC, WorkflowSpec("vote", 3), make_plan(), FailingChatBackend(), pool)
         assert t.invalid
         assert t.final_answer is None
         assert all(c["error"] for c in t.calls)
 
-    def test_partial_failures_recorded_in_place(self):
+    def test_partial_failures_recorded_in_place(self, serial_pool):
         backend = ScriptedChatBackend(["(A)", BackendError("boom"), "(A)"])
-        t = run_vote(TASK_MC, make_plan(), 3, backend, concurrency=1)
+        t = run_workflow(TASK_MC, WorkflowSpec("vote", 3), make_plan(), backend, serial_pool)
         assert not t.invalid
         assert t.final_answer == "A"
         errors = [c for c in t.calls if c["error"]]
         assert len(errors) == 1 and errors[0]["raw_output"] is None
 
-    def test_agent_order_permutation_invariant(self):
+    def test_agent_order_permutation_invariant(self, serial_pool):
         outputs = ["(A)", "(B)", "(A)", "(C)"]
-        t1 = run_vote(TASK_MC, make_plan(), 4, ScriptedChatBackend(outputs), concurrency=1)
-        t2 = run_vote(
-            TASK_MC, make_plan(), 4, ScriptedChatBackend(outputs[::-1]), concurrency=1
+        spec = WorkflowSpec("vote", 4)
+        t1 = run_workflow(TASK_MC, spec, make_plan(), ScriptedChatBackend(outputs), serial_pool)
+        t2 = run_workflow(
+            TASK_MC, spec, make_plan(), ScriptedChatBackend(outputs[::-1]), serial_pool
         )
         assert Counter(c["extracted_answer"] for c in t1.calls) == Counter(
             c["extracted_answer"] for c in t2.calls
         )
         assert t1.final_answer == t2.final_answer
 
-    def test_mock_determinism(self):
+    def test_mock_determinism(self, pool):
         plan = make_plan("L2", ["m1"], ["mathematician", "logician"])
-        a = run_vote(TASK_MC, plan, 4, MockChatBackend(seed=9))
-        b = run_vote(TASK_MC, plan, 4, MockChatBackend(seed=9))
+        a = run_workflow(TASK_MC, WorkflowSpec("vote", 4), plan, MockChatBackend(seed=9), pool)
+        b = run_workflow(TASK_MC, WorkflowSpec("vote", 4), plan, MockChatBackend(seed=9), pool)
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
 
 class TestDebate:
-    def test_majority_followers_converge(self):
+    def test_majority_followers_converge(self, serial_pool):
         backend = MockChatBackend(seed=0, initial_answers=["A", "A", "B"])
-        t = run_debate(TASK_MC, make_plan(), 3, rounds=2, backend=backend, concurrency=1)
+        t = run_workflow(TASK_MC, WorkflowSpec("debate", 3, rounds=2), make_plan(), backend,
+                         serial_pool)
         last = [c["extracted_answer"] for c in t.calls if c["round"] == 2]
         assert last == ["A", "A", "A"]
         assert t.final_answer == "A"
 
-    def test_single_round_matches_vote(self):
+    def test_single_round_matches_vote(self, pool):
         plan = make_plan("L2", ["m1"], ["mathematician", "logician"])
-        v = run_vote(TASK_MC, plan, 4, MockChatBackend(seed=5))
-        d = run_debate(TASK_MC, plan, 4, rounds=1, backend=MockChatBackend(seed=5))
+        v = run_workflow(TASK_MC, WorkflowSpec("vote", 4), plan, MockChatBackend(seed=5), pool)
+        d = run_workflow(TASK_MC, WorkflowSpec("debate", 4, rounds=1), plan,
+                         MockChatBackend(seed=5), pool)
         vd, dd = v.to_dict(), d.to_dict()
         assert (vd.pop("workflow"), dd.pop("workflow")) == ("vote", "debate")
         assert vd == dd
 
-    def test_call_budget_accounting(self):
-        t = run_debate(TASK_MC, make_plan(), 2, rounds=4, backend=MockChatBackend(seed=1))
+    def test_call_budget_accounting(self, pool):
+        t = run_workflow(TASK_MC, WorkflowSpec("debate", 2, rounds=4), make_plan(),
+                         MockChatBackend(seed=1), pool)
         assert t.call_budget == 8
         assert len(t.calls) == 8
         assert [c["round"] for c in t.calls] == [1, 1, 2, 2, 3, 3, 4, 4]
 
-    def test_later_rounds_see_previous_outputs(self):
+    def test_later_rounds_see_previous_outputs(self, serial_pool):
         seen = []
 
         class SpyBackend(MockChatBackend):
@@ -264,7 +268,8 @@ class TestDebate:
                 seen.append(messages[-1]["content"])
                 return super().chat(messages, model, decoding)
 
-        run_debate(TASK_MC, make_plan(), 2, rounds=2, backend=SpyBackend(seed=2), concurrency=1)
+        run_workflow(TASK_MC, WorkflowSpec("debate", 2, rounds=2), make_plan(), SpyBackend(seed=2),
+                     serial_pool)
         round2 = seen[2:]
         assert all("Other agents answered:" in p for p in round2)
         assert all("Agent 1:" in p and "Agent 2:" in p for p in round2)
@@ -292,9 +297,10 @@ class TestEmbeddings:
 
 
 class TestTranscriptStore:
-    def test_append_and_iterate(self, tmp_path):
+    def test_append_and_iterate(self, tmp_path, pool):
         store = TranscriptStore(tmp_path / "s.jsonl")
-        t = run_vote(TASK_MC, make_plan(), 2, MockChatBackend(seed=0))
+        t = run_workflow(TASK_MC, WorkflowSpec("vote", 2), make_plan(), MockChatBackend(seed=0),
+                         pool)
         store.append(t)
         store.append(t)
         loaded = list(store)
@@ -302,11 +308,22 @@ class TestTranscriptStore:
         assert loaded[0].to_dict() == t.to_dict()
         assert loaded[0].schema == 1
 
+    def test_malformed_line_names_file_and_line(self, tmp_path, pool):
+        path = tmp_path / "s.jsonl"
+        store = TranscriptStore(path)
+        store.append(run_workflow(TASK_MC, WorkflowSpec("vote", 2), make_plan(),
+                                  MockChatBackend(seed=0), pool))
+        with open(path, "a") as fh:
+            fh.write("\n" + '{"task_id": "t2", "calls": [' + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed transcript at line 3: "):
+            list(store)
+
     def test_missing_file_is_empty(self, tmp_path):
         assert list(TranscriptStore(tmp_path / "none.jsonl")) == []
 
-    def test_to_dict_matches_deep_copy(self):
-        t = run_debate(TASK_MC, make_plan(), 3, rounds=2, backend=MockChatBackend(seed=4))
+    def test_to_dict_matches_deep_copy(self, pool):
+        t = run_workflow(TASK_MC, WorkflowSpec("debate", 3, rounds=2), make_plan(),
+                         MockChatBackend(seed=4), pool)
         d = t.to_dict()
         assert d == dataclasses.asdict(t)
         assert list(d) == [f.name for f in dataclasses.fields(t)]
@@ -315,9 +332,10 @@ class TestTranscriptStore:
         assert t.calls[0]["raw_output"] != "changed"
         assert len(t.calls) == 6
 
-    def test_task_ids(self, tmp_path):
+    def test_task_ids(self, tmp_path, pool):
         store = TranscriptStore(tmp_path / "s.jsonl")
-        store.append(run_vote(TASK_MC, make_plan(), 2, MockChatBackend(seed=0)))
+        store.append(run_workflow(TASK_MC, WorkflowSpec("vote", 2), make_plan(),
+                                  MockChatBackend(seed=0), pool))
         assert store.task_ids() == {"t1"}
 
 
@@ -458,9 +476,9 @@ class TestHTTPBackends:
         vectors = fetch_embeddings(["a", "b", "c"], backend)
         assert vectors == [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]
 
-    def test_vote_over_http(self, http_server):
+    def test_vote_over_http(self, http_server, pool):
         backend = OpenAIChatBackend(http_server, backoff=0.01)
-        t = run_vote(TASK_MC, make_plan(), 3, backend)
+        t = run_workflow(TASK_MC, WorkflowSpec("vote", 3), make_plan(), backend, pool)
         assert t.final_answer == "A"
         assert not t.invalid
 
