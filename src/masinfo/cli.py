@@ -38,10 +38,21 @@ def _write_out(text, output):
 # kstar
 
 
+def _nonblank_line(path, index):
+    """1-based number of the `index`-th nonblank line of `path`, as the loader counts rows."""
+    with open(path, "rb") as fh:
+        return [k for k, line in enumerate(fh, start=1) if line.strip()][index]
+
+
 def cmd_kstar(args):
     try:
-        _, raw = spectral.load_embeddings_jsonl(args.embeddings)
-        emb = spectral.normalize_embeddings(raw)
+        ids, raw = spectral.load_embeddings_jsonl(args.embeddings)
+        try:
+            emb = spectral.normalize_embeddings(raw)
+        except spectral.ZeroNormVector as exc:
+            raise ValueError(f"embedding {ids[exc.index]} at line "
+                             f"{_nonblank_line(args.embeddings, exc.index)} has norm < "
+                             f"{spectral.ZERO_NORM_TOL}") from None
         summary = spectral.k_star(emb)
         result = json.loads(summary.to_json())
         if args.mask:
@@ -236,35 +247,6 @@ def cmd_run(args):
             return _fail("output_dir holds a run with a different config; resume refused")
     os.makedirs(out_dir, exist_ok=True)
 
-    concurrency = cfg.get("concurrency_limit") or 4
-    dataset_name = cfg.get("dataset_name", os.path.basename(cfg["dataset_path"]))
-    started = time.time()
-    all_invalid = not any(done.values())
-    emb_path = os.path.join(out_dir, "embeddings.jsonl")
-    jobs = [(spec, task) for spec, ids in done.items() for task in tasks
-            if str(task["id"]) not in ids]
-
-    results = harness.run_tasks(jobs, plan, chat, embed, concurrency, dataset_name)
-    try:
-        with contextlib.closing(results):
-            for spec, t, vectors, error in results:
-                if error is not None:
-                    print(f"warning: embeddings of task {t.task_id} (N={t.n_agents}) failed: "
-                          f"{error}", file=sys.stderr)
-                # the vectors land before the transcript: a crash between the
-                # two leaves the task undone, and its rerun's rows win
-                if vectors:
-                    with open(emb_path, "a") as fh:
-                        fh.writelines(json.dumps({"id": i, "vector": v}) + "\n"
-                                      for i, v in zip(t.embedding_ids(), vectors))
-                stores[spec].append(t)
-                if not t.invalid:
-                    all_invalid = False
-    finally:
-        for backend in (chat, embed):
-            if hasattr(backend, "close"):
-                backend.close()
-
     manifest = {
         "schema": 1,
         "config_hash": chash,
@@ -273,11 +255,48 @@ def cmd_run(args):
         "layer": cfg["layer"],
         "n_agents_list": cfg["n_agents_list"],
         "files": [os.path.basename(stores[spec].path) for spec in specs],
-        "started": started,
-        "finished": time.time(),
+        "started": time.time(),
     }
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+
+    def write_manifest(status):
+        # written before the first call as well, so a rerun after a crash
+        # still meets the config check; a manifest without status is done
+        with open(manifest_path, "w") as fh:
+            json.dump({**manifest, "status": status}, fh, indent=2, sort_keys=True)
+
+    write_manifest("running")
+    concurrency = cfg.get("concurrency_limit") or 4
+    dataset_name = cfg.get("dataset_name", os.path.basename(cfg["dataset_path"]))
+    all_invalid = not any(done.values())
+    emb_path = os.path.join(out_dir, "embeddings.jsonl")
+    jobs = [(spec, task) for spec, ids in done.items() for task in tasks
+            if str(task["id"]) not in ids]
+
+    with contextlib.ExitStack() as stack:
+        for backend in (chat, embed):
+            if hasattr(backend, "close"):
+                stack.callback(backend.close)
+        # closed before the backends: it waits for the calls still in flight
+        results = stack.enter_context(contextlib.closing(
+            harness.run_tasks(jobs, plan, chat, embed, concurrency, dataset_name)))
+        emb_file = None  # opened on the first vectors, so a run without any writes no file
+        for spec, t, vectors, error in results:
+            if error is not None:
+                print(f"warning: embeddings of task {t.task_id} (N={t.n_agents}) failed: "
+                      f"{error}", file=sys.stderr)
+            # the vectors land before the transcript: a crash between the
+            # two leaves the task undone, and its rerun's rows win
+            if vectors:
+                emb_file = emb_file or stack.enter_context(open(emb_path, "a"))
+                emb_file.write("".join(harness.embedding_row(i, v) + "\n"
+                                       for i, v in zip(t.embedding_ids(), vectors)))
+                emb_file.flush()
+            stores[spec].append(t)
+            if not t.invalid:
+                all_invalid = False
+
+    manifest["finished"] = time.time()
+    write_manifest("done")
     if all_invalid:
         return _fail("backend unreachable: every transcript is invalid", EXIT_ENV)
     return EXIT_OK

@@ -315,11 +315,18 @@ class MockEmbeddingBackend:
     def embed(self, texts, model=None):
         if self.max_batch is not None and len(texts) > self.max_batch:
             raise BackendError(f"batch of {len(texts)} exceeds limit {self.max_batch}")
+        # Each text draws what Generator(Philox(key=k)) draws.  Re-keying one
+        # bit generator through its state setter skips the OS entropy that
+        # every Philox construction reads and `key=` then discards; the
+        # generator is per call, so concurrent calls share no state.
+        bitgen = np.random.Philox(key=0)
+        rng = np.random.Generator(bitgen)
+        fresh = bitgen.state
         vectors = []
         for t in texts:
             digest = hashlib.sha256(f"{self.seed}|{t}".encode()).digest()
-            rng_seed = int.from_bytes(digest[:8], "big")
-            rng = np.random.Generator(np.random.Philox(key=rng_seed))
+            fresh["state"]["key"][0] = int.from_bytes(digest[:8], "big")
+            bitgen.state = fresh
             v = rng.standard_normal(self.dim)
             vectors.append((v / np.linalg.norm(v)).tolist())
         return vectors
@@ -404,7 +411,7 @@ class JSONClient:
             raise TransientBackendError(f"server error {resp.status} from {url}")
         if resp.status >= 400:
             raise BackendError(f"request rejected ({resp.status}) by {url}: {data[:200]!r}")
-        # imported here, so mock runs and the toolkit never load it
+        # imported here, so the toolkit commands never load it
         import orjson
 
         try:
@@ -480,8 +487,22 @@ class OpenAIEmbeddingBackend:
         self.client.close()
 
 
+def _is_finite_number_list(v):
+    # bool is an int subclass, and `true` is no coordinate
+    if type(v) is not list or not set(map(type, v)) <= {float, int}:
+        return False
+    try:
+        return all(map(math.isfinite, v))
+    except OverflowError:  # an int beyond the double range
+        return False
+
+
 def fetch_embeddings(texts, backend, model=None):
-    """Embed a batch, chunking transparently to the backend's batch limit."""
+    """Embed a batch, chunking transparently to the backend's batch limit.
+
+    Raises DimensionMismatch unless the backend returns one flat list of
+    finite numbers per text, all of one width.
+    """
     texts = list(texts)
     if not texts:
         raise ValueError("texts must be nonempty")
@@ -491,6 +512,11 @@ def fetch_embeddings(texts, backend, model=None):
         vectors.extend(backend.embed(texts[start:start + limit], model=model))
     if len(vectors) != len(texts):
         raise DimensionMismatch("backend returned wrong number of vectors")
+    # the rule load_embeddings_jsonl enforces, so `run` writes no row `analyze` rejects
+    for k, v in enumerate(vectors):
+        if not _is_finite_number_list(v):
+            raise DimensionMismatch(
+                f"embedding row {k} is not a flat list of finite numbers: {str(v)[:80]}")
     dims = {len(v) for v in vectors}
     if len(dims) != 1:
         raise DimensionMismatch(f"inconsistent embedding dimensions: {sorted(dims)}")
@@ -694,6 +720,44 @@ def run_tasks(jobs, plan: DiversityPlan, backend, embedder=None, concurrency=4, 
 
 # ---------------------------------------------------------------------------
 # persistence
+
+
+def embedding_row(row_id, vector):
+    """`json.dumps({"id": row_id, "vector": vector})`, byte for byte, about 6x faster.
+
+    `vector` is a list of finite floats and ints.  orjson prints the same
+    shortest digits as `float.__repr__` and differs only in layout: it writes
+    magnitudes in [1e-5, 1e-4) in fixed notation (`0.00001` for `1e-05`) and
+    exponents without sign or padding (`1.5e-7`, `1e16` for `1.5e-07`,
+    `1e+16`).  Only the tokens holding `e` or `0.0000` are re-rendered with
+    `repr`; a regex pass over every token is slower than `json.dumps`.
+    """
+    # imported here, so the toolkit commands never load it
+    import orjson
+
+    try:
+        raw = orjson.dumps(vector)
+    except orjson.JSONEncodeError:  # an int beyond 64 bits
+        return json.dumps({"id": row_id, "vector": vector})
+    spans = {}  # start -> end of each token to re-render
+    for needle in (b"e", b"0.0000"):
+        k = raw.find(needle)
+        while k != -1:
+            # raw[0] is "[", so a first token starts at 1
+            start = max(raw.rfind(b",", 0, k), 0) + 1
+            end = raw.find(b",", k)
+            if end == -1:
+                end = len(raw) - 1
+            spans[start] = end
+            k = raw.find(needle, end)
+    if spans:
+        parts, done = [], 0
+        for start in sorted(spans):
+            parts += [raw[done:start], repr(float(raw[start:spans[start]])).encode()]
+            done = spans[start]
+        parts.append(raw[done:])
+        raw = b"".join(parts)
+    return f'{{"id": {json.dumps(row_id)}, "vector": {raw.replace(b",", b", ").decode()}}}'
 
 
 class TranscriptStore:

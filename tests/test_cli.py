@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -87,6 +88,13 @@ class TestKstar:
         code, out = run_cli("kstar", str(path), capsys=capsys)
         assert code == 2
         assert "line 2" in out.err
+
+    def test_zero_norm_row_exits_2_naming_id_and_line(self, tmp_path, capsys):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "a", "vector": [1.0, 0.0]}\n\n{"id": "b", "vector": [0, 0]}\n')
+        code, out = run_cli("kstar", str(path), capsys=capsys)
+        assert code == 2
+        assert "error: embedding b at line 3 has norm < 1e-12" in out.err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, out = run_cli("kstar", str(tmp_path / "none.jsonl"), capsys=capsys)
@@ -212,15 +220,20 @@ def test_cli_import_leaves_out_requests():
     assert proc.stdout.strip() == "False"
 
 
-def test_mock_run_and_toolkit_leave_out_orjson(tmp_path):
-    # orjson is imported only where bulk JSON is decoded: analyze, kstar, HTTP replies
-    cfg_path, _ = base_config(tmp_path)
+def test_toolkit_leaves_out_orjson(tmp_path):
+    # orjson is imported only where bulk JSON is decoded or embedding rows encoded:
+    # run, analyze, kstar
+    curve = tmp_path / "curve.csv"
+    curve.write_text("".join(f"{k},{1.0 - math.exp(-0.3 * k)}\n" for k in range(1, 9)))
+    joint = tmp_path / "joint.json"
+    joint.write_text(bsc_views_joint(0.1, 3).to_json())
     src = os.path.dirname(os.path.dirname(masinfo.__file__))
     script = (
         "import os, sys\n"
         "from masinfo.cli import main\n"
-        f"assert main(['run', {str(cfg_path)!r}]) == 0\n"
         "assert main(['simulate', '--alpha', '0.2', '--trials', '10', '--output', os.devnull]) == 0\n"
+        f"assert main(['bounds', {str(joint)!r}, '--output', os.devnull]) == 0\n"
+        f"assert main(['fit-alpha', {str(curve)!r}, '--output', os.devnull]) == 0\n"
         "print('orjson' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
@@ -341,6 +354,36 @@ class TestRun:
         )
         code, out = run_cli("run", str(cfg_path), capsys=capsys)
         assert code == 3
+
+    # sha256 of each file a parent-commit `run` wrote on these configs; any
+    # change to the transcript or vector bytes shows here
+    GOLDEN = {
+        "vote": {
+            "embeddings.jsonl": "597b7f7780af2d749d8fba346f62aacdf50a2be10720e906bd875974d40d03d6",
+            "vote_L4_N2.jsonl": "e7999e53f16f15e6a2c7e851b99c6faa18e5a7a64711b9a2e5a4b86335ff0411",
+            "vote_L4_N4.jsonl": "2b0413d0a801724911c1904bc12704c8343a5a4c5daced5ac9ff423dd8353dfc",
+            "vote_L4_N8.jsonl": "b3e8b5a39ac34247bed3068d13b0ef50e304e98b578b88dfcf879a26bc079dde",
+        },
+        "debate": {
+            "embeddings.jsonl": "421368d9a21aa4de948fc76154d64db4642eba95dd2ad6a9b3d1346f4973c916",
+            "debate_L4_N2.jsonl": "b16aa45f56ddc5912cc15a637c2989e5d5a708847fb5530cde230e7b00600847",
+            "debate_L4_N4.jsonl": "d91c5b789a71a3db3208fd510861aea7a8cd053d0e7d021c88d05c57bcaeeaa6",
+            "debate_L4_N8.jsonl": "e09435903246f729837fdf53c0681a92fc26bfaa7cc0f8a19c92249aff822f0a",
+        },
+    }
+
+    @pytest.mark.parametrize("workflow", ["vote", "debate"])
+    def test_mock_store_bytes_pinned(self, tmp_path, workflow):
+        # dim 256 puts about 100 components below 1e-4 in the debate rows,
+        # which json.dumps prints as 1e-05-style exponents
+        cfg_path, _ = base_config(
+            tmp_path, n_tasks=5, workflow=workflow, layer="L4", model_pool=["m1", "m2", "m3"],
+            n_agents_list=[2, 4, 8], backend={"kind": "mock", "dim": 256}, concurrency_limit=2,
+            **({"rounds": 2} if workflow == "debate" else {}))
+        assert main(["run", str(cfg_path)]) == 0
+        digests = {name: hashlib.sha256(data).hexdigest()
+                   for name, data in store_bytes(tmp_path / "store").items()}
+        assert digests == self.GOLDEN[workflow]
 
     def test_deterministic_reruns_byte_identical(self, tmp_path):
         cfg_a, _ = base_config(tmp_path / "a", n_agents_list=[3])
@@ -524,6 +567,8 @@ class FailingEmbed:
     def embed(self, texts, model=None):
         if self.failure == "backend":
             raise BackendError("embedding service down")
+        if self.failure == "null":
+            return [[None, 0.5] for _ in texts]
         return [[1.0] * (i + 1) for i in range(len(texts))]  # ragged widths
 
 
@@ -544,6 +589,51 @@ class TestEmbeddingFailures:
                     else "inconsistent embedding dimensions") in line
         assert len(list(TranscriptStore(tmp_path / "store" / "vote_L1_N2.jsonl"))) == 3
         assert not (tmp_path / "store" / "embeddings.jsonl").exists()
+
+    def test_non_numeric_vectors_write_no_row(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "_build_backends", lambda cfg: (MockChatBackend(seed=11), FailingEmbed("null")))
+        cfg_path, _ = base_config(tmp_path, n_agents_list=[2])
+        code, out = run_cli("run", str(cfg_path), capsys=capsys)
+        assert code == 0
+        warnings = out.err.strip().splitlines()
+        assert len(warnings) == 3
+        assert all("embedding row 0 is not a flat list of finite numbers" in w for w in warnings)
+        assert not (tmp_path / "store" / "embeddings.jsonl").exists()
+        # the store stays readable: accuracy reports, no spectral columns
+        assert main(["analyze", str(tmp_path / "store")]) == 0
+
+    def test_crash_then_changed_config_is_refused(self, tmp_path, capsys, monkeypatch):
+        cfg_path, cfg = base_config(tmp_path, n_agents_list=[2])
+        store = tmp_path / "store"
+        append = TranscriptStore.append
+        appends = []
+
+        def crash_on_second(self, transcript):
+            appends.append(transcript.task_id)
+            if len(appends) == 2:
+                raise OSError("disk full")
+            append(self, transcript)
+
+        monkeypatch.setattr(TranscriptStore, "append", crash_on_second)
+        with pytest.raises(OSError, match="disk full"):
+            main(["run", str(cfg_path)])
+        monkeypatch.setattr(TranscriptStore, "append", append)
+        manifest = json.loads((store / "manifest.json").read_text())
+        assert manifest["status"] == "running"
+
+        before = store_bytes(store), (store / "manifest.json").read_bytes()
+        cfg_path.write_text(json.dumps({**cfg, "seed": 12}))
+        code, out = run_cli("run", str(cfg_path), capsys=capsys)
+        assert code == 2
+        assert "resume refused" in out.err
+        assert (store_bytes(store), (store / "manifest.json").read_bytes()) == before
+
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", str(cfg_path)]) == 0
+        assert TranscriptStore(store / "vote_L1_N2.jsonl").task_ids() == {"t0", "t1", "t2"}
+        manifest = json.loads((store / "manifest.json").read_text())
+        assert manifest["status"] == "done"
 
     def test_crash_before_transcript_append_is_redone(self, tmp_path, monkeypatch):
         ref_cfg, _ = base_config(tmp_path / "ref", n_agents_list=[2])

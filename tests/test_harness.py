@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import hashlib
 import json
 import re
 import threading
@@ -25,6 +26,7 @@ from masinfo.harness import (
     TranscriptStore,
     WorkflowSpec,
     build_layer_pool,
+    embedding_row,
     extract_answer,
     fetch_embeddings,
     load_tasks_jsonl,
@@ -294,6 +296,69 @@ class TestEmbeddings:
     def test_deterministic_per_text(self):
         b = MockEmbeddingBackend(dim=5, seed=3)
         assert b.embed(["x"]) == b.embed(["x"])
+
+    @pytest.mark.parametrize("dim", [1, 3, 64, 1536])
+    def test_mock_draws_what_a_fresh_philox_draws(self, dim):
+        texts = [f"text {i}" for i in range(300)] + ["", "é", "text 0"]
+        got = MockEmbeddingBackend(dim=dim, seed=7).embed(texts)
+        for t, v in zip(texts, got):
+            digest = hashlib.sha256(f"7|{t}".encode()).digest()
+            key = int.from_bytes(digest[:8], "big")
+            ref = np.random.Generator(np.random.Philox(key=key)).standard_normal(dim)
+            assert v == (ref / np.linalg.norm(ref)).tolist()
+
+
+class TestEmbeddingRow:
+    """embedding_row against its definition, json.dumps, byte for byte."""
+
+    def assert_rows_match(self, values, width=64, row_id="q0001:12"):
+        for start in range(0, len(values), width):
+            v = values[start:start + width]
+            assert embedding_row(row_id, v) == json.dumps({"id": row_id, "vector": v}), v
+
+    def test_random_bit_patterns_in_every_binade(self):
+        rng = np.random.default_rng(0)
+        per_binade = 64
+        exponent = np.repeat(np.arange(2047, dtype=np.uint64), per_binade)  # 2047 is inf/nan
+        mantissa = rng.integers(0, 2 ** 52, size=exponent.size, dtype=np.uint64)
+        sign = rng.integers(0, 2, size=exponent.size, dtype=np.uint64)
+        bits = (sign << np.uint64(63)) | (exponent << np.uint64(52)) | mantissa
+        values = bits.view(np.float64)
+        assert np.isfinite(values).all()
+        self.assert_rows_match(rng.permutation(values).tolist())
+
+    @pytest.mark.parametrize("edge", [1e-5, 1e-4, 1e16, 1e17])
+    def test_neighbours_of_layout_edges(self, edge):
+        values = [edge]
+        for direction in (np.inf, -np.inf):
+            x = edge
+            for _ in range(200):
+                x = np.nextafter(x, direction)
+                values.append(float(x))
+        self.assert_rows_match(values + [-x for x in values], width=50)
+
+    def test_zeros_subnormals_and_ints(self):
+        tiny = np.finfo(float).smallest_subnormal
+        values = [0.0, -0.0, float(tiny), -float(tiny), float(tiny) * 12345,
+                  float(np.finfo(float).tiny), float(np.nextafter(np.finfo(float).tiny, 0)),
+                  float(np.finfo(float).max), -float(np.finfo(float).max),
+                  0, 1, -3, 10 ** 15, 2 ** 63 - 1, -2 ** 63, 2 ** 64 - 1]
+        self.assert_rows_match(values, width=len(values))
+        for v in values:
+            self.assert_rows_match([v], width=1)
+        # beyond 64 bits orjson refuses the int; the row is still json.dumps'
+        self.assert_rows_match([2 ** 70, 0.5, -2 ** 64], width=3)
+
+    @pytest.mark.parametrize("dim", [64, 1536])
+    def test_unit_vectors(self, dim):
+        rng = np.random.default_rng(dim)
+        rows = rng.standard_normal((400, dim))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        self.assert_rows_match(rows.ravel().tolist(), width=dim)
+
+    def test_ids_escaped_as_json_dumps_does(self):
+        for row_id in ["t0:0", "é:1", 'q"1\\:0', "\u2028"]:
+            self.assert_rows_match([0.25, 1e-05, -2.5e-07], width=3, row_id=row_id)
 
 
 class TestTranscriptStore:
@@ -583,4 +648,18 @@ class TestDimensionChecks:
                 return [[1.0], [1.0, 2.0]][: len(texts)]
 
         with pytest.raises(DimensionMismatch):
+            fetch_embeddings(["a", "b"], BadBackend())
+
+    @pytest.mark.parametrize("vector", [
+        [None, 0.5], ["0.5", 0.5], [[0.5], 0.5], [True, 0.5], [float("nan"), 0.5],
+        [float("inf"), 0.5], [10 ** 400, 0.5], (0.5, 0.5), None,
+    ], ids=["null", "string", "nested", "bool", "nan", "inf", "int-overflow", "tuple", "none"])
+    def test_vector_not_finite_numbers_raises_naming_row(self, vector):
+        class BadBackend:
+            max_batch = None
+
+            def embed(self, texts, model=None):
+                return [[0.5, 0.5], vector]
+
+        with pytest.raises(DimensionMismatch, match="embedding row 1 is not a flat list"):
             fetch_embeddings(["a", "b"], BadBackend())
