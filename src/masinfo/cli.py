@@ -221,6 +221,20 @@ def _build_backends(cfg):
     raise ValueError(f"unknown backend kind {kind!r}")
 
 
+def _read_manifest(path):
+    """The manifest object in `path`, or None when there is no such file."""
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError:
+        return None
+    except ValueError:  # torn, or not JSON at all
+        manifest = None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path} is not a JSON object")
+    return manifest
+
+
 def cmd_run(args):
     # everything that can reject the input runs before output_dir exists;
     # the backends open no connection until their first request
@@ -234,17 +248,15 @@ def cmd_run(args):
             cfg["output_dir"], f"{cfg['workflow']}_{cfg['layer']}_N{spec.num_agents}.jsonl"))
             for spec in specs}
         done = {spec: store.task_ids() for spec, store in stores.items()}
+        manifest_path = os.path.join(cfg["output_dir"], "manifest.json")
+        old = _read_manifest(manifest_path)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
 
     out_dir = cfg["output_dir"]
     chash = _config_hash(cfg)
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    if os.path.exists(manifest_path):
-        with open(manifest_path) as fh:
-            old = json.load(fh)
-        if old.get("config_hash") != chash:
-            return _fail("output_dir holds a run with a different config; resume refused")
+    if old is not None and old.get("config_hash") != chash:
+        return _fail("output_dir holds a run with a different config; resume refused")
     os.makedirs(out_dir, exist_ok=True)
 
     manifest = {
@@ -260,9 +272,13 @@ def cmd_run(args):
 
     def write_manifest(status):
         # written before the first call as well, so a rerun after a crash
-        # still meets the config check; a manifest without status is done
-        with open(manifest_path, "w") as fh:
+        # still meets the config check; a manifest without status is done.
+        # Written aside and renamed over the old one, so a crash mid-write
+        # leaves a whole manifest.
+        tmp_path = manifest_path + ".tmp"
+        with open(tmp_path, "w") as fh:
             json.dump({**manifest, "status": status}, fh, indent=2, sort_keys=True)
+        os.replace(tmp_path, manifest_path)
 
     write_manifest("running")
     concurrency = cfg.get("concurrency_limit") or 4

@@ -25,6 +25,7 @@ import select
 import ssl
 import threading
 import time
+import types
 import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -270,6 +271,10 @@ class MockChatBackend:
     a seeded hash of the full prompt.  In later debate rounds the mock
     answers the majority of the previous round, which makes convergence
     behavior easy to script in tests.
+
+    `deterministic` (True) marks a backend as in-process and reproducible:
+    `run_tasks` then issues its calls on the calling thread, and transcripts
+    carry FIXED_TIMESTAMP and `latency_ms` 0.
     """
 
     deterministic = True
@@ -279,6 +284,10 @@ class MockChatBackend:
         self.seed = seed
         self._initial = list(initial_answers) if initial_answers else None
         self._lock = threading.Lock()
+        # (block, majority) of the last debate block parsed: every agent of a
+        # round sees the same one.  Replaced whole, so a concurrent reader
+        # sees a matching pair or recomputes.
+        self._last_block = (None, None)
 
     def _seeded_choice(self, prompt_key):
         digest = hashlib.sha256(f"{self.seed}|{prompt_key}".encode()).digest()
@@ -289,8 +298,11 @@ class MockChatBackend:
         system = next((m["content"] for m in messages if m["role"] == "system"), "")
         if "Other agents answered:" in user:
             block = user.split("Other agents answered:", 1)[1]
-            prev = [extract_answer(line, "mc") for line in block.splitlines()]
-            winner, _ = majority_answer(prev)
+            last = self._last_block
+            if last[0] != block:
+                prev = [extract_answer(line, "mc") for line in block.splitlines()]
+                last = self._last_block = (block, majority_answer(prev)[0])
+            winner = last[1]
             if winner is not None:
                 return f"Considering the discussion, the answer is ({winner})."
         if self._initial is not None:
@@ -303,7 +315,11 @@ class MockChatBackend:
 
 
 class MockEmbeddingBackend:
-    """Deterministic unit-vector embeddings hashed from the text."""
+    """Deterministic unit-vector embeddings hashed from the text.
+
+    `deterministic` (True) marks it in-process and reproducible, as on
+    MockChatBackend.
+    """
 
     deterministic = True
 
@@ -439,7 +455,12 @@ class JSONClient:
 
 
 class OpenAIChatBackend:
-    """OpenAI-compatible /chat/completions client with retry and backoff."""
+    """OpenAI-compatible /chat/completions client with retry and backoff.
+
+    Not `deterministic`: its calls wait on the network, so `run_tasks`
+    overlaps them on a thread pool, and transcripts carry the wall-clock
+    timestamp and measured latencies.
+    """
 
     deterministic = False
 
@@ -464,7 +485,7 @@ class OpenAIChatBackend:
 
 
 class OpenAIEmbeddingBackend:
-    """OpenAI-compatible /embeddings client."""
+    """OpenAI-compatible /embeddings client; not `deterministic`, as OpenAIChatBackend."""
 
     deterministic = False
 
@@ -615,7 +636,10 @@ def _issue_round(configs, prompts, plan, backend, pool):
 
 
 def run_workflow(task, spec: WorkflowSpec, plan: DiversityPlan, backend, pool, dataset=""):
-    """Build the transcript of `spec` on `task`, issuing every call on the executor `pool`.
+    """Build the transcript of `spec` on `task`, issuing every call through `pool.map`.
+
+    `pool` is an executor, or anything with its `map`, such as run_tasks'
+    in-thread stand-in.
 
     Round 1 prompts with the question alone, so a single round is Vote's N
     independent samples.  Each later round (Debate) appends every
@@ -687,13 +711,16 @@ def run_workflow(task, spec: WorkflowSpec, plan: DiversityPlan, backend, pool, d
 def run_tasks(jobs, plan: DiversityPlan, backend, embedder=None, concurrency=4, dataset=""):
     """Run (WorkflowSpec, task) jobs; yield (spec, transcript, vectors, error) in job order.
 
-    One pool of `concurrency` threads issues every backend request, chat
-    and embedding alike, so at most `concurrency` are in flight.  Up to
-    `concurrency` jobs run ahead of the one the caller is consuming, each on
-    a driver thread that runs its rounds and then embeds its transcript's
-    outputs through the same pool.  `vectors` is None when there is no
-    embedder, the transcript is invalid or embedding failed; `error` is the
-    BackendError or DimensionMismatch of a failed embedding.
+    When the chat backend and the embedder (if any) are `deterministic`,
+    every call is in-process work, which threads cannot overlap: the jobs
+    run one by one on the caller's thread, and `concurrency` is unused.
+    Otherwise one pool of `concurrency` threads issues every backend
+    request, chat and embedding alike, so at most `concurrency` are in
+    flight.  Up to `concurrency` jobs run ahead of the one the caller is
+    consuming, each on a driver thread that runs its rounds and then embeds
+    its transcript's outputs through the same pool.  `vectors` is None when
+    there is no embedder, the transcript is invalid or embedding failed;
+    `error` is the BackendError or DimensionMismatch of a failed embedding.
     """
 
     def drive(spec, task):
@@ -702,10 +729,16 @@ def run_tasks(jobs, plan: DiversityPlan, backend, embedder=None, concurrency=4, 
             return spec, t, None, None
         texts = [c["raw_output"] or "" for c in t.calls]
         try:
-            return spec, t, calls.submit(fetch_embeddings, texts, embedder).result(), None
+            [vectors] = calls.map(fetch_embeddings, [texts], [embedder])
+            return spec, t, vectors, None
         except (BackendError, DimensionMismatch) as exc:
             return spec, t, None, exc
 
+    if getattr(backend, "deterministic", False) and (
+            embedder is None or getattr(embedder, "deterministic", False)):
+        calls = types.SimpleNamespace(map=map)  # the executor API, on this thread
+        yield from itertools.starmap(drive, jobs)
+        return
     jobs = iter(jobs)
     # drivers block on the call pool, so they never run on it
     with ThreadPoolExecutor(concurrency) as calls, ThreadPoolExecutor(concurrency) as drivers:

@@ -338,6 +338,22 @@ class TestRun:
         assert code == 2
         assert "refused" in out.err
 
+    @pytest.mark.parametrize("manifest", ['{"schema": 1, "config_', "[1]"],
+                             ids=["torn", "not-object"])
+    def test_bad_manifest_exits_2_naming_it(self, tmp_path, capsys, manifest):
+        cfg_path, _ = base_config(tmp_path, n_agents_list=[2])
+        assert main(["run", str(cfg_path)]) == 0
+        store = tmp_path / "store"
+        assert sorted(os.listdir(store)) == ["embeddings.jsonl", "manifest.json",
+                                             "vote_L1_N2.jsonl"]
+        (store / "manifest.json").write_text(manifest)
+        before = store_bytes(store)
+        code, out = run_cli("run", str(cfg_path), capsys=capsys)
+        assert code == 2
+        assert f"{store / 'manifest.json'} is not a JSON object" in out.err
+        assert store_bytes(store) == before
+        assert (store / "manifest.json").read_text() == manifest
+
     def test_vote_with_rounds_exits_2(self, tmp_path, capsys):
         cfg_path, _ = base_config(tmp_path, rounds=3)
         code, out = run_cli("run", str(cfg_path), capsys=capsys)
@@ -476,6 +492,8 @@ class InflightChat(MockChatBackend):
     in flight at once, so overlap shows without relying on timing.
     """
 
+    deterministic = False
+
     def __init__(self, seed, meet=None):
         super().__init__(seed=seed)
         self.meet = meet
@@ -507,6 +525,8 @@ class InflightChat(MockChatBackend):
 
 
 class InflightEmbed(MockEmbeddingBackend):
+    deterministic = False
+
     def __init__(self, chat, dim, seed):
         super().__init__(dim=dim, seed=seed)
         self.chat = chat
@@ -518,6 +538,54 @@ class InflightEmbed(MockEmbeddingBackend):
             return super().embed(texts, model)
         finally:
             self.chat.leave()
+
+
+class ThreadedMockChat(MockChatBackend):
+    """The mock, taken through run_tasks' thread pools as a remote backend is."""
+
+    deterministic = False
+
+
+class ThreadedMockEmbed(MockEmbeddingBackend):
+    deterministic = False
+
+
+class RecordingChat(MockChatBackend):
+    """Mock chat noting, per call, its thread and the number of live threads."""
+
+    def __init__(self, seed):
+        super().__init__(seed=seed)
+        self.seen = set()
+
+    def chat(self, messages, model, decoding):
+        self.seen.add((threading.get_ident(), threading.active_count()))
+        return super().chat(messages, model, decoding)
+
+
+class RecordingEmbed(MockEmbeddingBackend):
+    def __init__(self, dim, seed):
+        super().__init__(dim=dim, seed=seed)
+        self.seen = set()
+
+    def embed(self, texts, model=None):
+        self.seen.add((threading.get_ident(), threading.active_count()))
+        return super().embed(texts, model)
+
+
+def without_clock(store):
+    """Store files with the fields a non-deterministic backend takes from the clock removed."""
+    out = {}
+    for name, data in store.items():
+        if name == "embeddings.jsonl":
+            out[name] = data
+            continue
+        rows = [json.loads(line) for line in data.splitlines()]
+        for row in rows:
+            del row["timestamp"]
+            for call in row["calls"]:
+                del call["latency_ms"]
+        out[name] = rows
+    return out
 
 
 def store_bytes(store_dir):
@@ -556,6 +624,36 @@ class TestPipeline:
             stores.append(store_bytes(tmp_path / f"c{limit}" / "store"))
         assert len(stores[0]) == 4  # three stores and embeddings.jsonl
         assert stores[0] == stores[1]
+
+    @pytest.mark.parametrize("workflow", ["vote", "debate"])
+    def test_threaded_store_bytes_independent_of_concurrency(self, tmp_path, monkeypatch,
+                                                            workflow):
+        def run(name, limit):
+            cfg_path, _ = base_config(
+                tmp_path / name, n_tasks=5, workflow=workflow, layer="L4",
+                model_pool=["m1", "m2", "m3"], n_agents_list=[2, 4, 8],
+                concurrency_limit=limit)
+            assert main(["run", str(cfg_path)]) == 0
+            return without_clock(store_bytes(tmp_path / name / "store"))
+
+        monkeypatch.setattr(cli, "_build_backends", lambda cfg: (
+            ThreadedMockChat(seed=cfg["seed"]),
+            ThreadedMockEmbed(dim=cfg["backend"]["dim"], seed=cfg["seed"])))
+        threaded = [run(f"c{limit}", limit) for limit in (1, 4)]
+        monkeypatch.undo()
+        inline = run("inline", 4)
+        assert len(inline) == 4  # three stores and embeddings.jsonl
+        assert threaded == [inline, inline]
+
+    def test_in_process_backends_run_on_the_calling_thread(self, tmp_path, monkeypatch):
+        chat, embed = RecordingChat(seed=11), RecordingEmbed(dim=4, seed=11)
+        monkeypatch.setattr(cli, "_build_backends", lambda cfg: (chat, embed))
+        cfg_path, _ = base_config(tmp_path, workflow="debate", rounds=2, n_agents_list=[2, 4],
+                                  concurrency_limit=4)
+        threads = threading.active_count()
+        assert main(["run", str(cfg_path)]) == 0
+        assert chat.seen == embed.seen == {(threading.get_ident(), threads)}
+        assert threading.active_count() == threads
 
 
 class FailingEmbed:

@@ -3,8 +3,11 @@ import dataclasses
 import hashlib
 import json
 import re
+import sys
 import threading
+import types
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor, wait
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -275,6 +278,29 @@ class TestDebate:
         round2 = seen[2:]
         assert all("Other agents answered:" in p for p in round2)
         assert all("Agent 1:" in p and "Agent 2:" in p for p in round2)
+
+    def test_shared_mock_matches_serial_under_thread_switching(self):
+        # one mock serves every task's agents at once, as on run_tasks' thread
+        # pools, with more threads than cores; its cache of the last debate
+        # block may only ever recompute
+        plan = make_plan("L4", ["m1", "m2", "m3"], ["mathematician", "logician", "skeptic"])
+        jobs = [({**TASK_MC, "id": f"t{i}", "question": f"Which {i}?"},
+                 WorkflowSpec("debate", n, rounds=4)) for i in range(40) for n in (2, 3, 5, 8, 16)]
+        inline = types.SimpleNamespace(map=map)
+        serial = [run_workflow(task, spec, plan, MockChatBackend(seed=4), inline).to_dict()
+                  for task, spec in jobs]
+        shared = MockChatBackend(seed=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as calls, ThreadPoolExecutor(8) as drivers:
+                futures = [drivers.submit(run_workflow, task, spec, plan, shared, calls)
+                           for task, spec in jobs * 3]
+                _, pending = wait(futures, timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not pending
+        assert [f.result().to_dict() for f in futures] == serial * 3
 
 
 class TestEmbeddings:
