@@ -10,7 +10,11 @@ import csv
 import io
 import json
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +28,8 @@ class DegenerateCurve(ValueError):
 
 
 DEFAULT_TRIALS = 100_000
-_SUB_BLOCK = 1024  # trials per cache-resident pass of simulate_coverage
+_CHUNK = 20_000  # trials per ordered reduction step of simulate_coverage
+_SUB_BLOCK_BYTES = 1 << 20  # bytes of float64 draws per worker pass of simulate_coverage
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,9 @@ class CoverageParams:
             raise BadParams(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.num_channels < 0:
             raise BadParams("num_channels must be >= 0")
+        # the Philox key is an unsigned 128-bit integer
+        if not 0 <= self.seed < 2**128:
+            raise BadParams(f"seed must lie in [0, 2**128), got {self.seed}")
 
     @property
     def total_entropy(self):
@@ -54,6 +62,8 @@ class CoverageParams:
 
     @classmethod
     def equal_bits(cls, alpha, num_channels, seed, num_bits=16, total_entropy=1.0):
+        if num_bits < 1:
+            raise BadParams(f"num_bits must be >= 1, got {num_bits}")
         h = total_entropy / num_bits
         return cls(num_bits, (h,) * num_bits, alpha, num_channels, seed)
 
@@ -104,13 +114,17 @@ class ContractionCurve:
 def simulate_coverage(params: CoverageParams, trials: int = DEFAULT_TRIALS) -> ContractionCurve:
     """Simulate residual fractions for K = 0 .. params.num_channels.
 
-    Counter-based Philox stream keyed by the seed; each trial consumes a
-    fixed block of draws in trial order, so extending `trials` never
+    Counter-based Philox stream keyed by the seed; trial t consumes draws
+    [t*k_max*m, (t+1)*k_max*m) in order, so extending `trials` never
     reshuffles earlier trials.  Trials are reduced in chunks of 20,000 by an
-    ordered sum over trial index, so results are bit-identical for fixed
-    (params, trials).  Each chunk's per-trial fractions are computed in
-    sub-blocks of _SUB_BLOCK trials through preallocated buffers, so memory
-    is bounded by the sub-block, not by `trials`.
+    ordered sum over trial index on the calling thread.  Each chunk's
+    per-trial fractions are filled in sub-blocks of about 1 MiB of draws
+    (at least one trial) on a thread pool with one worker per usable CPU;
+    a sub-block starting at draw `off` positions its own stream at Philox
+    counter off // 4 and discards off % 4 draws, and writes only its own
+    rows.  The curve is therefore identical, bit for bit, for any CPU count
+    and sub-block size; memory is bounded by the sub-blocks and the chunk,
+    not by `trials`.
     """
     if trials < 1:
         raise BadParams("trials must be >= 1")
@@ -121,32 +135,40 @@ def simulate_coverage(params: CoverageParams, trials: int = DEFAULT_TRIALS) -> C
     if total <= 0:
         raise BadParams("total entropy must be positive")
 
-    rng = np.random.Generator(np.random.Philox(key=params.seed))
+    per_trial = k_max * m
+    block = min(max(1, _SUB_BLOCK_BYTES // (8 * max(per_trial, 1))), _CHUNK, trials)
+    frac = np.ones((min(_CHUNK, trials), k_max + 1))  # column 0: K = 0 hides everything
+    local = threading.local()
+
+    def fill(first, t, lo):
+        # rows lo .. lo+b of frac hold trials first+lo .. first+lo+b
+        b = min(block, t - lo)
+        if not hasattr(local, "draws"):
+            local.draws = np.empty((block, k_max, m))
+            local.hidden = np.empty((block, k_max, m), dtype=bool)
+        draws, hidden = local.draws[:b], local.hidden[:b]
+        off = (first + lo) * per_trial
+        bitgen = np.random.Philox(key=params.seed, counter=off // 4)  # 4 draws per counter step
+        bitgen.random_raw(off % 4)
+        np.random.Generator(bitgen).random(out=draws)
+        # bit j stays hidden after channel k iff channels 1..k all miss it
+        np.greater_equal(draws, params.alpha, out=hidden)
+        for k in range(1, k_max):
+            np.logical_and(hidden[:, k - 1], hidden[:, k], out=hidden[:, k])
+        np.multiply(hidden, h, out=draws)
+        rows = frac[lo:lo + b, 1:]
+        np.sum(draws, axis=2, out=rows)
+        rows /= total
+
     sum_frac = np.zeros(k_max + 1)
     sum_frac_sq = np.zeros(k_max + 1)
-    chunk = 20_000
-    frac = np.ones((min(chunk, trials), k_max + 1))  # column 0: K = 0 hides everything
-    block = min(_SUB_BLOCK, trials)
-    draws = np.empty((block, k_max, m))
-    hidden = np.empty((block, k_max, m), dtype=bool)
-    weighted = np.empty((block, k_max, m))
-    done = 0
-    while done < trials:
-        t = min(chunk, trials - done)
-        for lo in range(0, t, block):
-            b = min(block, t - lo)
-            rng.random(out=draws[:b])
-            # bit j stays hidden after channel k iff channels 1..k all miss it
-            np.greater_equal(draws[:b], params.alpha, out=hidden[:b])
-            for k in range(1, k_max):
-                np.logical_and(hidden[:b, k - 1], hidden[:b, k], out=hidden[:b, k])
-            np.multiply(hidden[:b], h, out=weighted[:b])
-            rows = frac[lo:lo + b, 1:]
-            np.sum(weighted[:b], axis=2, out=rows)
-            rows /= total
-        sum_frac += frac[:t].sum(axis=0)
-        sum_frac_sq += (frac[:t] * frac[:t]).sum(axis=0)
-        done += t
+    workers = min(len(os.sched_getaffinity(0)), -(-len(frac) // block))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for first in range(0, trials, _CHUNK):
+            t = min(_CHUNK, trials - first)
+            list(pool.map(partial(fill, first, t), range(0, t, block)))
+            sum_frac += frac[:t].sum(axis=0)
+            sum_frac_sq += (frac[:t] * frac[:t]).sum(axis=0)
 
     mean = sum_frac / trials
     var = np.maximum(sum_frac_sq / trials - mean * mean, 0.0)

@@ -144,6 +144,17 @@ class TestSimulate:
         assert code == 2
         assert "error" in out.err
 
+    def test_zero_bits_exits_2(self, capsys):
+        code, out = run_cli("simulate", "--alpha", "0.3", "--m", "0", capsys=capsys)
+        assert code == 2
+        assert "num_bits" in out.err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_seed_out_of_range_exits_2(self, capsys, seed):
+        code, out = run_cli("simulate", "--alpha", "0.3", "--trials", "10", "--seed", seed, capsys=capsys)
+        assert code == 2
+        assert "seed" in out.err
+
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
 

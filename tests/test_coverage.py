@@ -1,9 +1,14 @@
 import hashlib
 import math
+import os
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from masinfo import coverage
 from masinfo.coverage import (
     BadParams,
     CoverageParams,
@@ -22,6 +27,18 @@ class TestParams:
             CoverageParams.equal_bits(alpha=1.5, num_channels=3, seed=0)
         with pytest.raises(BadParams):
             CoverageParams.equal_bits(alpha=0.0, num_channels=3, seed=0)
+
+    def test_zero_bits_rejected(self):
+        with pytest.raises(BadParams, match="num_bits"):
+            CoverageParams.equal_bits(alpha=0.3, num_channels=3, seed=0, num_bits=0)
+
+    def test_seed_bounds(self):
+        # the seed keys Philox, whose key is an unsigned 128-bit integer
+        for seed in (-1, 2**128):
+            with pytest.raises(BadParams, match="seed"):
+                CoverageParams.equal_bits(alpha=0.3, num_channels=3, seed=seed)
+        for seed in (0, 2**128 - 1):
+            CoverageParams.equal_bits(alpha=0.3, num_channels=3, seed=seed)
 
     def test_entropy_accounting(self):
         p = CoverageParams.equal_bits(alpha=0.3, num_channels=4, seed=0, num_bits=16)
@@ -96,6 +113,81 @@ class TestSimulate:
         p = CoverageParams.equal_bits(alpha=0.3, num_channels=2, seed=0)
         with pytest.raises(BadParams):
             simulate_coverage(p, trials=0)
+
+
+# the curves of TestSimulate.test_stream_and_reduction_pinned
+PINNED = [
+    (CoverageParams.equal_bits(alpha=0.3, num_channels=10, seed=1, num_bits=16), 45_000,
+     "5f80a034754cba4599bf2bcb345254b76d31609e1985a4051bb41851463299c6"),
+    (CoverageParams(7, tuple(np.linspace(0.01, 0.2, 7)), 0.35, 6, 17), 21_001,
+     "6f33abbefd9bc4c307869bb0623fcfc84409cb262825e9c00d2ce395e907df53"),
+]
+PINNED_IDS = ["equal-m16", "nonuniform-m7"]
+
+
+def _digest(params, trials):
+    return hashlib.sha256(simulate_coverage(params, trials=trials).to_csv().encode()).hexdigest()
+
+
+def _use_cpus(monkeypatch, n):
+    # simulate_coverage starts one worker per usable CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _use_sub_block(monkeypatch, params, size):
+    # a budget of `size` trials' draws, 8 bytes each
+    monkeypatch.setattr(coverage, "_SUB_BLOCK_BYTES", 8 * params.num_channels * params.num_bits * size)
+
+
+class TestSimulateThreads:
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    @pytest.mark.parametrize("params, trials, digest", PINNED, ids=PINNED_IDS)
+    def test_digest_independent_of_workers(self, monkeypatch, params, trials, digest, workers):
+        _use_cpus(monkeypatch, workers)
+        assert _digest(params, trials) == digest
+
+    # nonuniform-m7 draws 42 per trial, so 7-trial sub-blocks start at
+    # offsets of 2 mod 4 and discard half a Philox counter step
+    @pytest.mark.parametrize("size", [1, 7])
+    @pytest.mark.parametrize("params, trials, digest", PINNED, ids=PINNED_IDS)
+    def test_digest_independent_of_sub_block(self, monkeypatch, params, trials, digest, size):
+        _use_cpus(monkeypatch, 3)
+        _use_sub_block(monkeypatch, params, size)
+        assert _digest(params, trials) == digest
+
+    def test_digest_holds_under_thread_switching(self, monkeypatch):
+        params, trials, digest = PINNED[1]
+        _use_cpus(monkeypatch, len(os.sched_getaffinity(0)) + 3)
+        _use_sub_block(monkeypatch, params, 1)
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: result.append(_digest(params, trials)), daemon=True)
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert result == [digest]
+
+    def test_no_thread_outlives_the_call(self):
+        before = threading.active_count()
+        simulate_coverage(CoverageParams.equal_bits(alpha=0.3, num_channels=4, seed=8), trials=30_000)
+        assert threading.active_count() == before
+
+    def test_memory_bounded_by_sub_blocks(self, monkeypatch):
+        # 262,144 draws per trial: each of 4 workers holds one trial's
+        # float64 draws and bool mask, about 2.3 MiB
+        _use_cpus(monkeypatch, 4)
+        params = CoverageParams.equal_bits(alpha=0.3, num_channels=64, seed=9, num_bits=4096)
+        tracemalloc.start()
+        try:
+            simulate_coverage(params, trials=32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestAnalyticBounds:
