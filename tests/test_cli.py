@@ -220,6 +220,16 @@ class TestFitAlpha:
         assert code == 2
         assert "line 5" in out.err
 
+    @pytest.mark.parametrize("bad", ["2,nan", "inf,0.45"], ids=["nan-fraction", "inf-k"])
+    def test_non_finite_row_exits_2(self, tmp_path, capsys, bad):
+        # json.dumps would write the NaN rss of such a fit as invalid JSON
+        curve = tmp_path / "curve.csv"
+        curve.write_text("\n".join(["k,fraction", "1,0.26", bad, "3,0.60"]) + "\n")
+        code, out = run_cli("fit-alpha", str(curve), capsys=capsys)
+        assert code == 2
+        assert "must be finite" in out.err
+        assert out.out == ""
+
 
 def test_cli_import_leaves_out_requests():
     src = os.path.dirname(os.path.dirname(masinfo.__file__))

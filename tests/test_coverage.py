@@ -40,6 +40,11 @@ class TestParams:
         for seed in (0, 2**128 - 1):
             CoverageParams.equal_bits(alpha=0.3, num_channels=3, seed=seed)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_entropy_rejected(self, bad):
+        with pytest.raises(BadParams, match="finite"):
+            CoverageParams(2, (bad, 0.1), 0.3, 2, 0)
+
     def test_entropy_accounting(self):
         p = CoverageParams.equal_bits(alpha=0.3, num_channels=4, seed=0, num_bits=16)
         assert abs(p.total_entropy - 1.0) < 1e-12
@@ -189,6 +194,52 @@ class TestSimulateThreads:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_memory_bounded_for_many_channels(self, monkeypatch):
+        # one bit on 200 channels: a chunk's 20,000 x 201 fractions and their
+        # squares would take 61 MiB; each of 2 workers holds 1 MiB of draws and
+        # 1 MiB of padded bits, and 3 slots hold 1 MiB of rows each
+        _use_cpus(monkeypatch, 2)
+        params = CoverageParams.equal_bits(alpha=0.3, num_channels=200, seed=9, num_bits=1)
+        tracemalloc.start()
+        try:
+            simulate_coverage(params, trials=20_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+class TestMaskTable:
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_table_matches_per_bit_path(self, monkeypatch, m):
+        rng = np.random.default_rng(100 + m)
+        # trial counts past one 20,000-trial chunk and off every sub-block size
+        cases = [(CoverageParams(m, tuple(rng.uniform(0.01, 0.5, m).tolist()), alpha, k_max,
+                                 int(rng.integers(2**32))), 20_000 + int(rng.integers(1, 1000)))
+                 for alpha in (0.07, 0.3, 0.61) for k_max in (0, 1, 2, 11)]
+        built = []
+        build = coverage._residual_table
+
+        def counted_build(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(coverage, "_residual_table", counted_build)
+        looked_up = [simulate_coverage(p, trials=t).to_csv() for p, t in cases]
+        assert len(built) == len(cases)
+        monkeypatch.setattr(coverage, "_TABLE_BITS", 0)
+        per_bit = [simulate_coverage(p, trials=t).to_csv() for p, t in cases]
+        assert len(built) == len(cases)
+        assert looked_up == per_bit
+
+    def test_seventeen_bits_take_the_per_bit_path(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("a mask table was built for 17 bits")
+
+        monkeypatch.setattr(coverage, "_residual_table", no_table)
+        params = CoverageParams(17, tuple(np.linspace(0.01, 0.3, 17)), 0.3, 5, 23)
+        assert _digest(params, 20_101) == "0deb3bf4cdd3a4d1d03cf221305103dcf5726529ac5971f79999f59476412771"
+
 
 class TestAnalyticBounds:
     def test_k_zero(self):
@@ -272,6 +323,14 @@ class TestFitAlpha:
         ]
         alpha_hat, _ = fit_alpha(pts)
         assert abs(alpha_hat - 0.3) < 0.05
+
+    @pytest.mark.parametrize("pts", [
+        [(1, 0.26), (2, math.nan), (3, 0.6)],
+        [(1, 0.26), (math.inf, 0.45), (3, 0.6)],
+    ], ids=["nan-fraction", "inf-k"])
+    def test_non_finite_point_rejected(self, pts):
+        with pytest.raises(DegenerateCurve, match="finite"):
+            fit_alpha(pts)
 
     def test_deterministic(self):
         pts = [(k, 1.0 - math.exp(-0.2 * k)) for k in range(1, 6)]
