@@ -331,7 +331,7 @@ def _load_store_dir(store_dir):
     embeddings = None
     emb_path = os.path.join(store_dir, "embeddings.jsonl")
     if os.path.exists(emb_path):
-        ids, raw = spectral.load_embeddings_jsonl(emb_path)
+        ids, raw = spectral.load_store_embeddings(emb_path)
         embeddings = dict(zip(ids, raw))
         if len(embeddings) < len(ids):
             # ids name no N, so every N of one output_dir writes the same ones

@@ -319,6 +319,8 @@ def fit_alpha(curve):
     for k, f in pts:
         if not (math.isfinite(k) and math.isfinite(f)):
             raise DegenerateCurve(f"k and fraction must be finite, got ({k!r}, {f!r})")
+        if k < 0:
+            raise DegenerateCurve(f"k counts channels and must be >= 0, got {k!r}")
     ks = np.array([p[0] for p in pts])
     fs = np.array([p[1] for p in pts])
     if len(set(ks.tolist())) != len(ks):

@@ -8,7 +8,13 @@ K* counts independent directions spanned by the outputs: 1 when all outputs
 are collinear, n when they are pairwise orthogonal.
 """
 
+import contextlib
+import hashlib
 import json
+import os
+import stat
+import tempfile
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,20 +169,22 @@ def mean_pairwise_cosine(emb: EmbeddingSet) -> RedundancyScore:
     return RedundancyScore(float((s @ s - n) / (n * (n - 1))), n * (n - 1) // 2)
 
 
-def load_embeddings_jsonl(path):
+def load_embeddings_jsonl(path, digest=None):
     """Read one {"id": str, "vector": [...]} object per line; returns (ids, raw rows).
 
     Each vector must be a flat list of finite numbers: `null`, `NaN`,
     `Infinity`, a literal that overflows a double (`1e400`) or a nested list
     is rejected.  Raises ValueError naming the offending line number on
-    malformed input.
+    malformed input.  A hashlib object passed as `digest` is updated with
+    every byte read, so it names exactly the bytes the rows came from.
     """
     # imported here, so processes that never read embeddings do not load it
     import orjson
 
     ids, rows = [], []
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        lines = fh if digest is None else (digest.update(line) or line for line in fh)
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -196,3 +204,74 @@ def load_embeddings_jsonl(path):
     if len(dims) != 1:
         raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")
     return ids, np.stack(rows)
+
+
+_HASH_CHUNK = 1 << 20
+# what reading a missing, torn or foreign cache raises
+_BAD_CACHE = (OSError, ValueError, KeyError, zipfile.BadZipFile, EOFError)
+
+
+def _file_sha256(path):
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_HASH_CHUNK), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _npz_member(zf, name):
+    # np.load would leak its file on a torn zip and return a bare array for a .npy
+    with zf.open(name + ".npy") as fh:
+        return np.lib.format.read_array(fh, allow_pickle=False)
+
+
+def load_store_embeddings(path):
+    """load_embeddings_jsonl(path), through a binary copy of its rows beside it.
+
+    `<name>.cache.npz` holds the sha256 of the JSONL bytes its rows were
+    decoded from, the float64 rows (`vectors`) and the ids as orjson-encoded
+    UTF-8 bytes (`ids`).  It is used only while the JSONL still has that
+    digest, so the JSONL stays the only source of truth.  Otherwise the JSONL
+    is decoded and the cache rewritten; a cache that cannot be read counts as
+    absent, and one that cannot be written is left out.
+    """
+    import orjson
+
+    cache = os.path.splitext(path)[0] + ".cache.npz"
+    try:
+        with zipfile.ZipFile(cache) as zf:
+            if _npz_member(zf, "sha256").item() == _file_sha256(path):
+                ids = orjson.loads(_npz_member(zf, "ids").tobytes())
+                vectors = _npz_member(zf, "vectors")
+                if (isinstance(ids, list) and vectors.dtype == np.float64
+                        and vectors.ndim == 2 and len(ids) == len(vectors)
+                        and np.isfinite(vectors).all()):
+                    return ids, vectors
+    except _BAD_CACHE:
+        pass
+    digest = hashlib.sha256()
+    ids, vectors = load_embeddings_jsonl(path, digest)
+    _write_cache(cache, path, digest.hexdigest(), ids, vectors)
+    return ids, vectors
+
+
+def _write_cache(cache, path, sha256, ids, vectors):
+    """Write the cache aside and rename it into place; give up on any OSError."""
+    import orjson
+
+    try:
+        # no .jsonl suffix: analyze reads every *.jsonl of a store as transcripts
+        fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(cache)}.", suffix=".tmp",
+                                   dir=os.path.dirname(cache) or ".")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            # mkstemp makes 0600 files; whoever may read the rows may read the copy
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            np.savez(fh, sha256=np.array(sha256), vectors=vectors,
+                     ids=np.frombuffer(orjson.dumps(ids), dtype=np.uint8))
+        os.replace(tmp, cache)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)

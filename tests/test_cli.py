@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import masinfo
-from masinfo import cli
+from masinfo import cli, spectral
 from masinfo.cli import main
 from masinfo.harness import (
     BackendError,
@@ -228,6 +228,15 @@ class TestFitAlpha:
         code, out = run_cli("fit-alpha", str(curve), capsys=capsys)
         assert code == 2
         assert "must be finite" in out.err
+        assert out.out == ""
+
+    def test_negative_k_exits_2_naming_it(self, tmp_path, capsys):
+        # k counts channels; 1 - e^(-alpha k) is negative below 0
+        curve = tmp_path / "curve.csv"
+        curve.write_text("k,fraction\n-3,0.0\n1,0.26\n2,0.45\n")
+        code, out = run_cli("fit-alpha", str(curve), capsys=capsys)
+        assert code == 2
+        assert "got -3.0" in out.err
         assert out.out == ""
 
 
@@ -901,6 +910,62 @@ class TestAnalyze:
         warnings = [l for l in out.err.splitlines() if l.startswith("warning:")]
         assert warnings == [f"warning: {two_n / 'embeddings.jsonl'} repeats embedding id "
                             "'t0:0'; each repeated id keeps its last row"]
+
+    def analyze(self, store, out):
+        assert main(["analyze", str(store), "--output", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def test_reports_identical_cold_warm_and_without_cache(self, tmp_path, monkeypatch):
+        store = self.run_store(tmp_path)
+        cache = store / "embeddings.cache.npz"
+        cold = self.analyze(store, tmp_path / "cold")
+        assert cache.exists()
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "load_embeddings_jsonl", None)  # a hit decodes nothing
+            warm = self.analyze(store, tmp_path / "warm")
+        cache.unlink()
+        rebuilt = self.analyze(store, tmp_path / "rebuilt")
+        assert cache.exists()
+        # the reference: every store decoded from its JSONL, no cache
+        monkeypatch.setattr(spectral, "load_store_embeddings", spectral.load_embeddings_jsonl)
+        assert cold == warm == rebuilt == self.analyze(store, tmp_path / "jsonl")
+
+    def test_unwritable_cache_changes_nothing(self, tmp_path, monkeypatch, capsys):
+        store = self.run_store(tmp_path)
+        want = self.analyze(store, tmp_path / "ref")
+        (store / "embeddings.cache.npz").unlink()
+        before = sorted(os.listdir(store))
+
+        def read_only(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(spectral.tempfile, "mkstemp", read_only)
+        capsys.readouterr()
+        assert self.analyze(store, tmp_path / "ro") == want
+        assert sorted(os.listdir(store)) == before
+        assert "error" not in capsys.readouterr().err
+
+    def test_store_files_untouched(self, tmp_path):
+        store = self.run_store(tmp_path)
+        before = {name: (store / name).read_bytes() for name in os.listdir(store)}
+        self.analyze(store, tmp_path / "cold")
+        self.analyze(store, tmp_path / "warm")
+        after = {name: (store / name).read_bytes() for name in os.listdir(store)}
+        assert after.pop("embeddings.cache.npz")
+        assert after == before
+
+    def test_resumed_run_beside_the_cache_writes_the_same_store(self, tmp_path):
+        ref = self.run_store(tmp_path / "ref", n_agents_list=[2])
+        cfg_path, _ = base_config(tmp_path / "resumed", n_tasks=2, n_agents_list=[2])
+        assert main(["run", str(cfg_path)]) == 0
+        store = tmp_path / "resumed" / "store"
+        self.analyze(store, tmp_path / "early")
+        assert (store / "embeddings.cache.npz").exists()
+        make_dataset(tmp_path / "resumed", 3)  # the config is unchanged, so t2 resumes
+        assert main(["run", str(cfg_path)]) == 0
+        assert store_bytes(store) == store_bytes(ref)
+        # the stale cache is rewritten, not read
+        assert self.analyze(store, tmp_path / "late") == self.analyze(ref, tmp_path / "ref_reports")
 
     def test_pooled_mode_recorded(self, tmp_path):
         store = self.run_store(tmp_path, n_agents_list=[2])

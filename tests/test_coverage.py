@@ -332,6 +332,13 @@ class TestFitAlpha:
         with pytest.raises(DegenerateCurve, match="finite"):
             fit_alpha(pts)
 
+    def test_negative_k_rejected_zero_kept(self):
+        with pytest.raises(DegenerateCurve, match="got -1.0"):
+            fit_alpha([(-1, 0.0), (1, 0.26), (2, 0.45)])
+        alpha_hat, rss = fit_alpha([(k, 1.0 - math.exp(-0.3 * k)) for k in range(0, 6)])
+        assert abs(alpha_hat - 0.3) < 1e-6
+        assert rss < 1e-12
+
     def test_deterministic(self):
         pts = [(k, 1.0 - math.exp(-0.2 * k)) for k in range(1, 6)]
         assert fit_alpha(pts) == fit_alpha(pts)

@@ -1,8 +1,11 @@
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
+from masinfo import spectral
 from masinfo.spectral import (
     EmbeddingSet,
     ZeroNormVector,
@@ -10,6 +13,7 @@ from masinfo.spectral import (
     k_star,
     k_star_conditioned,
     load_embeddings_jsonl,
+    load_store_embeddings,
     mean_pairwise_cosine,
     normalize_embeddings,
 )
@@ -302,3 +306,112 @@ class TestJsonlDecoding:
         path.write_text(text)
         with pytest.raises(ValueError, match="empty"):
             load_embeddings_jsonl(path)
+
+
+def write_rows(path, ids, vectors, mode="w"):
+    with open(path, mode) as fh:
+        fh.writelines(json.dumps({"id": i, "vector": v.tolist()}) + "\n"
+                      for i, v in zip(ids, vectors))
+
+
+def cached_digest(store):
+    with np.load(store / "emb.cache.npz") as z:
+        return z["sha256"].item()
+
+
+class TestStoreCache:
+    @pytest.fixture
+    def store(self, tmp_path):
+        rng = np.random.default_rng(5)
+        # one id ends in a NUL, which a numpy <U array would strip
+        ids = [f"q{i}:{i % 3}" for i in range(7)] + ["q7:\x00", "q\u00e9:0"]
+        write_rows(tmp_path / "emb.jsonl", ids, rng.standard_normal((9, 5)))
+        return tmp_path
+
+    def no_decode(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("JSONL decoded on a cache hit")
+        monkeypatch.setattr(spectral, "load_embeddings_jsonl", fail)
+
+    def assert_same(self, got, want):
+        assert got[0] == want[0]
+        assert got[1].dtype == np.float64
+        assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
+
+    def test_hit_equals_miss_bit_for_bit(self, store, monkeypatch):
+        path = store / "emb.jsonl"
+        want = load_embeddings_jsonl(path)
+        self.assert_same(load_store_embeddings(path), want)  # miss, writes the cache
+        assert cached_digest(store) == hashlib.sha256(path.read_bytes()).hexdigest()
+        self.no_decode(monkeypatch)
+        hit = load_store_embeddings(path)
+        self.assert_same(hit, want)
+        assert hit[0][7] == "q7:\x00"
+        assert sorted(os.listdir(store)) == ["emb.cache.npz", "emb.jsonl"]
+
+    def test_digest_covers_every_byte_read(self, store):
+        digest = hashlib.sha256()
+        load_embeddings_jsonl(store / "emb.jsonl", digest)
+        assert digest.hexdigest() == hashlib.sha256((store / "emb.jsonl").read_bytes()).hexdigest()
+
+    def test_appended_row_makes_the_cache_stale(self, store):
+        path = store / "emb.jsonl"
+        load_store_embeddings(path)
+        write_rows(path, ["q9:0"], np.ones((1, 5)), mode="a")  # as a resumed run does
+        ids, vectors = load_store_embeddings(path)
+        self.assert_same((ids, vectors), load_embeddings_jsonl(path))
+        assert ids[-1] == "q9:0"
+        assert cached_digest(store) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_row_appended_after_the_decode_is_not_cached_under_its_key(self, store, monkeypatch):
+        # a run appending while analyze reads: the key must name the bytes decoded
+        path = store / "emb.jsonl"
+        decode = spectral.load_embeddings_jsonl
+
+        def decode_then_append(*args, **kwargs):
+            result = decode(*args, **kwargs)
+            write_rows(path, ["q9:0"], np.ones((1, 5)), mode="a")
+            return result
+
+        monkeypatch.setattr(spectral, "load_embeddings_jsonl", decode_then_append)
+        assert len(load_store_embeddings(path)[0]) == 9
+        monkeypatch.setattr(spectral, "load_embeddings_jsonl", decode)
+        self.assert_same(load_store_embeddings(path), load_embeddings_jsonl(path))
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "npy", "foreign",
+                                        "wrong-shape"])
+    def test_unreadable_cache_is_a_miss_and_rewritten(self, store, damage):
+        path, cache = store / "emb.jsonl", store / "emb.cache.npz"
+        want = load_embeddings_jsonl(path)
+        load_store_embeddings(path)
+        data = cache.read_bytes()
+        if damage == "truncated":
+            cache.write_bytes(data[:len(data) // 2])
+        elif damage == "garbage":
+            cache.write_bytes(b"\x93NUMPY" + bytes(range(256)) * 4)
+        elif damage == "empty":
+            cache.write_bytes(b"")
+        elif damage == "npy":
+            with open(cache, "wb") as fh:
+                np.save(fh, want[1])
+        elif damage == "foreign":
+            np.savez(cache, other=np.zeros(3))
+        else:  # the right key, but fewer ids than rows
+            np.savez(cache, sha256=np.array(cached_digest(store)), vectors=want[1],
+                     ids=np.frombuffer(b'["q0:0"]', dtype=np.uint8))
+        self.assert_same(load_store_embeddings(path), want)
+        assert cached_digest(store) == hashlib.sha256(path.read_bytes()).hexdigest()
+        self.assert_same(load_store_embeddings(path), want)
+
+    @pytest.mark.parametrize("where", ["mkstemp", "savez", "replace"])
+    def test_failed_write_is_ignored_and_leaves_nothing(self, store, monkeypatch, where):
+        def disk_full(*args, **kwargs):
+            if where == "savez":
+                args[0].write(b"PK\x03\x04 half a zip")
+            raise OSError(28, "No space left on device")
+
+        owner = {"mkstemp": spectral.tempfile, "savez": spectral.np, "replace": spectral.os}
+        monkeypatch.setattr(owner[where], where, disk_full)
+        path = store / "emb.jsonl"
+        self.assert_same(load_store_embeddings(path), load_embeddings_jsonl(path))
+        assert sorted(os.listdir(store)) == ["emb.jsonl"]
