@@ -175,8 +175,8 @@ def load_embeddings_jsonl(path, digest=None):
     Each vector must be a flat list of finite numbers: `null`, `NaN`,
     `Infinity`, a literal that overflows a double (`1e400`) or a nested list
     is rejected.  Raises ValueError naming the offending line number on
-    malformed input.  A hashlib object passed as `digest` is updated with
-    every byte read, so it names exactly the bytes the rows came from.
+    malformed input.  An object passed as `digest` has its `update` called
+    with every byte read, so it names exactly the bytes the rows came from.
     """
     # imported here, so processes that never read embeddings do not load it
     import orjson
@@ -206,9 +206,25 @@ def load_embeddings_jsonl(path, digest=None):
     return ids, np.stack(rows)
 
 
+# Names the cache layout and the decoder that filled it.  Bump it whenever
+# load_embeddings_jsonl accepts, rejects or returns anything differently, so
+# that caches an older version wrote are read as misses.
+_CACHE_FORMAT = 1
 _HASH_CHUNK = 1 << 20
 # what reading a missing, torn or foreign cache raises
 _BAD_CACHE = (OSError, ValueError, KeyError, zipfile.BadZipFile, EOFError)
+
+
+class _ContentKey:
+    """The sha256 and length of the bytes passed to update()."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+        self.size = 0
+
+    def update(self, data):
+        self.sha256.update(data)
+        self.size += len(data)
 
 
 def _file_sha256(path):
@@ -225,22 +241,34 @@ def _npz_member(zf, name):
         return np.lib.format.read_array(fh, allow_pickle=False)
 
 
+def _npz_write(zf, name, array):
+    # the member np.savez would write, without its full copy of the array
+    array = np.ascontiguousarray(array)
+    with zf.open(name + ".npy", "w", force_zip64=True) as fh:
+        np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(array))
+        fh.write(array.data)
+
+
 def load_store_embeddings(path):
     """load_embeddings_jsonl(path), through a binary copy of its rows beside it.
 
-    `<name>.cache.npz` holds the sha256 of the JSONL bytes its rows were
-    decoded from, the float64 rows (`vectors`) and the ids as orjson-encoded
-    UTF-8 bytes (`ids`).  It is used only while the JSONL still has that
-    digest, so the JSONL stays the only source of truth.  Otherwise the JSONL
-    is decoded and the cache rewritten; a cache that cannot be read counts as
-    absent, and one that cannot be written is left out.
+    `<name>.cache.npz` holds `format` (_CACHE_FORMAT), the `size` and `sha256`
+    of the JSONL bytes its rows were decoded from, the float64 rows
+    (`vectors`) and the ids as orjson-encoded UTF-8 bytes (`ids`).  It is
+    used only while the JSONL still has that size and digest, so the JSONL
+    stays the only source of truth; a file whose size differs is not hashed.
+    Otherwise the JSONL is decoded and the cache rewritten; a cache that
+    cannot be read counts as absent, and one that cannot be written is left
+    out.
     """
     import orjson
 
     cache = os.path.splitext(path)[0] + ".cache.npz"
     try:
         with zipfile.ZipFile(cache) as zf:
-            if _npz_member(zf, "sha256").item() == _file_sha256(path):
+            if (_npz_member(zf, "format").item() == _CACHE_FORMAT
+                    and _npz_member(zf, "size").item() == os.stat(path).st_size
+                    and _npz_member(zf, "sha256").item() == _file_sha256(path)):
                 ids = orjson.loads(_npz_member(zf, "ids").tobytes())
                 vectors = _npz_member(zf, "vectors")
                 if (isinstance(ids, list) and vectors.dtype == np.float64
@@ -249,13 +277,13 @@ def load_store_embeddings(path):
                     return ids, vectors
     except _BAD_CACHE:
         pass
-    digest = hashlib.sha256()
-    ids, vectors = load_embeddings_jsonl(path, digest)
-    _write_cache(cache, path, digest.hexdigest(), ids, vectors)
+    key = _ContentKey()
+    ids, vectors = load_embeddings_jsonl(path, key)
+    _write_cache(cache, path, key.size, key.sha256.hexdigest(), ids, vectors)
     return ids, vectors
 
 
-def _write_cache(cache, path, sha256, ids, vectors):
+def _write_cache(cache, path, size, sha256, ids, vectors):
     """Write the cache aside and rename it into place; give up on any OSError."""
     import orjson
 
@@ -269,9 +297,16 @@ def _write_cache(cache, path, sha256, ids, vectors):
         with os.fdopen(fd, "wb") as fh:
             # mkstemp makes 0600 files; whoever may read the rows may read the copy
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-            np.savez(fh, sha256=np.array(sha256), vectors=vectors,
-                     ids=np.frombuffer(orjson.dumps(ids), dtype=np.uint8))
+            with zipfile.ZipFile(fh, "w") as zf:
+                _npz_write(zf, "format", np.array(_CACHE_FORMAT))
+                _npz_write(zf, "size", np.array(size))
+                _npz_write(zf, "sha256", np.array(sha256))
+                _npz_write(zf, "vectors", vectors)
+                _npz_write(zf, "ids", np.frombuffer(orjson.dumps(ids), dtype=np.uint8))
         os.replace(tmp, cache)
     except OSError:
+        pass
+    finally:
+        # gone after the rename; otherwise the write failed or was interrupted
         with contextlib.suppress(OSError):
             os.unlink(tmp)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +315,16 @@ def write_rows(path, ids, vectors, mode="w"):
                       for i, v in zip(ids, vectors))
 
 
+def write_cache(cache, path, **members):
+    """A cache for `path` as load_store_embeddings writes it, with `members` replaced."""
+    ids, vectors = load_embeddings_jsonl(path)
+    data = path.read_bytes()
+    members = {"format": np.array(spectral._CACHE_FORMAT), "size": np.array(len(data)),
+               "sha256": np.array(hashlib.sha256(data).hexdigest()), "vectors": vectors,
+               "ids": np.frombuffer(json.dumps(ids).encode(), dtype=np.uint8), **members}
+    np.savez(cache, **members)
+
+
 def cached_digest(store):
     with np.load(store / "emb.cache.npz") as z:
         return z["sha256"].item()
@@ -363,9 +374,23 @@ class TestStoreCache:
         assert ids[-1] == "q9:0"
         assert cached_digest(store) == hashlib.sha256(path.read_bytes()).hexdigest()
 
+    def test_file_of_another_size_is_not_hashed(self, store, monkeypatch):
+        path = store / "emb.jsonl"
+        load_store_embeddings(path)
+        write_rows(path, ["q9:0"], np.ones((1, 5)), mode="a")
+
+        def fail(path):
+            raise AssertionError("hashed a file whose size rules the cache out")
+
+        monkeypatch.setattr(spectral, "_file_sha256", fail)
+        self.assert_same(load_store_embeddings(path), load_embeddings_jsonl(path))
+        with np.load(store / "emb.cache.npz") as z:
+            assert z["size"].item() == path.stat().st_size
+
     def test_row_appended_after_the_decode_is_not_cached_under_its_key(self, store, monkeypatch):
         # a run appending while analyze reads: the key must name the bytes decoded
         path = store / "emb.jsonl"
+        decoded = path.read_bytes()
         decode = spectral.load_embeddings_jsonl
 
         def decode_then_append(*args, **kwargs):
@@ -375,11 +400,14 @@ class TestStoreCache:
 
         monkeypatch.setattr(spectral, "load_embeddings_jsonl", decode_then_append)
         assert len(load_store_embeddings(path)[0]) == 9
+        with np.load(store / "emb.cache.npz") as z:
+            assert z["size"].item() == len(decoded)
+            assert z["sha256"].item() == hashlib.sha256(decoded).hexdigest()
         monkeypatch.setattr(spectral, "load_embeddings_jsonl", decode)
         self.assert_same(load_store_embeddings(path), load_embeddings_jsonl(path))
 
     @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "npy", "foreign",
-                                        "wrong-shape"])
+                                        "wrong-shape", "other-format"])
     def test_unreadable_cache_is_a_miss_and_rewritten(self, store, damage):
         path, cache = store / "emb.jsonl", store / "emb.cache.npz"
         want = load_embeddings_jsonl(path)
@@ -396,22 +424,53 @@ class TestStoreCache:
                 np.save(fh, want[1])
         elif damage == "foreign":
             np.savez(cache, other=np.zeros(3))
+        elif damage == "other-format":  # right key and rows, but an older decoder's
+            write_cache(cache, path, format=np.array(spectral._CACHE_FORMAT - 1))
         else:  # the right key, but fewer ids than rows
-            np.savez(cache, sha256=np.array(cached_digest(store)), vectors=want[1],
-                     ids=np.frombuffer(b'["q0:0"]', dtype=np.uint8))
+            write_cache(cache, path, ids=np.frombuffer(b'["q0:0"]', dtype=np.uint8))
         self.assert_same(load_store_embeddings(path), want)
         assert cached_digest(store) == hashlib.sha256(path.read_bytes()).hexdigest()
+        with np.load(cache) as z:
+            assert z["format"].item() == spectral._CACHE_FORMAT
+            assert json.loads(z["ids"].tobytes()) == want[0]
         self.assert_same(load_store_embeddings(path), want)
 
-    @pytest.mark.parametrize("where", ["mkstemp", "savez", "replace"])
+    @pytest.mark.parametrize("where", ["mkstemp", "_npz_write", "replace"])
     def test_failed_write_is_ignored_and_leaves_nothing(self, store, monkeypatch, where):
         def disk_full(*args, **kwargs):
-            if where == "savez":
-                args[0].write(b"PK\x03\x04 half a zip")
+            if where == "_npz_write":
+                args[0].writestr("format.npy", b"\x93NUMPY half a member")
             raise OSError(28, "No space left on device")
 
-        owner = {"mkstemp": spectral.tempfile, "savez": spectral.np, "replace": spectral.os}
+        owner = {"mkstemp": spectral.tempfile, "_npz_write": spectral, "replace": spectral.os}
         monkeypatch.setattr(owner[where], where, disk_full)
         path = store / "emb.jsonl"
         self.assert_same(load_store_embeddings(path), load_embeddings_jsonl(path))
         assert sorted(os.listdir(store)) == ["emb.jsonl"]
+
+    def test_interrupted_write_leaves_nothing(self, store, monkeypatch):
+        def interrupted(zf, name, array):
+            zf.writestr(name + ".npy", b"\x93NUMPY half a member")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(spectral, "_npz_write", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            load_store_embeddings(store / "emb.jsonl")
+        assert sorted(os.listdir(store)) == ["emb.jsonl"]
+
+    def test_cache_write_makes_no_copy_of_the_rows(self, tmp_path):
+        # a copy would add the rows' size to analyze's peak memory on every miss
+        path = tmp_path / "emb.jsonl"
+        write_rows(path, [f"q{i}:0" for i in range(200)],
+                   np.random.default_rng(6).standard_normal((200, 256)))
+        ids, rows = load_embeddings_jsonl(path)
+        tracemalloc.start()
+        try:
+            spectral._write_cache(str(tmp_path / "emb.cache.npz"), str(path), 1, "0" * 64,
+                                  ids, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes / 4
+        with np.load(tmp_path / "emb.cache.npz") as z:
+            assert np.array_equal(z["vectors"], rows)
