@@ -1,11 +1,11 @@
 """Measurement tables from transcript stores.
 
-Turns persisted Vote/Debate transcripts plus embeddings into per-config
-summaries (accuracy, K*, K*_c/K*_w, mean cosine), marginal-gain curves,
-rank correlations, permutation sanity checks, incremental-R^2 regressions,
-agents-to-match efficiency tables, and the correct/wrong-dominant boundary
-classification; `report_bundle` renders all of them as the `analyze` report
-files.
+`summarize_runs` turns persisted Vote/Debate transcripts plus embeddings into
+per-config summaries (accuracy, K*, K*_c/K*_w, mean cosine).  `report_bundle`
+renders them as the `analyze` report files: the summaries, accuracy per N and
+its marginal gains, agents-to-match tables, the correct/wrong-dominant
+boundary, the (K*, accuracy) points, a permutation test of Pearson r(K*,
+accuracy), and the R^2 that K* adds to N and the layer.
 """
 
 import csv
@@ -73,26 +73,29 @@ def _mean_or_none(values):
     return float(np.mean(values)) if values else None
 
 
-def _transcript_embeddings(transcript, embeddings):
-    ids = transcript.embedding_ids()
-    try:
-        rows = [embeddings[i] for i in ids]
-    except KeyError:
-        raise MissingEmbeddings(transcript.task_id) from None
-    try:
-        return normalize_embeddings(rows)
-    except ZeroNormVector as exc:
-        raise ValueError(f"embedding {ids[exc.index]} has norm < {ZERO_NORM_TOL}") from None
-
-
 def _correct_mask(t):
     """Per call of transcript `t`: did that call extract the gold answer?"""
     return [c["extracted_answer"] is not None and c["extracted_answer"] == t.gold_answer
             for c in t.calls]
 
 
-def _spectral_columns(emb, mask):
-    """(K*, K*_c, K*_w, mean cosine) of one embedding set; no cosine below 2 rows."""
+def _unit_columns(unit):
+    """(K*, K*_c, K*_w, mean cosine) of every call of `unit`, (transcript, lookup) pairs.
+
+    Each row is looked up and normalized once.  No cosine below 2 rows.
+    """
+    rows, mask = [], []
+    for t, lookup in unit:
+        try:
+            rows += [lookup[i] for i in t.embedding_ids()]
+        except KeyError:
+            raise MissingEmbeddings(t.task_id) from None
+        mask += _correct_mask(t)
+    try:
+        emb = normalize_embeddings(rows)
+    except ZeroNormVector as exc:
+        ids = [i for t, _ in unit for i in t.embedding_ids()]
+        raise ValueError(f"embedding {ids[exc.index]} has norm < {ZERO_NORM_TOL}") from None
     c, w = k_star_conditioned(emb, mask)
     cos = mean_pairwise_cosine(emb).mean_pairwise_cosine if emb.n >= 2 else None
     return k_star(emb).k_star, c, w, cos
@@ -107,8 +110,9 @@ def summarize_runs(transcripts, embeddings=None, mode="per-question"):
     stores pass a list instead, aligned with `transcripts`, holding the
     mapping of the store each transcript came from (an empty one for a
     store without embeddings, whose transcripts raise MissingEmbeddings).
-    Mode "per-question" computes K* per task then averages; "pooled" stacks
-    all call embeddings of the group into one set.
+    The spectral columns are the mean over units of each unit's columns: a
+    unit is one transcript in mode "per-question" and the whole group in
+    mode "pooled", which stacks all call embeddings of the group into one set.
     """
     if mode not in ("per-question", "pooled"):
         raise ValueError("mode must be 'per-question' or 'pooled'")
@@ -129,15 +133,9 @@ def summarize_runs(transcripts, embeddings=None, mode="per-question"):
         acc = correct / len(ts)
         ks = ks_c = ks_w = cos = None
         if embeddings is not None:
-            if mode == "per-question":
-                per_task = [_spectral_columns(_transcript_embeddings(t, lookup), _correct_mask(t))
-                            for t, lookup in members]
-                ks, ks_c, ks_w, cos = (_mean_or_none(col) for col in zip(*per_task))
-            else:
-                embs = [_transcript_embeddings(t, lookup) for t, lookup in members]
-                pooled = normalize_embeddings(np.vstack([e.vectors for e in embs]))
-                ks, ks_c, ks_w, cos = _spectral_columns(
-                    pooled, [m for t in ts for m in _correct_mask(t)])
+            units = [[m] for m in members] if mode == "per-question" else [members]
+            columns = zip(*(_unit_columns(u) for u in units))
+            ks, ks_c, ks_w, cos = (_mean_or_none(col) for col in columns)
         summaries.append(
             RunSummary(dataset, layer, workflow, n, acc, ks, ks_c, ks_w, cos, len(ts), mode)
         )

@@ -8,6 +8,7 @@ import argparse
 import collections
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -53,8 +54,7 @@ def cmd_kstar(args):
             raise ValueError(f"embedding {ids[exc.index]} at line "
                              f"{_nonblank_line(args.embeddings, exc.index)} has norm < "
                              f"{spectral.ZERO_NORM_TOL}") from None
-        summary = spectral.k_star(emb)
-        result = json.loads(summary.to_json())
+        result = dataclasses.asdict(spectral.k_star(emb))
         if args.mask:
             with open(args.mask) as fh:
                 mask = json.load(fh)
@@ -99,7 +99,7 @@ def cmd_bounds(args):
         report = info_theory.usable_evidence(joint, n_calls=args.calls)
     except (ValueError, OSError, KeyError) as exc:
         return _fail(str(exc))
-    _write_out(report.to_json(), args.output)
+    _write_out(json.dumps(dataclasses.asdict(report)), args.output)
     return EXIT_OK
 
 

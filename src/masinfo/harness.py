@@ -34,6 +34,8 @@ from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
+from masinfo.spectral import is_finite_number_list
+
 SCHEMA_VERSION = 1
 FIXED_TIMESTAMP = "1970-01-01T00:00:00Z"
 
@@ -508,16 +510,6 @@ class OpenAIEmbeddingBackend:
         self.client.close()
 
 
-def _is_finite_number_list(v):
-    # bool is an int subclass, and `true` is no coordinate
-    if type(v) is not list or not set(map(type, v)) <= {float, int}:
-        return False
-    try:
-        return all(map(math.isfinite, v))
-    except OverflowError:  # an int beyond the double range
-        return False
-
-
 def fetch_embeddings(texts, backend, model=None):
     """Embed a batch, chunking transparently to the backend's batch limit.
 
@@ -533,9 +525,9 @@ def fetch_embeddings(texts, backend, model=None):
         vectors.extend(backend.embed(texts[start:start + limit], model=model))
     if len(vectors) != len(texts):
         raise DimensionMismatch("backend returned wrong number of vectors")
-    # the rule load_embeddings_jsonl enforces, so `run` writes no row `analyze` rejects
+    # the row rule load_embeddings_jsonl applies, so `run` writes no row `analyze` rejects
     for k, v in enumerate(vectors):
-        if not _is_finite_number_list(v):
+        if not is_finite_number_list(v):
             raise DimensionMismatch(
                 f"embedding row {k} is not a flat list of finite numbers: {str(v)[:80]}")
     dims = {len(v) for v in vectors}

@@ -195,17 +195,6 @@ class BudgetReport:
     ceiling_parallel: float
     ceiling_sequential: float
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "h_y_given_x": self.h_y_given_x,
-                "i_mas": self.i_mas,
-                "increments": list(self.increments),
-                "ceiling_parallel": self.ceiling_parallel,
-                "ceiling_sequential": self.ceiling_sequential,
-            }
-        )
-
 
 def call_names(joint: DiscreteJoint):
     return tuple(n for n in joint.names if n not in ("X", "Y"))

@@ -10,7 +10,7 @@ are collinear, n when they are pairwise orthogonal.
 
 import contextlib
 import hashlib
-import json
+import math
 import os
 import stat
 import tempfile
@@ -62,9 +62,6 @@ class EmbeddingSet:
     def dim(self):
         return self.vectors.shape[1]
 
-    def subset(self, mask):
-        return EmbeddingSet(self.vectors[np.asarray(mask, dtype=bool)].copy())
-
 
 @dataclass(frozen=True)
 class SpectralSummary:
@@ -73,15 +70,6 @@ class SpectralSummary:
     eigenvalues: tuple
     entropy_bits: float
     k_star: float
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "eigenvalues": list(self.eigenvalues),
-                "entropy_bits": self.entropy_bits,
-                "k_star": self.k_star,
-            }
-        )
 
 
 @dataclass(frozen=True)
@@ -125,11 +113,16 @@ def k_star(emb: EmbeddingSet) -> SpectralSummary:
     PSD in exact arithmetic); anything more negative means corrupted input.
     0*log(0) is taken as 0.
     """
-    g = emb.vectors @ emb.vectors.T
+    return _spectrum(emb.vectors)
+
+
+def _spectrum(rows):
+    """k_star of the unit rows of the 2-D array `rows`, which are not checked again."""
+    g = rows @ rows.T
     g = 0.5 * (g + g.T)
     np.fill_diagonal(g, 1.0)
     # unit rows: Tr(G) = n exactly
-    eigs = symmetric_eigenvalues(g) / emb.n
+    eigs = symmetric_eigenvalues(g) / len(rows)
     if np.any(eigs < -EIG_CLIP_TOL):
         raise ValueError(f"eigenvalue {eigs.min():.3e} below -{EIG_CLIP_TOL}; Gram not PSD")
     eigs = np.clip(eigs, 0.0, None)
@@ -149,9 +142,7 @@ def k_star_conditioned(emb: EmbeddingSet, correct_mask):
         raise ValueError("mask length must equal row count")
 
     def side(m):
-        if not m.any():
-            return None
-        return k_star(emb.subset(m)).k_star
+        return _spectrum(emb.vectors[m]).k_star if m.any() else None
 
     return side(mask), side(~mask)
 
@@ -169,14 +160,31 @@ def mean_pairwise_cosine(emb: EmbeddingSet) -> RedundancyScore:
     return RedundancyScore(float((s @ s - n) / (n * (n - 1))), n * (n - 1) // 2)
 
 
+def is_finite_number_list(v):
+    """Whether `v` is an embedding row: a flat list of finite ints and floats.
+
+    The one rule for rows, read by load_embeddings_jsonl or fetched from a
+    backend.  A bool is no coordinate, though it is an int subclass.
+    """
+    if type(v) is not list or not set(map(type, v)) <= {float, int}:
+        return False
+    try:
+        # finite unless a term is not or the terms overflow it; the float
+        # start converts each int, raising for one beyond the double range
+        return math.isfinite(sum(v, 0.0)) or all(map(math.isfinite, v))
+    except OverflowError:
+        return False
+
+
 def load_embeddings_jsonl(path, digest=None):
     """Read one {"id": str, "vector": [...]} object per line; returns (ids, raw rows).
 
-    Each vector must be a flat list of finite numbers: `null`, `NaN`,
-    `Infinity`, a literal that overflows a double (`1e400`) or a nested list
-    is rejected.  Raises ValueError naming the offending line number on
-    malformed input.  An object passed as `digest` has its `update` called
-    with every byte read, so it names exactly the bytes the rows came from.
+    Each vector must pass is_finite_number_list: `null`, `NaN`, `Infinity`,
+    a literal that overflows a double (`1e400`), a boolean, a string or a
+    nested list is rejected.  Raises ValueError naming the offending line
+    number on malformed input.  An object passed as `digest` has its
+    `update` called with every byte read, so it names exactly the bytes the
+    rows came from.
     """
     # imported here, so processes that never read embeddings do not load it
     import orjson
@@ -191,13 +199,13 @@ def load_embeddings_jsonl(path, digest=None):
             try:
                 obj = orjson.loads(line)
                 ids.append(str(obj["id"]))
-                vec = np.array(obj["vector"], dtype=float)
+                vec = obj["vector"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed embedding row at line {lineno}: {exc}") from exc
-            if vec.ndim != 1 or not np.isfinite(vec).all():
+            if not is_finite_number_list(vec):
                 raise ValueError(f"malformed embedding row at line {lineno}: "
                                  "vector must be a flat list of finite numbers")
-            rows.append(vec)
+            rows.append(np.array(vec, dtype=float))
     if not rows:
         raise ValueError("embedding file is empty")
     dims = {len(r) for r in rows}
@@ -209,7 +217,7 @@ def load_embeddings_jsonl(path, digest=None):
 # Names the cache layout and the decoder that filled it.  Bump it whenever
 # load_embeddings_jsonl accepts, rejects or returns anything differently, so
 # that caches an older version wrote are read as misses.
-_CACHE_FORMAT = 1
+_CACHE_FORMAT = 2
 _HASH_CHUNK = 1 << 20
 # what reading a missing, torn or foreign cache raises
 _BAD_CACHE = (OSError, ValueError, KeyError, zipfile.BadZipFile, EOFError)

@@ -23,7 +23,12 @@ from masinfo.analysis import (
     _ranks,
 )
 from masinfo.harness import Transcript
-from masinfo.spectral import k_star, normalize_embeddings
+from masinfo.spectral import (
+    k_star,
+    k_star_conditioned,
+    mean_pairwise_cosine,
+    normalize_embeddings,
+)
 
 
 def make_transcript(task_id, answers, gold="A", layer="L1", n=None, invalid=False,
@@ -158,6 +163,59 @@ class TestSummarize:
         ts = [make_transcript("t1", ["A", "A"])]
         with pytest.raises(ValueError):
             summarize_runs(ts, [embeddings_for("t1", np.eye(2))] * 2)
+
+
+def one_path_group(rng):
+    """One N=4 group of transcripts with raw rows of assorted norms.
+
+    Returns (transcripts, lookup, raw rows, correctness mask) per transcript;
+    the answers give mixed, all-correct, all-wrong and single-call tasks.
+    """
+    answers = [["A", "B", "A", "C"], ["A", "A", "A"], ["B", "C", "B", "B"], ["A"],
+               ["C", "A", "A", "B", "A"]]
+    ts, lookup, raws, masks = [], {}, [], []
+    for k, ans in enumerate(answers):
+        t = make_transcript(f"t{k}", ans, n=4)
+        raw = rng.standard_normal((len(ans), 7)) * rng.uniform(0.1, 50.0, (len(ans), 1))
+        ts.append(t)
+        lookup.update(embeddings_for(t.task_id, raw))
+        raws.append(raw)
+        masks.append([a == "A" for a in ans])
+    return ts, lookup, raws, masks
+
+
+def columns_of(emb, mask):
+    """(K*, K*_c, K*_w, mean cosine) straight from the spectral functions."""
+    c, w = k_star_conditioned(emb, mask)
+    cos = mean_pairwise_cosine(emb).mean_pairwise_cosine if emb.n >= 2 else None
+    return k_star(emb).k_star, c, w, cos
+
+
+class TestOnePath:
+    """summarize_runs against the spectral functions, bit for bit."""
+
+    def test_per_question_is_the_mean_of_each_transcripts_columns(self):
+        ts, lookup, raws, masks = one_path_group(np.random.default_rng(31))
+        (s,) = summarize_runs(ts, lookup, mode="per-question")
+        per_task = [columns_of(normalize_embeddings(r), m) for r, m in zip(raws, masks)]
+        expected = [float(np.mean([v for v in col if v is not None]))
+                    for col in zip(*per_task)]
+        assert [s.k_star, s.k_star_c, s.k_star_w, s.mean_cosine] == expected
+
+    def test_pooled_normalizes_the_groups_raw_rows_once(self):
+        # normalizing each transcript's rows and then the stack again moves
+        # some of these columns in their last bits
+        ts, lookup, raws, masks = one_path_group(np.random.default_rng(32))
+        (s,) = summarize_runs(ts, lookup, mode="pooled")
+        expected = columns_of(normalize_embeddings(np.vstack(raws)), sum(masks, []))
+        assert (s.k_star, s.k_star_c, s.k_star_w, s.mean_cosine) == expected
+
+    @pytest.mark.parametrize("mode", ["per-question", "pooled"])
+    def test_zero_norm_row_named_by_id(self, mode):
+        ts = [make_transcript("t1", ["A", "A"]), make_transcript("t2", ["A", "A"])]
+        emb = {**embeddings_for("t1", np.eye(2)), **embeddings_for("t2", [[1.0, 0.0], [0.0, 0.0]])}
+        with pytest.raises(ValueError, match=r"^embedding t2:1 has norm < 1e-12$"):
+            summarize_runs(ts, emb, mode=mode)
 
 
 class TestMarginalGains:

@@ -19,7 +19,7 @@ from masinfo.harness import (
     MockEmbeddingBackend,
     TranscriptStore,
 )
-from masinfo.info_theory import bsc_views_joint
+from masinfo.info_theory import bsc_views_joint, usable_evidence
 
 
 def write_jsonl(path, rows):
@@ -81,13 +81,54 @@ class TestKstar:
 
     @pytest.mark.parametrize("vector", [
         "[1.0, null]", "[NaN, 1.0]", "[1.0, Infinity]", "[1e400, 1.0]", "[[1.0, 0.0]]",
-    ], ids=["null", "nan", "infinity", "overflow", "nested"])
+        '["2", true]', "[true, false]", "[true, 1.5]",
+    ], ids=["null", "nan", "infinity", "overflow", "nested", "numeric-string", "boolean",
+            "mixed"])
     def test_non_finite_row_exits_2_with_line(self, tmp_path, capsys, vector):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id": "a", "vector": [1.0, 0.0]}\n{"id": "b", "vector": %s}\n' % vector)
         code, out = run_cli("kstar", str(path), capsys=capsys)
         assert code == 2
         assert "line 2" in out.err
+
+    @pytest.mark.parametrize("mask, expected", [
+        (None, '{"eigenvalues": [0.25, 0.25, 0.25, 0.25], "entropy_bits": 2.0, "k_star": 4.0}\n'),
+        ("[true, false, true, false]",
+         '{"eigenvalues": [0.25, 0.25, 0.25, 0.25], "entropy_bits": 2.0, "k_star": 4.0, '
+         '"k_star_c": 2.0, "k_star_w": 2.0}\n'),
+    ], ids=["plain", "mask"])
+    def test_output_bytes_pinned(self, tmp_path, capsys, mask, expected):
+        # orthogonal rows of assorted norms: every number here is exact
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "a", "vector": [3.0, 0.0, 0.0, 0.0]}\n'
+                        '{"id": "b", "vector": [0.0, 0.5, 0.0, 0.0]}\n\n'
+                        '{"id": "c", "vector": [0, 0, 7, 0]}\n'
+                        '{"id": "d", "vector": [0.0, 0.0, 0.0, -2.0]}\n')
+        argv = ["kstar", str(path)]
+        if mask:
+            (tmp_path / "mask.json").write_text(mask)
+            argv += ["--mask", str(tmp_path / "mask.json")]
+        code, out = run_cli(*argv, capsys=capsys)
+        assert code == 0
+        assert out.out == expected
+
+    def test_output_is_the_summary_fields_in_order(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        raw = rng.standard_normal((9, 6)) * 3.0
+        path = tmp_path / "emb.jsonl"
+        write_jsonl(path, [{"id": str(i), "vector": v} for i, v in enumerate(raw.tolist())])
+        mask = [bool(m) for m in rng.integers(0, 2, 9)]
+        (tmp_path / "mask.json").write_text(json.dumps(mask))
+        code, out = run_cli("kstar", str(path), "--mask", str(tmp_path / "mask.json"),
+                            capsys=capsys)
+        assert code == 0
+        emb = spectral.normalize_embeddings(raw)
+        summary = spectral.k_star(emb)
+        c, w = spectral.k_star_conditioned(emb, mask)
+        assert out.out == json.dumps({"eigenvalues": list(summary.eigenvalues),
+                                      "entropy_bits": summary.entropy_bits,
+                                      "k_star": summary.k_star,
+                                      "k_star_c": c, "k_star_w": w}) + "\n"
 
     def test_zero_norm_row_exits_2_naming_id_and_line(self, tmp_path, capsys):
         path = tmp_path / "emb.jsonl"
@@ -176,6 +217,19 @@ class TestBounds:
         assert abs(report["h_y_given_x"] - 1.0) < 1e-9
         assert abs(report["i_mas"] - 0.531004) < 1e-6
         assert report["i_mas"] <= report["h_y_given_x"] + 1e-9
+
+    @pytest.mark.parametrize("calls", [None, 2])
+    def test_output_is_the_report_fields_in_order(self, tmp_path, capsys, calls):
+        joint = tmp_path / "joint.json"
+        joint.write_text(bsc_views_joint(0.2, 6).to_json())
+        argv = ["bounds", str(joint)] + (["--calls", str(calls)] if calls else [])
+        code, out = run_cli(*argv, capsys=capsys)
+        assert code == 0
+        r = usable_evidence(bsc_views_joint(0.2, 6), n_calls=calls)
+        assert out.out == json.dumps({"h_y_given_x": r.h_y_given_x, "i_mas": r.i_mas,
+                                      "increments": list(r.increments),
+                                      "ceiling_parallel": r.ceiling_parallel,
+                                      "ceiling_sequential": r.ceiling_sequential}) + "\n"
 
     @pytest.mark.parametrize("calls", ["-1", "0", "5"])
     def test_calls_out_of_range_exits_2(self, tmp_path, capsys, calls):

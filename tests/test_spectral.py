@@ -11,6 +11,7 @@ from masinfo.spectral import (
     EmbeddingSet,
     ZeroNormVector,
     TooFewRows,
+    is_finite_number_list,
     k_star,
     k_star_conditioned,
     load_embeddings_jsonl,
@@ -293,8 +294,11 @@ class TestJsonlDecoding:
         '{"id": "b", "vector": 1.5}',
         '{"id": "b", "vector": ["x", 1.0]}',
         '{"id": "b"}',
+        '{"id": "b", "vector": [true, false]}',
+        '{"id": "b", "vector": ["2", 1.0]}',
+        '{"id": "b", "vector": [true, 1.5]}',
     ], ids=["null", "nan", "infinity", "minus-infinity", "overflow", "nested", "scalar",
-            "string", "missing-vector"])
+            "string", "missing-vector", "boolean", "numeric-string", "mixed"])
     def test_bad_row_names_line(self, tmp_path, row):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id": "a", "vector": [1.0, 0.0]}\n' + row + "\n")
@@ -307,6 +311,56 @@ class TestJsonlDecoding:
         path.write_text(text)
         with pytest.raises(ValueError, match="empty"):
             load_embeddings_jsonl(path)
+
+
+class TestRowRule:
+    @pytest.mark.parametrize("vector, ok", [
+        ([1.0, -2, 0.0], True),
+        ([], True),
+        ([1e308, 1e308], True),  # the sum overflows, every term is finite
+        ([10 ** 300, 0.5], True),
+        ([10 ** 400, 0.5], False),
+        ([10 ** 400, -10 ** 400], False),  # an int sum would cancel to 0
+        ([1.0, float("inf")], False),
+        ([float("inf"), float("-inf")], False),
+        ([float("nan"), 1.0], False),
+        ([True, 1.5], False),
+        (["2", 1.0], False),
+        ([None, 1.0], False),
+        ([[1.0], 1.0], False),
+        ([np.float64(1.0)], False),
+        ((1.0, 2.0), False),
+        (np.array([1.0, 2.0]), False),
+    ])
+    def test_flat_list_of_finite_ints_and_floats(self, vector, ok):
+        assert is_finite_number_list(vector) is ok
+
+    @pytest.mark.parametrize("vector", [
+        [1.0, 2], [1e308, 1e308], [True, False], ["2", True], [True, 1.5], [None, 1.0],
+        [[1.0, 2.0]], [18446744073709551616, 1.0],
+    ])
+    def test_loader_and_fetch_embeddings_agree(self, tmp_path, vector):
+        from masinfo.harness import DimensionMismatch, fetch_embeddings
+
+        class Backend:
+            max_batch = None
+
+            def embed(self, texts, model=None):
+                return [json.loads(json.dumps(vector)) for _ in texts]
+
+        path = tmp_path / "emb.jsonl"
+        path.write_text(json.dumps({"id": "a", "vector": vector}) + "\n")
+        try:
+            load_embeddings_jsonl(path)
+            loaded = True
+        except ValueError:
+            loaded = False
+        try:
+            fetch_embeddings(["a"], Backend())
+            fetched = True
+        except DimensionMismatch:
+            fetched = False
+        assert loaded == fetched == is_finite_number_list(json.loads(json.dumps(vector)))
 
 
 def write_rows(path, ids, vectors, mode="w"):
@@ -434,6 +488,18 @@ class TestStoreCache:
             assert z["format"].item() == spectral._CACHE_FORMAT
             assert json.loads(z["ids"].tobytes()) == want[0]
         self.assert_same(load_store_embeddings(path), want)
+
+    def test_older_format_cache_of_a_boolean_row_is_not_trusted(self, tmp_path):
+        # an older decoder read [true, false] as [1.0, 0.0] and cached it
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "a", "vector": [1.0, 0.0]}\n{"id": "b", "vector": [true, false]}\n')
+        data = path.read_bytes()
+        np.savez(tmp_path / "emb.cache.npz", format=np.array(spectral._CACHE_FORMAT - 1),
+                 size=np.array(len(data)), sha256=np.array(hashlib.sha256(data).hexdigest()),
+                 vectors=np.array([[1.0, 0.0], [1.0, 0.0]]),
+                 ids=np.frombuffer(b'["a", "b"]', dtype=np.uint8))
+        with pytest.raises(ValueError, match="line 2"):
+            load_store_embeddings(path)
 
     @pytest.mark.parametrize("where", ["mkstemp", "_npz_write", "replace"])
     def test_failed_write_is_ignored_and_leaves_nothing(self, store, monkeypatch, where):
