@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from masinfo import spectral
+from masinfo.harness import DimensionMismatch, fetch_embeddings
 from masinfo.spectral import (
     EmbeddingSet,
     ZeroNormVector,
@@ -340,8 +341,6 @@ class TestRowRule:
         [[1.0, 2.0]], [18446744073709551616, 1.0],
     ])
     def test_loader_and_fetch_embeddings_agree(self, tmp_path, vector):
-        from masinfo.harness import DimensionMismatch, fetch_embeddings
-
         class Backend:
             max_batch = None
 
