@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from masinfo.harness import LAYERS
+from masinfo.harness import LAYERS, answer_matches
 from masinfo.spectral import (
     ZERO_NORM_TOL,
     ZeroNormVector,
@@ -73,28 +73,23 @@ def _mean_or_none(values):
     return float(np.mean(values)) if values else None
 
 
-def _correct_mask(t):
-    """Per call of transcript `t`: did that call extract the gold answer?"""
-    return [c["extracted_answer"] is not None and c["extracted_answer"] == t.gold_answer
-            for c in t.calls]
-
-
 def _unit_columns(unit):
     """(K*, K*_c, K*_w, mean cosine) of every call of `unit`, (transcript, lookup) pairs.
 
     Each row is looked up and normalized once.  No cosine below 2 rows.
     """
-    rows, mask = [], []
+    ids, rows, mask = [], [], []
     for t, lookup in unit:
+        t_ids = t.embedding_ids()
         try:
-            rows += [lookup[i] for i in t.embedding_ids()]
+            rows += [lookup[i] for i in t_ids]
         except KeyError:
             raise MissingEmbeddings(t.task_id) from None
-        mask += _correct_mask(t)
+        ids += t_ids
+        mask += [answer_matches(c["extracted_answer"], t.gold_answer) for c in t.calls]
     try:
         emb = normalize_embeddings(rows)
     except ZeroNormVector as exc:
-        ids = [i for t, _ in unit for i in t.embedding_ids()]
         raise ValueError(f"embedding {ids[exc.index]} has norm < {ZERO_NORM_TOL}") from None
     c, w = k_star_conditioned(emb, mask)
     cos = mean_pairwise_cosine(emb).mean_pairwise_cosine if emb.n >= 2 else None
@@ -128,16 +123,14 @@ def summarize_runs(transcripts, embeddings=None, mode="per-question"):
 
     summaries = []
     for (dataset, layer, workflow, n), members in sorted(groups.items()):
-        ts = [t for t, _ in members]
-        correct = sum(1 for t in ts if t.final_answer is not None and t.final_answer == t.gold_answer)
-        acc = correct / len(ts)
+        acc = sum(answer_matches(t.final_answer, t.gold_answer) for t, _ in members) / len(members)
         ks = ks_c = ks_w = cos = None
         if embeddings is not None:
             units = [[m] for m in members] if mode == "per-question" else [members]
             columns = zip(*(_unit_columns(u) for u in units))
             ks, ks_c, ks_w, cos = (_mean_or_none(col) for col in columns)
         summaries.append(
-            RunSummary(dataset, layer, workflow, n, acc, ks, ks_c, ks_w, cos, len(ts), mode)
+            RunSummary(dataset, layer, workflow, n, acc, ks, ks_c, ks_w, cos, len(members), mode)
         )
     return summaries
 

@@ -34,7 +34,7 @@ from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
-from masinfo.spectral import is_finite_number_list
+from masinfo.spectral import ZERO_NORM_TOL, is_finite_number_list
 
 SCHEMA_VERSION = 1
 FIXED_TIMESTAMP = "1970-01-01T00:00:00Z"
@@ -204,11 +204,13 @@ _MC_PATTERNS = [
     re.compile(r"\(([A-J])\)"),
     re.compile(r"^\s*([A-J])\s*[.)]?\s*$", re.MULTILINE),
 ]
+_NUMBER = r"-?[\d][\d,]*(?:\.\d+)?"
 _NUM_PATTERNS = [
-    re.compile(r"answer\s*(?:is|:)?\s*\$?(-?[\d][\d,]*(?:\.\d+)?)", re.IGNORECASE),
-    re.compile(r"=\s*\$?(-?[\d][\d,]*(?:\.\d+)?)\s*\.?\s*$", re.MULTILINE),
-    re.compile(r"(-?[\d][\d,]*(?:\.\d+)?)\s*\.?\s*$"),
+    re.compile(rf"answer\s*(?:is|:)?\s*\$?({_NUMBER})", re.IGNORECASE),
+    re.compile(rf"=\s*\$?({_NUMBER})\s*\.?\s*$", re.MULTILINE),
+    re.compile(rf"({_NUMBER})\s*\.?\s*$"),
 ]
+_PLAIN_NUMBER = re.compile(_NUMBER)
 
 
 def _canonical_number(text):
@@ -243,6 +245,17 @@ def extract_answer(raw_output, task_format="mc"):
                 return _canonical_number(matches[-1])
         return None
     raise ValueError(f"unknown task format {task_format!r}")
+
+
+def answer_matches(answer, gold):
+    """Whether extract_answer's `answer` is `gold`, or the canonical number of a gold
+    that is a JSON number or a plain digit string ("1,000,000"; "1e3" is taken as is).
+    """
+    if isinstance(gold, (int, float)) and not isinstance(gold, bool):
+        gold = str(gold)
+    elif not (isinstance(gold, str) and _PLAIN_NUMBER.fullmatch(gold)):
+        return answer is not None and answer == gold
+    return answer is not None and answer in (gold, _canonical_number(gold))
 
 
 def majority_answer(answers):
@@ -330,7 +343,7 @@ class MockEmbeddingBackend:
         self.seed = seed
         self.max_batch = max_batch
 
-    def embed(self, texts, model=None):
+    def embed(self, texts):
         if self.max_batch is not None and len(texts) > self.max_batch:
             raise BackendError(f"batch of {len(texts)} exceeds limit {self.max_batch}")
         # Each text draws what Generator(Philox(key=k)) draws.  Re-keying one
@@ -497,9 +510,8 @@ class OpenAIEmbeddingBackend:
         self.model = model
         self.max_batch = max_batch
 
-    def embed(self, texts, model=None):
-        data = self.client.post("/embeddings", {"model": model or self.model,
-                                                "input": list(texts)})
+    def embed(self, texts):
+        data = self.client.post("/embeddings", {"model": self.model, "input": list(texts)})
         try:
             rows = sorted(data["data"], key=lambda d: d["index"])
             return [r["embedding"] for r in rows]
@@ -510,11 +522,11 @@ class OpenAIEmbeddingBackend:
         self.client.close()
 
 
-def fetch_embeddings(texts, backend, model=None):
+def fetch_embeddings(texts, backend):
     """Embed a batch, chunking transparently to the backend's batch limit.
 
     Raises DimensionMismatch unless the backend returns one flat list of
-    finite numbers per text, all of one width.
+    finite numbers per text, all of one width, none of norm below 1e-12.
     """
     texts = list(texts)
     if not texts:
@@ -522,14 +534,19 @@ def fetch_embeddings(texts, backend, model=None):
     limit = getattr(backend, "max_batch", None) or len(texts)
     vectors = []
     for start in range(0, len(texts), limit):
-        vectors.extend(backend.embed(texts[start:start + limit], model=model))
+        vectors.extend(backend.embed(texts[start:start + limit]))
     if len(vectors) != len(texts):
         raise DimensionMismatch("backend returned wrong number of vectors")
-    # the row rule load_embeddings_jsonl applies, so `run` writes no row `analyze` rejects
+    # the rules of load_embeddings_jsonl and EmbeddingSet: `run` writes no row `analyze` rejects
     for k, v in enumerate(vectors):
         if not is_finite_number_list(v):
             raise DimensionMismatch(
                 f"embedding row {k} is not a flat list of finite numbers: {str(v)[:80]}")
+        # EmbeddingSet's norm, taken only where the first coordinate is below
+        # 2 * ZERO_NORM_TOL: any other row's norm is above ZERO_NORM_TOL however it rounds
+        if ((not v or abs(v[0]) < 2 * ZERO_NORM_TOL)
+                and np.linalg.norm(np.array([v], dtype=float), axis=1)[0] < ZERO_NORM_TOL):
+            raise DimensionMismatch(f"embedding row {k} has norm < {ZERO_NORM_TOL}")
     dims = {len(v) for v in vectors}
     if len(dims) != 1:
         raise DimensionMismatch(f"inconsistent embedding dimensions: {sorted(dims)}")
@@ -838,6 +855,8 @@ def load_tasks_jsonl(path):
                 raise ValueError(f"task at line {lineno} repeats id {obj['id']!r}")
             seen.add(str(obj["id"]))
             tasks.append(obj)
+    if not tasks:
+        raise ValueError(f"dataset {path} holds no tasks")
     return tasks
 
 

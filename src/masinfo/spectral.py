@@ -37,30 +37,32 @@ class TooFewRows(ValueError):
 
 @dataclass(frozen=True)
 class EmbeddingSet:
-    """n unit-normalized d-dimensional rows."""
+    """A copy of n d-dimensional rows, each scaled to unit norm, in the order given.
+
+    Raises ZeroNormVector for the first row with norm below 1e-12.
+    """
 
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=float)
+        v = np.array(self.vectors, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError("vectors must be a nonempty 2-D array")
         norms = np.linalg.norm(v, axis=1)
         bad = np.flatnonzero(norms < ZERO_NORM_TOL)
         if bad.size:
             raise ZeroNormVector(int(bad[0]))
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("rows must be unit-normalized; use normalize_embeddings")
+        huge = np.isinf(norms)  # finite rows whose squares overflow, such as [1e308, 1e308]
+        if huge.any():
+            v[huge] /= np.abs(v[huge]).max(axis=1, keepdims=True)
+            norms[huge] = np.linalg.norm(v[huge], axis=1)
+        v /= norms[:, None]
+        v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
-        self.vectors.setflags(write=False)
 
     @property
     def n(self):
         return self.vectors.shape[0]
-
-    @property
-    def dim(self):
-        return self.vectors.shape[1]
 
 
 @dataclass(frozen=True)
@@ -81,19 +83,8 @@ class RedundancyScore:
 
 
 def normalize_embeddings(raw):
-    """Scale each raw vector to unit Euclidean norm, preserving row order.
-
-    Raises ZeroNormVector for rows with norm below 1e-12.
-    """
-    v = np.asarray(raw, dtype=float)
-    if v.ndim != 2 or v.shape[0] < 1:
-        raise ValueError("need at least one vector")
-    norms = np.linalg.norm(v, axis=1)
-    bad = np.flatnonzero(norms < ZERO_NORM_TOL)
-    if bad.size:
-        raise ZeroNormVector(int(bad[0]))
-    unit = v / norms[:, None]
-    return EmbeddingSet(unit)
+    """EmbeddingSet(raw): each raw vector scaled to unit Euclidean norm, in row order."""
+    return EmbeddingSet(raw)
 
 
 def symmetric_eigenvalues(matrix):
@@ -118,8 +109,8 @@ def k_star(emb: EmbeddingSet) -> SpectralSummary:
 
 def _spectrum(rows):
     """k_star of the unit rows of the 2-D array `rows`, which are not checked again."""
+    # exactly symmetric: numpy computes a matrix times its transpose with BLAS syrk
     g = rows @ rows.T
-    g = 0.5 * (g + g.T)
     np.fill_diagonal(g, 1.0)
     # unit rows: Tr(G) = n exactly
     eigs = symmetric_eigenvalues(g) / len(rows)

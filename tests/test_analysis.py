@@ -22,7 +22,13 @@ from masinfo.analysis import (
     summarize_runs,
     _ranks,
 )
-from masinfo.harness import Transcript
+from masinfo.harness import (
+    DiversityPlan,
+    MockEmbeddingBackend,
+    Transcript,
+    WorkflowSpec,
+    run_workflow,
+)
 from masinfo.spectral import (
     k_star,
     k_star_conditioned,
@@ -216,6 +222,35 @@ class TestOnePath:
         emb = {**embeddings_for("t1", np.eye(2)), **embeddings_for("t2", [[1.0, 0.0], [0.0, 0.0]])}
         with pytest.raises(ValueError, match=r"^embedding t2:1 has norm < 1e-12$"):
             summarize_runs(ts, emb, mode=mode)
+
+
+class TestNumericGold:
+    """A numeric answer scores against its gold's canonical number."""
+
+    class Solver:
+        """Answers each question right, in the form extract_answer reads."""
+
+        deterministic = True
+        replies = {"Q42?": "The answer is 42.", "Quarter?": "Answer: 0.25",
+                   "Million?": "So x = 1,000,000"}
+
+        def chat(self, messages, model, decoding):
+            return next(r for q, r in self.replies.items() if q in messages[-1]["content"])
+
+    def test_right_answers_score_whatever_the_golds_form(self, pool):
+        tasks = [{"id": "a", "question": "Q42?", "answer": 42},
+                 {"id": "b", "question": "Quarter?", "answer": "0.250"},
+                 {"id": "c", "question": "Million?", "answer": "1,000,000"}]
+        plan = DiversityPlan(layer="L1", model_pool=("m1",), persona_pool=())
+        ts = [run_workflow(t, WorkflowSpec("vote", 3), plan, self.Solver(), pool) for t in tasks]
+        embedder = MockEmbeddingBackend(dim=8)
+        lookup = {}
+        for t in ts:
+            lookup.update(zip(t.embedding_ids(), embedder.embed([c["raw_output"] for c in t.calls])))
+        (s,) = summarize_runs(ts, lookup)
+        assert s.accuracy == 1.0
+        # every call counts as correct, so no call lands on the wrong side
+        assert s.k_star_c is not None and s.k_star_w is None
 
 
 class TestMarginalGains:

@@ -547,6 +547,8 @@ class TestConfigValidation:
         ('{"id": "t0", "question": "Q?"}\n[1, 2]\n', None, "line 2"),
         ('{"id": "t0", "question": "Q?"}\n{"id": "t0", "question": "Again?"}\n', None,
          "line 2 repeats id 't0'"),
+        ("", None, "holds no tasks"),
+        ("\n\n", None, "holds no tasks"),
         (None, {"kind": "openai"}, "chat_url"),
         (None, {"kind": "bogus"}, "bogus"),
         (None, "mock", "backend must be a JSON object"),
@@ -555,7 +557,8 @@ class TestConfigValidation:
         (None, {"kind": "openai", "chat_url": 5}, "backend chat_url must be a string"),
         (None, {"kind": "openai", "chat_url": "http://127.0.0.1:9/v1", "api_key_env": 5},
          "backend api_key_env must be a string"),
-    ], ids=["task-not-object", "task-id-repeated", "openai-without-chat-url",
+    ], ids=["task-not-object", "task-id-repeated", "no-tasks", "blank-lines-only",
+            "openai-without-chat-url",
             "unknown-backend-kind", "backend-string", "mock-dim-string", "mock-dim-zero",
             "chat-url-number", "api-key-env-number"])
     def test_bad_tasks_or_backend_exit_2_before_output_dir(self, tmp_path, capsys, tasks,
@@ -615,11 +618,11 @@ class InflightEmbed(MockEmbeddingBackend):
         super().__init__(dim=dim, seed=seed)
         self.chat = chat
 
-    def embed(self, texts, model=None):
+    def embed(self, texts):
         self.chat.enter()
         try:
             time.sleep(0.001)
-            return super().embed(texts, model)
+            return super().embed(texts)
         finally:
             self.chat.leave()
 
@@ -651,9 +654,9 @@ class RecordingEmbed(MockEmbeddingBackend):
         super().__init__(dim=dim, seed=seed)
         self.seen = set()
 
-    def embed(self, texts, model=None):
+    def embed(self, texts):
         self.seen.add((threading.get_ident(), threading.active_count()))
-        return super().embed(texts, model)
+        return super().embed(texts)
 
 
 def without_clock(store):
@@ -751,6 +754,8 @@ class FailingEmbed:
             raise BackendError("embedding service down")
         if self.failure == "null":
             return [[None, 0.5] for _ in texts]
+        if self.failure == "zero":
+            return [[0.0, 0.0] if i == 1 else [0.6, 0.8] for i in range(len(texts))]
         return [[1.0] * (i + 1) for i in range(len(texts))]  # ragged widths
 
 
@@ -783,6 +788,19 @@ class TestEmbeddingFailures:
         assert all("embedding row 0 is not a flat list of finite numbers" in w for w in warnings)
         assert not (tmp_path / "store" / "embeddings.jsonl").exists()
         # the store stays readable: accuracy reports, no spectral columns
+        assert main(["analyze", str(tmp_path / "store")]) == 0
+
+    def test_zero_norm_vectors_write_no_row(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "_build_backends", lambda cfg: (MockChatBackend(seed=11), FailingEmbed("zero")))
+        cfg_path, _ = base_config(tmp_path, n_agents_list=[2])
+        code, out = run_cli("run", str(cfg_path), capsys=capsys)
+        assert code == 0
+        warnings = out.err.strip().splitlines()
+        assert len(warnings) == 3
+        assert all("embedding row 1 has norm < 1e-12" in w for w in warnings)
+        assert len(list(TranscriptStore(tmp_path / "store" / "vote_L1_N2.jsonl"))) == 3
+        assert not (tmp_path / "store" / "embeddings.jsonl").exists()
         assert main(["analyze", str(tmp_path / "store")]) == 0
 
     def test_crash_then_changed_config_is_refused(self, tmp_path, capsys, monkeypatch):

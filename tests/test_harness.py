@@ -28,6 +28,7 @@ from masinfo.harness import (
     TransientBackendError,
     TranscriptStore,
     WorkflowSpec,
+    answer_matches,
     build_layer_pool,
     embedding_row,
     extract_answer,
@@ -36,6 +37,7 @@ from masinfo.harness import (
     majority_answer,
     run_workflow,
 )
+from masinfo.spectral import EmbeddingSet
 
 
 class ScriptedChatBackend:
@@ -165,6 +167,30 @@ class TestExtractAnswer:
     def test_deterministic(self):
         text = "Could be (A) or (C); final answer is (C)."
         assert extract_answer(text, "mc") == extract_answer(text, "mc") == "C"
+
+
+class TestAnswerMatches:
+    @pytest.mark.parametrize("answer, gold", [
+        ("42", 42), ("42", 42.0), ("0.25", "0.250"), ("0.25", 0.25), ("1000000", "1,000,000"),
+        ("-3", "-3"), ("A", "A"), ("1e3", "1e3"),
+    ])
+    def test_matches(self, answer, gold):
+        assert answer_matches(answer, gold)
+
+    @pytest.mark.parametrize("answer, gold", [
+        (None, None), (None, "A"), (None, 42), ("B", "A"), ("43", 42),
+        # only plain digit strings and JSON numbers get a canonical form
+        ("1000", "1e3"), ("42", "42 apples"), ("42", " 42"), ("1", True), ("1", [1]),
+    ])
+    def test_does_not_match(self, answer, gold):
+        assert not answer_matches(answer, gold)
+
+    @pytest.mark.parametrize("text, gold", [
+        ("The answer is 42.", 42), ("Answer: 0.25", "0.250"), ("Answer: 1000000", "1,000,000"),
+        ("Answer: 0.0000001", 1e-7), ("So x = -12.50", -12.5), ("Answer: 1,000", "1000"),
+    ])
+    def test_extracted_number_matches_its_gold(self, text, gold):
+        assert answer_matches(extract_answer(text, "numeric"), gold)
 
 
 class TestMajority:
@@ -443,6 +469,13 @@ class TestTaskLoading:
         with pytest.raises(ValueError, match="line 2"):
             load_tasks_jsonl(path)
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_no_tasks_rejected(self, tmp_path, text):
+        path = tmp_path / "tasks.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="holds no tasks"):
+            load_tasks_jsonl(path)
+
 
 # ---------------------------------------------------------------------------
 # OpenAI-compatible HTTP surface
@@ -689,3 +722,26 @@ class TestDimensionChecks:
 
         with pytest.raises(DimensionMismatch, match="embedding row 1 is not a flat list"):
             fetch_embeddings(["a", "b"], BadBackend())
+
+    @pytest.mark.parametrize("vector", [[0.0, 0.0], [0, 0], [1e-13, 0.0], [-5e-13, 5e-13], []])
+    def test_zero_norm_row_raises_naming_row(self, vector):
+        # EmbeddingSet's own rule, so a row passes here exactly when analyze accepts it
+        class ZeroBackend:
+            max_batch = None
+
+            def embed(self, texts):
+                return [[0.6, 0.8], vector, [1.0, 0.0]]
+
+        with pytest.raises(DimensionMismatch, match="embedding row 1 has norm < 1e-12"):
+            fetch_embeddings(["a", "b", "c"], ZeroBackend())
+
+    @pytest.mark.parametrize("vector", [[1.5e-12, 1.5e-12], [-1.2e-12, 0.0], [1e-12, 1e-12, 1e-12]])
+    def test_small_rows_pass_when_embedding_set_takes_them(self, vector):
+        class SmallBackend:
+            max_batch = None
+
+            def embed(self, texts):
+                return [vector, [0.5] * len(vector)]
+
+        assert fetch_embeddings(["a", "b"], SmallBackend()) == [vector, [0.5] * len(vector)]
+        assert EmbeddingSet([vector]).n == 1

@@ -54,6 +54,54 @@ class TestNormalize:
             np.testing.assert_allclose(emb.vectors[i], raw[i] / np.linalg.norm(raw[i]))
 
 
+class TestEmbeddingSet:
+    """EmbeddingSet is the one normalizer: every K* reads the rows it scaled."""
+
+    def test_scales_non_unit_rows_in_order(self):
+        raw = np.array([[3.0, 4.0], [0.0, -2.0], [1e-3, 0.0], [5.0, 12.0]])
+        emb = EmbeddingSet(raw)
+        np.testing.assert_allclose(np.linalg.norm(emb.vectors, axis=1), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(emb.vectors, [[0.6, 0.8], [0.0, -1.0], [1.0, 0.0],
+                                                 [5 / 13, 12 / 13]], rtol=0, atol=1e-15)
+
+    def test_zero_norm_row_names_its_index(self):
+        with pytest.raises(ZeroNormVector) as exc:
+            EmbeddingSet([[1.0, 0.0], [0.5, 0.5], [1e-13, 0.0], [0.0, 0.0]])
+        assert exc.value.index == 2
+
+    def test_row_whose_squares_overflow_keeps_its_direction(self):
+        with np.errstate(over="ignore"):
+            emb = EmbeddingSet([[1e308, 1e308], [1.0, 0.0], [-1e200, 0.0]])
+        np.testing.assert_allclose(emb.vectors, [[2 ** -0.5, 2 ** -0.5], [1.0, 0.0], [-1.0, 0.0]],
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("raw", [[[0.6, 0.8], [1.0, 0.0]], [[3.0, 4.0], [1.0, 0.0]]],
+                             ids=["unit", "non-unit"])
+    def test_leaves_the_callers_array_writable_and_unchanged(self, raw):
+        raw = np.array(raw)
+        before = raw.copy()
+        emb = EmbeddingSet(raw)
+        assert raw.flags.writeable
+        np.testing.assert_array_equal(raw, before)
+        assert not emb.vectors.flags.writeable
+        raw[0, 0] = 7.0
+        np.testing.assert_allclose(emb.vectors[0], [0.6, 0.8])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 33, 64])
+    @pytest.mark.parametrize("d", [2, 64, 1536])
+    def test_gram_is_exactly_symmetric(self, n, d):
+        # _spectrum hands rows @ rows.T to the solver without symmetrizing it:
+        # numpy computes a product with its own transpose by BLAS syrk and
+        # mirrors the triangle, for the C-contiguous rows and the boolean-mask
+        # subsets (copies) that k_star and k_star_conditioned pass
+        rng = np.random.default_rng([n, d])
+        rows = EmbeddingSet(random_unit_rows(rng, n, d)).vectors
+        mask = rng.random(n) < 0.5
+        for sub in (rows, rows[mask], rows[~mask]):
+            g = sub @ sub.T
+            assert np.array_equal(g, g.T)
+
+
 class TestGram:
     """The cosine Gram matrix G, seen through the functions that read it."""
 
