@@ -65,7 +65,7 @@ def cmd_kstar(args):
             c, w = spectral.k_star_conditioned(emb, mask)
             result["k_star_c"] = c
             result["k_star_w"] = w
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
     _write_out(json.dumps(result), args.output)
     return EXIT_OK
@@ -97,7 +97,7 @@ def cmd_bounds(args):
         with open(args.joint) as fh:
             joint = info_theory.DiscreteJoint.from_json(json.load(fh))
         report = info_theory.usable_evidence(joint, n_calls=args.calls)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         return _fail(str(exc))
     _write_out(json.dumps(dataclasses.asdict(report)), args.output)
     return EXIT_OK
@@ -124,7 +124,7 @@ def cmd_fit_alpha(args):
                 # only the first nonblank row may be a header
                 header_allowed = False
         alpha_hat, rss = coverage.fit_alpha(points)
-    except (coverage.DegenerateCurve, ValueError, OSError) as exc:
+    except ValueError as exc:  # coverage.DegenerateCurve among them
         return _fail(str(exc))
     _write_out(json.dumps({"alpha_hat": alpha_hat, "rss": rss}), args.output)
     return EXIT_OK
@@ -250,7 +250,7 @@ def cmd_run(args):
         done = {spec: store.task_ids() for spec, store in stores.items()}
         manifest_path = os.path.join(cfg["output_dir"], "manifest.json")
         old = _read_manifest(manifest_path)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
 
     out_dir = cfg["output_dir"]
@@ -350,7 +350,7 @@ def cmd_analyze(args):
             ts, emb = _load_store_dir(d)
             transcripts.extend(ts)
             embeddings.extend([emb or {}] * len(ts))
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
     if not transcripts:
         return _fail("store contains no transcripts")
@@ -430,7 +430,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an input that cannot be read or an output that cannot be written
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

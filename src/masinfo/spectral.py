@@ -14,7 +14,6 @@ import math
 import os
 import stat
 import tempfile
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,8 @@ class EmbeddingSet:
         v = np.array(self.vectors, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError("vectors must be a nonempty 2-D array")
-        norms = np.linalg.norm(v, axis=1)
+        with np.errstate(over="ignore"):  # an overflowing row is rescaled below
+            norms = np.linalg.norm(v, axis=1)
         bad = np.flatnonzero(norms < ZERO_NORM_TOL)
         if bad.size:
             raise ZeroNormVector(int(bad[0]))
@@ -208,10 +208,10 @@ def load_embeddings_jsonl(path, digest=None):
 # Names the cache layout and the decoder that filled it.  Bump it whenever
 # load_embeddings_jsonl accepts, rejects or returns anything differently, so
 # that caches an older version wrote are read as misses.
-_CACHE_FORMAT = 2
+_CACHE_FORMAT = 3
 _HASH_CHUNK = 1 << 20
 # what reading a missing, torn or foreign cache raises
-_BAD_CACHE = (OSError, ValueError, KeyError, zipfile.BadZipFile, EOFError)
+_BAD_CACHE = (OSError, ValueError, TypeError)
 
 
 class _ContentKey:
@@ -234,44 +234,29 @@ def _file_sha256(path):
     return digest.hexdigest()
 
 
-def _npz_member(zf, name):
-    # np.load would leak its file on a torn zip and return a bare array for a .npy
-    with zf.open(name + ".npy") as fh:
-        return np.lib.format.read_array(fh, allow_pickle=False)
-
-
-def _npz_write(zf, name, array):
-    # the member np.savez would write, without its full copy of the array
-    array = np.ascontiguousarray(array)
-    with zf.open(name + ".npy", "w", force_zip64=True) as fh:
-        np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(array))
-        fh.write(array.data)
-
-
 def load_store_embeddings(path):
     """load_embeddings_jsonl(path), through a binary copy of its rows beside it.
 
-    `<name>.cache.npz` holds `format` (_CACHE_FORMAT), the `size` and `sha256`
-    of the JSONL bytes its rows were decoded from, the float64 rows
-    (`vectors`) and the ids as orjson-encoded UTF-8 bytes (`ids`).  It is
-    used only while the JSONL still has that size and digest, so the JSONL
-    stays the only source of truth; a file whose size differs is not hashed.
-    Otherwise the JSONL is decoded and the cache rewritten; a cache that
-    cannot be read counts as absent, and one that cannot be written is left
-    out.
+    `<name>.cache` holds one orjson line `[format, size, sha256, width, ids]`
+    (_CACHE_FORMAT, the size and sha256 of the JSONL bytes the rows were
+    decoded from, the row width and the ids), then the rows as raw
+    little-endian float64.  It is used only while the JSONL still has that
+    size and digest, so the JSONL stays the only source of truth; a file
+    whose size differs is not hashed.  Otherwise the JSONL is decoded and the
+    cache rewritten; a cache that cannot be read counts as absent, and one
+    that cannot be written is left out.
     """
     import orjson
 
-    cache = os.path.splitext(path)[0] + ".cache.npz"
+    cache = os.path.splitext(path)[0] + ".cache"
     try:
-        with zipfile.ZipFile(cache) as zf:
-            if (_npz_member(zf, "format").item() == _CACHE_FORMAT
-                    and _npz_member(zf, "size").item() == os.stat(path).st_size
-                    and _npz_member(zf, "sha256").item() == _file_sha256(path)):
-                ids = orjson.loads(_npz_member(zf, "ids").tobytes())
-                vectors = _npz_member(zf, "vectors")
-                if (isinstance(ids, list) and vectors.dtype == np.float64
-                        and vectors.ndim == 2 and len(ids) == len(vectors)
+        with open(cache, "rb") as fh:
+            fmt, size, sha256, width, ids = orjson.loads(fh.readline())
+            if (fmt == _CACHE_FORMAT and size == os.stat(path).st_size
+                    and sha256 == _file_sha256(path) and isinstance(ids, list)):
+                vectors = np.empty((len(ids), width), dtype="<f8")
+                # exactly len(ids) * width floats, and nothing after them
+                if (fh.readinto(vectors) == vectors.nbytes and not fh.read(1)
                         and np.isfinite(vectors).all()):
                     return ids, vectors
     except _BAD_CACHE:
@@ -296,12 +281,9 @@ def _write_cache(cache, path, size, sha256, ids, vectors):
         with os.fdopen(fd, "wb") as fh:
             # mkstemp makes 0600 files; whoever may read the rows may read the copy
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-            with zipfile.ZipFile(fh, "w") as zf:
-                _npz_write(zf, "format", np.array(_CACHE_FORMAT))
-                _npz_write(zf, "size", np.array(size))
-                _npz_write(zf, "sha256", np.array(sha256))
-                _npz_write(zf, "vectors", vectors)
-                _npz_write(zf, "ids", np.frombuffer(orjson.dumps(ids), dtype=np.uint8))
+            # orjson escapes every control character, so the header is one line
+            fh.write(orjson.dumps([_CACHE_FORMAT, size, sha256, vectors.shape[1], ids]) + b"\n")
+            fh.write(np.ascontiguousarray(vectors, "<f8").data)
         os.replace(tmp, cache)
     except OSError:
         pass

@@ -816,8 +816,8 @@ class TestEmbeddingFailures:
             append(self, transcript)
 
         monkeypatch.setattr(TranscriptStore, "append", crash_on_second)
-        with pytest.raises(OSError, match="disk full"):
-            main(["run", str(cfg_path)])
+        code, out = run_cli("run", str(cfg_path), capsys=capsys)
+        assert (code, out.err) == (2, "error: disk full\n")
         monkeypatch.setattr(TranscriptStore, "append", append)
         manifest = json.loads((store / "manifest.json").read_text())
         assert manifest["status"] == "running"
@@ -835,7 +835,7 @@ class TestEmbeddingFailures:
         manifest = json.loads((store / "manifest.json").read_text())
         assert manifest["status"] == "done"
 
-    def test_crash_before_transcript_append_is_redone(self, tmp_path, monkeypatch):
+    def test_crash_before_transcript_append_is_redone(self, tmp_path, capsys, monkeypatch):
         ref_cfg, _ = base_config(tmp_path / "ref", n_agents_list=[2])
         assert main(["run", str(ref_cfg)]) == 0
         cfg_path, _ = base_config(tmp_path / "crash", n_agents_list=[2])
@@ -850,8 +850,8 @@ class TestEmbeddingFailures:
             append(self, transcript)
 
         monkeypatch.setattr(TranscriptStore, "append", crash_on_second)
-        with pytest.raises(OSError, match="disk full"):
-            main(["run", str(cfg_path)])
+        code, out = run_cli("run", str(cfg_path), capsys=capsys)
+        assert (code, out.err) == (2, "error: disk full\n")
         monkeypatch.setattr(TranscriptStore, "append", append)
 
         # t1's vectors are written, its transcript is not: t1 is not done
@@ -989,7 +989,7 @@ class TestAnalyze:
 
     def test_reports_identical_cold_warm_and_without_cache(self, tmp_path, monkeypatch):
         store = self.run_store(tmp_path)
-        cache = store / "embeddings.cache.npz"
+        cache = store / "embeddings.cache"
         cold = self.analyze(store, tmp_path / "cold")
         assert cache.exists()
         with monkeypatch.context() as m:
@@ -1005,7 +1005,7 @@ class TestAnalyze:
     def test_unwritable_cache_changes_nothing(self, tmp_path, monkeypatch, capsys):
         store = self.run_store(tmp_path)
         want = self.analyze(store, tmp_path / "ref")
-        (store / "embeddings.cache.npz").unlink()
+        (store / "embeddings.cache").unlink()
         before = sorted(os.listdir(store))
 
         def read_only(*args, **kwargs):
@@ -1023,8 +1023,27 @@ class TestAnalyze:
         self.analyze(store, tmp_path / "cold")
         self.analyze(store, tmp_path / "warm")
         after = {name: (store / name).read_bytes() for name in os.listdir(store)}
-        assert after.pop("embeddings.cache.npz")
+        assert after.pop("embeddings.cache")
         assert after == before
+
+    def test_older_versions_npz_cache_is_neither_read_nor_modified(self, tmp_path, monkeypatch):
+        store = self.run_store(tmp_path)
+        # the zip an older version kept, under the right key but with every row
+        # the same: reading it would read K* = 1 everywhere
+        emb = store / "embeddings.jsonl"
+        ids, rows = spectral.load_embeddings_jsonl(emb)
+        data = emb.read_bytes()
+        leftover = store / "embeddings.cache.npz"
+        np.savez(leftover, format=np.array(2), size=np.array(len(data)),
+                 sha256=np.array(hashlib.sha256(data).hexdigest()),
+                 vectors=np.repeat(rows[:1], len(rows), axis=0),
+                 ids=np.frombuffer(json.dumps(ids).encode(), dtype=np.uint8))
+        old = leftover.read_bytes()
+        cold = self.analyze(store, tmp_path / "cold")
+        warm = self.analyze(store, tmp_path / "warm")
+        assert leftover.read_bytes() == old
+        monkeypatch.setattr(spectral, "load_store_embeddings", spectral.load_embeddings_jsonl)
+        assert cold == warm == self.analyze(store, tmp_path / "jsonl")
 
     def test_resumed_run_beside_the_cache_writes_the_same_store(self, tmp_path):
         ref = self.run_store(tmp_path / "ref", n_agents_list=[2])
@@ -1032,7 +1051,7 @@ class TestAnalyze:
         assert main(["run", str(cfg_path)]) == 0
         store = tmp_path / "resumed" / "store"
         self.analyze(store, tmp_path / "early")
-        assert (store / "embeddings.cache.npz").exists()
+        assert (store / "embeddings.cache").exists()
         make_dataset(tmp_path / "resumed", 3)  # the config is unchanged, so t2 resumes
         assert main(["run", str(cfg_path)]) == 0
         assert store_bytes(store) == store_bytes(ref)
@@ -1044,3 +1063,49 @@ class TestAnalyze:
         assert main(["analyze", str(store), "--mode", "pooled"]) == 0
         rows = json.loads((store / "reports" / "summaries.json").read_text())
         assert all(r["mode"] == "pooled" for r in rows)
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written exits 2 with its path, as an unreadable input does."""
+
+    def argv(self, command, tmp_path):
+        missing = str(tmp_path / "missing" / "out")
+        if command == "kstar":
+            emb = tmp_path / "emb.jsonl"
+            write_jsonl(emb, [{"id": "a", "vector": [1.0, 0.0]}])
+            return ["kstar", str(emb), "--output", missing]
+        if command == "simulate":
+            return ["simulate", "--alpha", "0.3", "--trials", "10", "--output", missing]
+        if command == "bounds":
+            joint = tmp_path / "joint.json"
+            joint.write_text(bsc_views_joint(0.2, 2).to_json())
+            return ["bounds", str(joint), "--output", missing]
+        if command == "fit-alpha":
+            curve = tmp_path / "curve.csv"
+            curve.write_text("1,0.5\n2,0.75\n3,0.875\n")
+            return ["fit-alpha", str(curve), "--output", missing]
+        if command == "run":
+            cfg_path, _ = base_config(tmp_path, n_agents_list=[2])
+            # the manifest is written aside, then renamed into place
+            (tmp_path / "store" / "manifest.json.tmp").mkdir(parents=True)
+            return ["run", str(cfg_path)]
+        cfg_path, _ = base_config(tmp_path, n_agents_list=[2])
+        assert main(["run", str(cfg_path)]) == 0
+        store = tmp_path / "store"
+        if command == "analyze":
+            (tmp_path / "out").write_text("a file, not a directory")
+            return ["analyze", str(store), "--output", str(tmp_path / "out")]
+        # a store analyze cannot write its reports into, such as a read-only one
+        (store / "reports").write_text("a file, not a directory")
+        return ["analyze", str(store)]
+
+    @pytest.mark.parametrize("command", ["kstar", "simulate", "bounds", "fit-alpha", "run",
+                                         "analyze", "analyze-into-store"])
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, command):
+        argv = self.argv(command, tmp_path)
+        capsys.readouterr()
+        code, out = run_cli(*argv, capsys=capsys)
+        assert code == 2
+        assert out.err.startswith("error: [Errno ")
+        assert str(tmp_path) in out.err
+        assert "Traceback" not in out.err

@@ -1,7 +1,9 @@
 import hashlib
+import io
 import json
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -70,7 +72,8 @@ class TestEmbeddingSet:
         assert exc.value.index == 2
 
     def test_row_whose_squares_overflow_keeps_its_direction(self):
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning too
             emb = EmbeddingSet([[1e308, 1e308], [1.0, 0.0], [-1e200, 0.0]])
         np.testing.assert_allclose(emb.vectors, [[2 ** -0.5, 2 ** -0.5], [1.0, 0.0], [-1.0, 0.0]],
                                    rtol=0, atol=1e-15)
@@ -416,27 +419,46 @@ def write_rows(path, ids, vectors, mode="w"):
                       for i, v in zip(ids, vectors))
 
 
-def write_cache(cache, path, **members):
-    """A cache for `path` as load_store_embeddings writes it, with `members` replaced."""
+def write_cache(cache, path, rows=None, **header):
+    """A cache for `path` as load_store_embeddings writes it, with `header` fields
+    (format, size, sha256, width, ids) and the `rows` bytes replaced."""
     ids, vectors = load_embeddings_jsonl(path)
     data = path.read_bytes()
-    members = {"format": np.array(spectral._CACHE_FORMAT), "size": np.array(len(data)),
-               "sha256": np.array(hashlib.sha256(data).hexdigest()), "vectors": vectors,
-               "ids": np.frombuffer(json.dumps(ids).encode(), dtype=np.uint8), **members}
-    np.savez(cache, **members)
+    fields = {"format": spectral._CACHE_FORMAT, "size": len(data),
+              "sha256": hashlib.sha256(data).hexdigest(), "width": vectors.shape[1],
+              "ids": ids, **header}
+    rows = vectors.astype("<f8").tobytes() if rows is None else rows
+    cache.write_bytes(json.dumps(list(fields.values())).encode() + b"\n" + rows)
+
+
+def read_cache(cache):
+    """The header fields of `cache` by name, and its rows as a flat float64 array."""
+    header, rows = cache.read_bytes().split(b"\n", 1)
+    return (dict(zip(["format", "size", "sha256", "width", "ids"], json.loads(header))),
+            np.frombuffer(rows, dtype="<f8"))
 
 
 def cached_digest(store):
-    with np.load(store / "emb.cache.npz") as z:
-        return z["sha256"].item()
+    return read_cache(store / "emb.cache")[0]["sha256"]
+
+
+class FailingWriter(io.BufferedWriter):
+    """A file that takes a few bytes of its first write, then raises `exc`."""
+
+    exc = OSError(28, "No space left on device")
+
+    def write(self, data):
+        super().write(bytes(data[:5]))
+        self.flush()
+        raise self.exc
 
 
 class TestStoreCache:
     @pytest.fixture
     def store(self, tmp_path):
         rng = np.random.default_rng(5)
-        # one id ends in a NUL, which a numpy <U array would strip
-        ids = [f"q{i}:{i % 3}" for i in range(7)] + ["q7:\x00", "q\u00e9:0"]
+        # one id ends in a NUL and one holds a newline, which the header line must keep
+        ids = [f"q{i}:{i % 3}" for i in range(7)] + ["q7:\x00", "q\u00e9:\n0"]
         write_rows(tmp_path / "emb.jsonl", ids, rng.standard_normal((9, 5)))
         return tmp_path
 
@@ -454,12 +476,16 @@ class TestStoreCache:
         path = store / "emb.jsonl"
         want = load_embeddings_jsonl(path)
         self.assert_same(load_store_embeddings(path), want)  # miss, writes the cache
-        assert cached_digest(store) == hashlib.sha256(path.read_bytes()).hexdigest()
+        header, rows = read_cache(store / "emb.cache")
+        assert header == {"format": spectral._CACHE_FORMAT, "size": path.stat().st_size,
+                          "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+                          "width": 5, "ids": want[0]}
+        assert np.array_equal(rows.view(np.uint64), want[1].ravel().view(np.uint64))
         self.no_decode(monkeypatch)
         hit = load_store_embeddings(path)
         self.assert_same(hit, want)
-        assert hit[0][7] == "q7:\x00"
-        assert sorted(os.listdir(store)) == ["emb.cache.npz", "emb.jsonl"]
+        assert hit[0][7:] == ["q7:\x00", "q\u00e9:\n0"]
+        assert sorted(os.listdir(store)) == ["emb.cache", "emb.jsonl"]
 
     def test_digest_covers_every_byte_read(self, store):
         digest = hashlib.sha256()
@@ -485,8 +511,7 @@ class TestStoreCache:
 
         monkeypatch.setattr(spectral, "_file_sha256", fail)
         self.assert_same(load_store_embeddings(path), load_embeddings_jsonl(path))
-        with np.load(store / "emb.cache.npz") as z:
-            assert z["size"].item() == path.stat().st_size
+        assert read_cache(store / "emb.cache")[0]["size"] == path.stat().st_size
 
     def test_row_appended_after_the_decode_is_not_cached_under_its_key(self, store, monkeypatch):
         # a run appending while analyze reads: the key must name the bytes decoded
@@ -501,21 +526,22 @@ class TestStoreCache:
 
         monkeypatch.setattr(spectral, "load_embeddings_jsonl", decode_then_append)
         assert len(load_store_embeddings(path)[0]) == 9
-        with np.load(store / "emb.cache.npz") as z:
-            assert z["size"].item() == len(decoded)
-            assert z["sha256"].item() == hashlib.sha256(decoded).hexdigest()
+        header = read_cache(store / "emb.cache")[0]
+        assert header["size"] == len(decoded)
+        assert header["sha256"] == hashlib.sha256(decoded).hexdigest()
         monkeypatch.setattr(spectral, "load_embeddings_jsonl", decode)
         self.assert_same(load_store_embeddings(path), load_embeddings_jsonl(path))
 
     @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "npy", "foreign",
-                                        "wrong-shape", "other-format"])
+                                        "wrong-shape", "other-format", "trailing", "wide",
+                                        "not-finite"])
     def test_unreadable_cache_is_a_miss_and_rewritten(self, store, damage):
-        path, cache = store / "emb.jsonl", store / "emb.cache.npz"
+        path, cache = store / "emb.jsonl", store / "emb.cache"
         want = load_embeddings_jsonl(path)
         load_store_embeddings(path)
         data = cache.read_bytes()
         if damage == "truncated":
-            cache.write_bytes(data[:len(data) // 2])
+            cache.write_bytes(data[:-8])
         elif damage == "garbage":
             cache.write_bytes(b"\x93NUMPY" + bytes(range(256)) * 4)
         elif damage == "empty":
@@ -523,17 +549,21 @@ class TestStoreCache:
         elif damage == "npy":
             with open(cache, "wb") as fh:
                 np.save(fh, want[1])
-        elif damage == "foreign":
-            np.savez(cache, other=np.zeros(3))
+        elif damage == "foreign":  # the zip an older version wrote
+            with open(cache, "wb") as fh:
+                np.savez(fh, vectors=want[1])
         elif damage == "other-format":  # right key and rows, but an older decoder's
-            write_cache(cache, path, format=np.array(spectral._CACHE_FORMAT - 1))
-        else:  # the right key, but fewer ids than rows
-            write_cache(cache, path, ids=np.frombuffer(b'["q0:0"]', dtype=np.uint8))
+            write_cache(cache, path, format=spectral._CACHE_FORMAT - 1)
+        elif damage == "trailing":  # right key and rows, then a byte more
+            cache.write_bytes(data + b"\x00")
+        elif damage == "wide":  # one id over 45 floats, as reshape(len(ids), -1) would read
+            write_cache(cache, path, ids=["q0:0"])
+        elif damage == "not-finite":
+            write_cache(cache, path, rows=np.append(want[1].ravel()[:-1], np.nan).tobytes())
+        else:  # the right key and rows, but a width they do not fill
+            write_cache(cache, path, width=4)
         self.assert_same(load_store_embeddings(path), want)
-        assert cached_digest(store) == hashlib.sha256(path.read_bytes()).hexdigest()
-        with np.load(cache) as z:
-            assert z["format"].item() == spectral._CACHE_FORMAT
-            assert json.loads(z["ids"].tobytes()) == want[0]
+        assert cache.read_bytes() == data
         self.assert_same(load_store_embeddings(path), want)
 
     def test_older_format_cache_of_a_boolean_row_is_not_trusted(self, tmp_path):
@@ -541,32 +571,34 @@ class TestStoreCache:
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id": "a", "vector": [1.0, 0.0]}\n{"id": "b", "vector": [true, false]}\n')
         data = path.read_bytes()
-        np.savez(tmp_path / "emb.cache.npz", format=np.array(spectral._CACHE_FORMAT - 1),
-                 size=np.array(len(data)), sha256=np.array(hashlib.sha256(data).hexdigest()),
-                 vectors=np.array([[1.0, 0.0], [1.0, 0.0]]),
-                 ids=np.frombuffer(b'["a", "b"]', dtype=np.uint8))
+        header = [spectral._CACHE_FORMAT - 1, len(data), hashlib.sha256(data).hexdigest(), 2,
+                  ["a", "b"]]
+        (tmp_path / "emb.cache").write_bytes(
+            json.dumps(header).encode() + b"\n" + np.array([[1.0, 0.0], [1.0, 0.0]]).tobytes())
         with pytest.raises(ValueError, match="line 2"):
             load_store_embeddings(path)
 
-    @pytest.mark.parametrize("where", ["mkstemp", "_npz_write", "replace"])
+    @pytest.mark.parametrize("where", ["mkstemp", "write", "replace"])
     def test_failed_write_is_ignored_and_leaves_nothing(self, store, monkeypatch, where):
         def disk_full(*args, **kwargs):
-            if where == "_npz_write":
-                args[0].writestr("format.npy", b"\x93NUMPY half a member")
             raise OSError(28, "No space left on device")
 
-        owner = {"mkstemp": spectral.tempfile, "_npz_write": spectral, "replace": spectral.os}
-        monkeypatch.setattr(owner[where], where, disk_full)
+        if where == "write":
+            monkeypatch.setattr(spectral.os, "fdopen",
+                                lambda fd, mode: FailingWriter(io.FileIO(fd, "w")))
+        else:
+            monkeypatch.setattr({"mkstemp": spectral.tempfile, "replace": spectral.os}[where],
+                                where, disk_full)
         path = store / "emb.jsonl"
         self.assert_same(load_store_embeddings(path), load_embeddings_jsonl(path))
         assert sorted(os.listdir(store)) == ["emb.jsonl"]
 
     def test_interrupted_write_leaves_nothing(self, store, monkeypatch):
-        def interrupted(zf, name, array):
-            zf.writestr(name + ".npy", b"\x93NUMPY half a member")
-            raise KeyboardInterrupt
+        class Interrupted(FailingWriter):
+            exc = KeyboardInterrupt()
 
-        monkeypatch.setattr(spectral, "_npz_write", interrupted)
+        monkeypatch.setattr(spectral.os, "fdopen",
+                            lambda fd, mode: Interrupted(io.FileIO(fd, "w")))
         with pytest.raises(KeyboardInterrupt):
             load_store_embeddings(store / "emb.jsonl")
         assert sorted(os.listdir(store)) == ["emb.jsonl"]
@@ -579,11 +611,26 @@ class TestStoreCache:
         ids, rows = load_embeddings_jsonl(path)
         tracemalloc.start()
         try:
-            spectral._write_cache(str(tmp_path / "emb.cache.npz"), str(path), 1, "0" * 64,
-                                  ids, rows)
+            spectral._write_cache(str(tmp_path / "emb.cache"), str(path), 1, "0" * 64, ids, rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < rows.nbytes / 4
-        with np.load(tmp_path / "emb.cache.npz") as z:
-            assert np.array_equal(z["vectors"], rows)
+        assert np.array_equal(read_cache(tmp_path / "emb.cache")[1], rows.ravel())
+
+    def test_cache_read_makes_no_copy_of_the_rows(self, tmp_path, monkeypatch):
+        # a hit reads the rows into their array, with no bytes object between
+        path = tmp_path / "emb.jsonl"
+        write_rows(path, [f"q{i}:0" for i in range(200)],
+                   np.random.default_rng(6).standard_normal((200, 256)))
+        load_store_embeddings(path)
+        digest = spectral._file_sha256(path)
+        monkeypatch.setattr(spectral, "_file_sha256", lambda path: digest)  # its chunks aside
+        tracemalloc.start()
+        try:
+            ids, rows = load_store_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ids) == 200
+        assert peak < rows.nbytes * 1.25
