@@ -3,17 +3,14 @@
 M latent evidence bits jointly carry H(Y|X); each of K effective channels
 reveals each still-hidden bit independently with probability alpha.  The
 expected residual (uncovered) fraction after K channels is (1-alpha)**K,
-bounded above by exp(-alpha*K).
+bounded above by exp(-alpha*K).  The simulation draws each bit's first
+revealing channel, Geometric(alpha), by inversion of one uniform.
 """
 
 import csv
 import io
 import json
 import math
-import os
-import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +25,7 @@ class DegenerateCurve(ValueError):
 
 
 DEFAULT_TRIALS = 100_000
-_CHUNK = 20_000  # trials per ordered reduction step of simulate_coverage
-_SUB_BLOCK_BYTES = 1 << 20  # bytes of float64 draws per worker pass of simulate_coverage
-_TABLE_BITS = 16  # simulate_coverage looks up masks of at most this many bits
-_TABLE_SLICE = 4096  # patterns per step of a residual table's build
-# x * _GATHER >> 56 gathers the low bits of the 8 bytes of the uint64 x into one byte
-_GATHER = np.uint64(0x0102040810204080)
+_CHUNK_BYTES = 1 << 18  # bytes of each per-chunk buffer of simulate_coverage
 
 
 @dataclass(frozen=True)
@@ -119,144 +111,52 @@ class ContractionCurve:
 def simulate_coverage(params: CoverageParams, trials: int = DEFAULT_TRIALS) -> ContractionCurve:
     """Simulate residual fractions for K = 0 .. params.num_channels.
 
-    Counter-based Philox stream keyed by the seed; trial t consumes draws
-    [t*k_max*m, (t+1)*k_max*m) in order, so extending `trials` never
-    reshuffles earlier trials.  Trials are filled in sub-blocks of about
-    1 MiB of draws (at least one trial) on a thread pool with one worker per
-    usable CPU; a sub-block starting at draw `off` positions its own stream
-    at Philox counter off // 4 and discards off % 4 draws.
-
-    With m <= 16 bits a worker packs the hidden bits of each (trial,
-    channel) into an m-bit mask, ANDs the masks over channels and reads the
-    residual fraction from a table of all 2**m masks.  The table is built
-    with the same row sum over bits that the per-bit path, taken for larger
-    m, runs on every draw, so both give the same doubles.
-
-    The calling thread adds each sub-block's rows, in trial order, onto
-    running sums that restart every 20,000 trials: the same ordered sums as
-    one sum over each 20,000-trial chunk.  The curve is therefore identical,
-    bit for bit, for any CPU count and sub-block size, and memory is bounded
-    by a few sub-blocks per worker, not by `trials` or `num_channels`.
+    A bit is still hidden after K channels iff its first revealing channel
+    G ~ Geometric(alpha) exceeds K, so one uniform per (trial, bit) gives the
+    whole curve: with V = 1 - U in (0, 1], G = floor(log V / log1p(-alpha)) + 1.
+    One Philox stream keyed by the seed is read in order, trial t taking
+    uniforms [t*m, (t+1)*m), so extending `trials` never reshuffles earlier
+    trials.  Chunks of trials run on the calling thread, each chunk buffer
+    at most 256 KiB or one trial.  K = 0 hides every bit: mean 1.0, stderr 0.
     """
     if trials < 1:
         raise BadParams("trials must be >= 1")
     k_max = params.num_channels
     m = params.num_bits
-    h = np.array(params.bit_entropies, dtype=float)
     total = params.total_entropy
     if total <= 0:
         raise BadParams("total entropy must be positive")
 
-    per_trial = k_max * m
-    block = min(max(1, _SUB_BLOCK_BYTES // (8 * max(per_trial, 1))), _CHUNK, trials)
-    table = None
-    width = m
-    if m <= _TABLE_BITS:
-        width = 8 * -(-m // 8)  # _pack takes whole bytes of bits
-        table = _residual_table(h, total, width)
-    local = threading.local()
+    log_q = math.log1p(-params.alpha)
+    width = k_max + 1  # bins per trial, for G - 1 = 0 .. k_max
+    chunk = min(trials, max(1, _CHUNK_BYTES // (8 * max(m, width))))
+    weights = np.tile(np.array(params.bit_entropies, dtype=float) / total, chunk)
+    first_bin = np.arange(chunk)[:, None] * width
+    rng = np.random.Generator(np.random.Philox(key=params.seed))
+    sums = np.zeros((2, width))  # of the fractions and of their squares
+    for first in range(0, trials, chunk):
+        b = min(chunk, trials - first)
+        log_v = rng.random(b * m)
+        np.log1p(np.negative(log_v, out=log_v), out=log_v)
+        # log V below (k_max + 1) * log_q means G > k_max anyway; raising it
+        # there bounds the quotient, which overflows for alpha near 5e-324
+        np.maximum(log_v, (k_max + 1) * log_q, out=log_v)
+        np.divide(log_v, log_q, out=log_v)
+        hidden = log_v.astype(np.intp).reshape(b, m)  # G - 1 >= 0, so truncation floors
+        np.minimum(hidden, k_max, out=hidden)
+        bins = np.add(hidden, first_bin[:b], out=hidden)
+        res = np.bincount(bins.ravel(), weights=weights[:b * m], minlength=b * width).reshape(b, width)
+        # column K sums the entropy fractions of the bits with G > K
+        np.cumsum(res[:, ::-1], axis=1, out=res[:, ::-1])
+        sums[0] += res.sum(axis=0)
+        sums[1] += np.square(res, out=res).sum(axis=0)
 
-    def fill(rows, first):
-        # rows[i] gets the residual fractions, K = 1 .. k_max, of trial first + i
-        b = len(rows)
-        if not hasattr(local, "draws"):
-            local.draws = np.empty((block, k_max, m))
-            local.hidden = np.zeros((block, k_max, width), dtype=bool)  # padding stays False
-        draws, hidden = local.draws[:b], local.hidden[:b]
-        off = first * per_trial
-        bitgen = np.random.Philox(key=params.seed, counter=off // 4)  # 4 draws per counter step
-        bitgen.random_raw(off % 4)
-        np.random.Generator(bitgen).random(out=draws)
-        np.greater_equal(draws, params.alpha, out=hidden[..., :m])
-        # bit j stays hidden after channel k iff channels 1..k all miss it
-        if table is None:
-            for k in range(1, k_max):
-                np.logical_and(hidden[:, k - 1], hidden[:, k], out=hidden[:, k])
-            np.multiply(hidden, h, out=draws)
-            np.sum(draws, axis=2, out=rows)
-            rows /= total
-        else:
-            # the draws are spent, so their buffer holds the masks
-            masks = local.draws.reshape(-1)[:b * k_max].view(np.uint64).reshape(b, k_max)
-            _pack(hidden, masks)
-            np.bitwise_and.accumulate(masks, axis=1, out=masks)
-            # every mask indexes the table; "clip" spares a bounds check and a copy of rows
-            np.take(table, masks.view(np.int64), out=rows, mode="clip")
-
-    workers = min(len(os.sched_getaffinity(0)), -(-min(_CHUNK, trials) // block))
-    # numpy sums a C-contiguous array over axis 0 row after row when it has
-    # two or more columns, but a single column pairwise
-    cols = max(k_max, 2)
-    # one slot more than workers keeps a sub-block queued while the oldest is added
-    slots = np.zeros((workers + 1, block + 1, cols))
-    chunk = np.zeros((2, cols))  # running sums of the fractions and of their squares
-    sums = np.zeros((2, cols))
-    pending = deque()
-
-    def add_oldest():
-        future, rows, last = pending.popleft()
-        future.result()
-        # row 0 carries the running sum, so the axis-0 sum continues it in trial order
-        rows[0] = chunk[0]
-        np.sum(rows, axis=0, out=chunk[0])
-        np.multiply(rows[1:], rows[1:], out=rows[1:])
-        rows[0] = chunk[1]
-        np.sum(rows, axis=0, out=chunk[1])
-        if last:
-            np.add(sums, chunk, out=sums)
-            chunk[:] = 0.0
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        n = 0
-        for first in range(0, trials, _CHUNK):
-            t = min(_CHUNK, trials - first)
-            for lo in range(0, t, block):
-                if len(pending) == len(slots):
-                    add_oldest()
-                b = min(block, t - lo)
-                rows = slots[n % len(slots), :b + 1]
-                n += 1
-                pending.append((pool.submit(fill, rows[1:, :k_max], first + lo), rows, lo + b == t))
-        while pending:
-            add_oldest()
-
-    # K = 0 hides every bit of every trial
-    sum_frac = np.concatenate(([trials], sums[0, :k_max]))
-    sum_frac_sq = np.concatenate(([trials], sums[1, :k_max]))
-    mean = sum_frac / trials
-    var = np.maximum(sum_frac_sq / trials - mean * mean, 0.0)
-    stderr = np.sqrt(var / trials)
+    mean, mean_sq = sums / trials
+    mean[0] = mean_sq[0] = 1.0  # K = 0 hides every bit of every trial
+    stderr = np.sqrt(np.maximum(mean_sq - mean * mean, 0.0) / trials)
     ks = tuple(range(k_max + 1))
-    geo = tuple((1.0 - params.alpha) ** k for k in ks)
-    expo = tuple(math.exp(-params.alpha * k) for k in ks)
+    geo, expo = zip(*(analytic_bounds(params.alpha, k) for k in ks))
     return ContractionCurve(ks, tuple(mean.tolist()), tuple(stderr.tolist()), geo, expo, trials)
-
-
-def _pack(bits, out):
-    """Pack the last axis of `bits` (8 or 16 bools, C-contiguous) into the uint64 `out`."""
-    words = bits.view(np.uint64)
-    np.multiply(words[..., 0], _GATHER, out=out)
-    out >>= 56
-    if words.shape[-1] == 2:
-        high = words[..., 1] * _GATHER
-        high >>= 56
-        high <<= 8
-        out |= high
-
-
-def _residual_table(h, total, width):
-    """Residual fraction of every pattern of hidden bits, at the index `_pack` gives it."""
-    m = len(h)
-    table = np.empty(1 << width)  # only the indices of packed patterns are read
-    for lo in range(0, 1 << m, _TABLE_SLICE):
-        patterns = np.arange(lo, min(lo + _TABLE_SLICE, 1 << m))
-        bits = np.zeros((len(patterns), width), dtype=bool)
-        bits[:, :m] = (patterns[:, None] >> np.arange(m)) & 1
-        index = np.empty(len(patterns), dtype=np.uint64)
-        _pack(bits, index)
-        # the per-bit path's arithmetic: products, a row sum over bits, one division
-        table[index] = np.multiply(bits[:, :m], h).sum(axis=1) / total
-    return table
 
 
 def analytic_bounds(alpha: float, k: int):

@@ -1,9 +1,7 @@
 import hashlib
 import math
-import os
-import sys
-import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +53,11 @@ class TestSimulate:
         p = CoverageParams.equal_bits(alpha=0.3, num_channels=0, seed=1)
         curve = simulate_coverage(p, trials=100)
         assert curve.mean_residual_fraction == (1.0,)
+        # these bits' fractions h / H sum to 1 - 2**-53, but K = 0 is exact
+        p = CoverageParams(3, (0.1, 0.2, 0.3), 0.35, 4, 3)
+        curve = simulate_coverage(p, trials=1000)
+        assert curve.mean_residual_fraction[0] == 1.0
+        assert curve.stderr[0] == 0.0
 
     def test_near_certain_coverage(self):
         p = CoverageParams.equal_bits(alpha=1.0 - 1e-12, num_channels=1, seed=2)
@@ -102,12 +105,66 @@ class TestSimulate:
         for k in range(5):
             assert abs(curve.mean_residual_fraction[k] - 0.65 ** k) <= 3 * max(curve.stderr[k], 1e-12)
 
+    def test_stderr_matches_independent_bits(self):
+        # each bit's hidden indicator is Bernoulli(p), p = (1-alpha)^K, and
+        # independent of the others, so Var = p(1-p) sum(h^2) / H^2; bits
+        # that shared a draw would leave the mean right but inflate this
+        h = np.linspace(0.01, 0.2, 8)
+        p = CoverageParams(8, tuple(h), 0.3, 6, 8)
+        trials = 100_000
+        curve = simulate_coverage(p, trials=trials)
+        for k in range(1, 7):
+            q = 0.7 ** k
+            exact = math.sqrt(q * (1 - q) * float(np.sum(h * h))) / float(np.sum(h)) / math.sqrt(trials)
+            assert abs(curve.stderr[k] - exact) <= 0.02 * exact, (k, curve.stderr[k], exact)
+
+    @pytest.mark.parametrize("one_trial_chunks", [False, True], ids=["default-chunks", "one-trial-chunks"])
+    def test_draw_layout_matches_hand_computation(self, monkeypatch, one_trial_chunks):
+        # the stream contract: trial t takes uniforms [t*m, (t+1)*m) of one
+        # Philox stream, and bit j's first revealing channel is
+        # G = floor(log(1 - U) / log1p(-alpha)) + 1; 7 bits per trial put
+        # chunk boundaries inside Philox's 4-draw blocks
+        params = CoverageParams(7, tuple(np.linspace(0.01, 0.2, 7)), 0.35, 6, 17)
+        trials, m, k_max = 3, params.num_bits, params.num_channels
+        if one_trial_chunks:
+            monkeypatch.setattr(coverage, "_CHUNK_BYTES", 8 * max(m, k_max + 1))
+        draws = np.random.Generator(np.random.Philox(key=params.seed)).random(trials * m).tolist()
+        fractions = []
+        for t in range(trials):
+            hidden = [0.0] * (k_max + 1)
+            for j in range(m):
+                g = math.floor(math.log(1.0 - draws[t * m + j]) / math.log1p(-params.alpha)) + 1
+                for k in range(k_max + 1):
+                    if g > k:
+                        hidden[k] += params.bit_entropies[j]
+            fractions.append([x / params.total_entropy for x in hidden])
+        expected = np.mean(fractions, axis=0)
+        expected[0] = 1.0
+        curve = simulate_coverage(params, trials=trials)
+        assert np.max(np.abs(np.array(curve.mean_residual_fraction) - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("alpha, residual", [(5e-324, 1.0), (1e-300, 1.0), (1.0 - 2.0**-53, 0.0)],
+                             ids=["denormal", "tiny", "one-minus-ulp"])
+    def test_extreme_alpha_raises_no_warning(self, alpha, residual):
+        # for tiny alpha, log V / log1p(-alpha) lies far past intp's range,
+        # and past float64's at 5e-324: neither the division nor the cast
+        # to an integer bin may overflow
+        p = CoverageParams.equal_bits(alpha=alpha, num_channels=5, seed=3)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            curve = simulate_coverage(p, trials=1000)
+        # a bit flips only when U sits on one value of 2**53
+        assert curve.mean_residual_fraction == (1.0,) + (residual,) * 5
+        assert curve.stderr == (0.0,) * 6
+
     @pytest.mark.parametrize("params, trials, digest", [
         (CoverageParams.equal_bits(alpha=0.3, num_channels=10, seed=1, num_bits=16), 45_000,
-         "5f80a034754cba4599bf2bcb345254b76d31609e1985a4051bb41851463299c6"),
+         "df305569e4596a06ab489e13b5fb7d28842c310ec7c49ca1711b47a7207abe12"),
         (CoverageParams(7, tuple(np.linspace(0.01, 0.2, 7)), 0.35, 6, 17), 21_001,
-         "6f33abbefd9bc4c307869bb0623fcfc84409cb262825e9c00d2ce395e907df53"),
-    ], ids=["equal-m16", "nonuniform-m7"])
+         "5b2180524d48eb158abdc7760e28c5e70b1a44b3a39fd7b557aa03e8e992af88"),
+        (CoverageParams(17, tuple(np.linspace(0.01, 0.3, 17)), 0.3, 5, 23), 20_101,
+         "40f484a1aef7008b6cd6cb29138489d73d48d97d04c19998082651579a889734"),
+    ], ids=["equal-m16", "nonuniform-m7", "nonuniform-m17"])
     def test_stream_and_reduction_pinned(self, params, trials, digest):
         # the Philox draw order and the chunked reduction fix every digit of
         # the curve; a change to either shows here
@@ -120,71 +177,10 @@ class TestSimulate:
             simulate_coverage(p, trials=0)
 
 
-# the curves of TestSimulate.test_stream_and_reduction_pinned
-PINNED = [
-    (CoverageParams.equal_bits(alpha=0.3, num_channels=10, seed=1, num_bits=16), 45_000,
-     "5f80a034754cba4599bf2bcb345254b76d31609e1985a4051bb41851463299c6"),
-    (CoverageParams(7, tuple(np.linspace(0.01, 0.2, 7)), 0.35, 6, 17), 21_001,
-     "6f33abbefd9bc4c307869bb0623fcfc84409cb262825e9c00d2ce395e907df53"),
-]
-PINNED_IDS = ["equal-m16", "nonuniform-m7"]
-
-
-def _digest(params, trials):
-    return hashlib.sha256(simulate_coverage(params, trials=trials).to_csv().encode()).hexdigest()
-
-
-def _use_cpus(monkeypatch, n):
-    # simulate_coverage starts one worker per usable CPU
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-def _use_sub_block(monkeypatch, params, size):
-    # a budget of `size` trials' draws, 8 bytes each
-    monkeypatch.setattr(coverage, "_SUB_BLOCK_BYTES", 8 * params.num_channels * params.num_bits * size)
-
-
-class TestSimulateThreads:
-    @pytest.mark.parametrize("workers", [1, 2, 5])
-    @pytest.mark.parametrize("params, trials, digest", PINNED, ids=PINNED_IDS)
-    def test_digest_independent_of_workers(self, monkeypatch, params, trials, digest, workers):
-        _use_cpus(monkeypatch, workers)
-        assert _digest(params, trials) == digest
-
-    # nonuniform-m7 draws 42 per trial, so 7-trial sub-blocks start at
-    # offsets of 2 mod 4 and discard half a Philox counter step
-    @pytest.mark.parametrize("size", [1, 7])
-    @pytest.mark.parametrize("params, trials, digest", PINNED, ids=PINNED_IDS)
-    def test_digest_independent_of_sub_block(self, monkeypatch, params, trials, digest, size):
-        _use_cpus(monkeypatch, 3)
-        _use_sub_block(monkeypatch, params, size)
-        assert _digest(params, trials) == digest
-
-    def test_digest_holds_under_thread_switching(self, monkeypatch):
-        params, trials, digest = PINNED[1]
-        _use_cpus(monkeypatch, len(os.sched_getaffinity(0)) + 3)
-        _use_sub_block(monkeypatch, params, 1)
-        result = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            worker = threading.Thread(target=lambda: result.append(_digest(params, trials)), daemon=True)
-            worker.start()
-            worker.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not worker.is_alive()
-        assert result == [digest]
-
-    def test_no_thread_outlives_the_call(self):
-        before = threading.active_count()
-        simulate_coverage(CoverageParams.equal_bits(alpha=0.3, num_channels=4, seed=8), trials=30_000)
-        assert threading.active_count() == before
-
-    def test_memory_bounded_by_sub_blocks(self, monkeypatch):
-        # 262,144 draws per trial: each of 4 workers holds one trial's
-        # float64 draws and bool mask, about 2.3 MiB
-        _use_cpus(monkeypatch, 4)
+class TestSimulateMemory:
+    def test_memory_bounded_by_chunks(self):
+        # 4,096 draws per trial: one trial's uniforms, bins and weights take
+        # 32 KiB each, and a chunk holds 8 trials
         params = CoverageParams.equal_bits(alpha=0.3, num_channels=64, seed=9, num_bits=4096)
         tracemalloc.start()
         try:
@@ -194,11 +190,9 @@ class TestSimulateThreads:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    def test_memory_bounded_for_many_channels(self, monkeypatch):
-        # one bit on 200 channels: a chunk's 20,000 x 201 fractions and their
-        # squares would take 61 MiB; each of 2 workers holds 1 MiB of draws and
-        # 1 MiB of padded bits, and 3 slots hold 1 MiB of rows each
-        _use_cpus(monkeypatch, 2)
+    def test_memory_bounded_for_many_channels(self):
+        # one bit on 200 channels: all 20,000 x 201 fractions and their
+        # squares would take 61 MiB; a chunk's bins take 256 KiB
         params = CoverageParams.equal_bits(alpha=0.3, num_channels=200, seed=9, num_bits=1)
         tracemalloc.start()
         try:
@@ -207,38 +201,6 @@ class TestSimulateThreads:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
-
-
-class TestMaskTable:
-    @pytest.mark.parametrize("m", range(1, 17))
-    def test_table_matches_per_bit_path(self, monkeypatch, m):
-        rng = np.random.default_rng(100 + m)
-        # trial counts past one 20,000-trial chunk and off every sub-block size
-        cases = [(CoverageParams(m, tuple(rng.uniform(0.01, 0.5, m).tolist()), alpha, k_max,
-                                 int(rng.integers(2**32))), 20_000 + int(rng.integers(1, 1000)))
-                 for alpha in (0.07, 0.3, 0.61) for k_max in (0, 1, 2, 11)]
-        built = []
-        build = coverage._residual_table
-
-        def counted_build(*args):
-            built.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(coverage, "_residual_table", counted_build)
-        looked_up = [simulate_coverage(p, trials=t).to_csv() for p, t in cases]
-        assert len(built) == len(cases)
-        monkeypatch.setattr(coverage, "_TABLE_BITS", 0)
-        per_bit = [simulate_coverage(p, trials=t).to_csv() for p, t in cases]
-        assert len(built) == len(cases)
-        assert looked_up == per_bit
-
-    def test_seventeen_bits_take_the_per_bit_path(self, monkeypatch):
-        def no_table(*args):
-            raise AssertionError("a mask table was built for 17 bits")
-
-        monkeypatch.setattr(coverage, "_residual_table", no_table)
-        params = CoverageParams(17, tuple(np.linspace(0.01, 0.3, 17)), 0.3, 5, 23)
-        assert _digest(params, 20_101) == "0deb3bf4cdd3a4d1d03cf221305103dcf5726529ac5971f79999f59476412771"
 
 
 class TestAnalyticBounds:
