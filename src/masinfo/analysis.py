@@ -20,9 +20,10 @@ from masinfo.harness import LAYERS, answer_matches
 from masinfo.spectral import (
     ZERO_NORM_TOL,
     ZeroNormVector,
+    _sides,
+    _spectrum,
+    _unit_gram,
     normalize_embeddings,
-    k_star,
-    k_star_conditioned,
     mean_pairwise_cosine,
 )
 
@@ -76,7 +77,9 @@ def _mean_or_none(values):
 def _unit_columns(unit):
     """(K*, K*_c, K*_w, mean cosine) of every call of `unit`, (transcript, lookup) pairs.
 
-    Each row is looked up and normalized once.  No cosine below 2 rows.
+    Each row is looked up and normalized once, and their one Gram gives K*
+    and, through its principal submatrices, K*_c and K*_w: the values of
+    k_star and k_star_conditioned.  No cosine below 2 rows.
     """
     ids, rows, mask = [], [], []
     for t, lookup in unit:
@@ -91,9 +94,10 @@ def _unit_columns(unit):
         emb = normalize_embeddings(rows)
     except ZeroNormVector as exc:
         raise ValueError(f"embedding {ids[exc.index]} has norm < {ZERO_NORM_TOL}") from None
-    c, w = k_star_conditioned(emb, mask)
+    g = _unit_gram(emb.vectors)
+    c, w = _sides(g, np.array(mask, dtype=bool))
     cos = mean_pairwise_cosine(emb).mean_pairwise_cosine if emb.n >= 2 else None
-    return k_star(emb).k_star, c, w, cos
+    return _spectrum(g).k_star, c, w, cos
 
 
 def summarize_runs(transcripts, embeddings=None, mode="per-question"):
@@ -194,6 +198,26 @@ class PermutationReport:
     seed: int
 
 
+def _shuffled_r(x, y, shuffles, rng):
+    """[pearson_r(x, rng.permutation(y)) for each shuffle], bit for bit, as an array.
+
+    permuted shuffles each row of the tiled y with the stream that
+    permutation draws, each row mean is summed as y.mean() sums, and each r
+    takes pearson_r's steps in its order, with the x terms taken once.
+    """
+    ys = rng.permuted(np.tile(y, (shuffles, 1)), axis=1)
+    ycs = ys - ys.mean(axis=1, keepdims=True)
+    xc = x - x.mean()
+    sxx = float(np.dot(xc, xc))
+    null = np.empty(shuffles)
+    for i, yc in enumerate(ycs):
+        denom = math.sqrt(sxx * float(np.dot(yc, yc)))
+        if denom == 0.0:
+            raise DegenerateInput("zero variance")
+        null[i] = min(max(float(np.dot(xc, yc)) / denom, -1.0), 1.0)
+    return null
+
+
 def permutation_test(x, y, shuffles=1000, seed=0):
     """Null distribution of Pearson r under random reshuffling of y.
 
@@ -206,10 +230,7 @@ def permutation_test(x, y, shuffles=1000, seed=0):
     if shuffles < 1:
         raise DegenerateInput("shuffles must be >= 1")
     observed = pearson_r(x, y)
-    rng = np.random.default_rng(seed)
-    null = np.empty(shuffles)
-    for i in range(shuffles):
-        null[i] = pearson_r(x, rng.permutation(y))
+    null = _shuffled_r(x, y, shuffles, np.random.default_rng(seed))
     null_mean = float(null.mean())
     null_std = float(null.std())
     if null_std == 0.0:

@@ -378,6 +378,14 @@ def cmd_analyze(args):
 # parser
 
 
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        # numpy's generators take no negative seed
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="masinfo", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -417,7 +425,7 @@ def build_parser():
     a.add_argument("store_dir")
     a.add_argument("--merge", nargs="*", help="additional store directories to merge")
     a.add_argument("--mode", choices=("per-question", "pooled"), default="per-question")
-    a.add_argument("--seed", type=int, default=0)
+    a.add_argument("--seed", type=_non_negative_int, default=0)
     a.add_argument("--output")
     a.set_defaults(func=cmd_analyze)
 

@@ -511,12 +511,27 @@ class OpenAIEmbeddingBackend:
         self.max_batch = max_batch
 
     def embed(self, texts):
-        data = self.client.post("/embeddings", {"model": self.model, "input": list(texts)})
+        """One vector per text, in the order of `texts`, placed by the reply's indices.
+
+        Raises BackendError unless the reply's `index` fields are exactly the
+        ints 0..n-1 for n texts.
+        """
+        texts = list(texts)
+        data = self.client.post("/embeddings", {"model": self.model, "input": texts})
         try:
-            rows = sorted(data["data"], key=lambda d: d["index"])
-            return [r["embedding"] for r in rows]
+            indices = [r["index"] for r in data["data"]]
+            vectors = [r["embedding"] for r in data["data"]]
         except (KeyError, TypeError) as exc:
             raise BackendError(f"malformed embedding response: {data}") from exc
+        # a bool is no index, though it is an int subclass
+        if (any(type(i) is not int for i in indices)
+                or sorted(indices) != list(range(len(texts)))):
+            raise BackendError(f"embedding response indices {indices} are not "
+                               f"0..{len(texts) - 1}, one per text")
+        placed = [None] * len(texts)
+        for i, v in zip(indices, vectors):
+            placed[i] = v
+        return placed
 
     def close(self):
         self.client.close()

@@ -104,16 +104,26 @@ def k_star(emb: EmbeddingSet) -> SpectralSummary:
     PSD in exact arithmetic); anything more negative means corrupted input.
     0*log(0) is taken as 0.
     """
-    return _spectrum(emb.vectors)
+    return _spectrum(_unit_gram(emb.vectors))
 
 
-def _spectrum(rows):
-    """k_star of the unit rows of the 2-D array `rows`, which are not checked again."""
-    # exactly symmetric: numpy computes a matrix times its transpose with BLAS syrk
+def _unit_gram(rows):
+    """G = Z Z^T of the unit rows Z, its diagonal set to exactly 1."""
+    # exactly symmetric: numpy computes a matrix times its transpose with BLAS
+    # syrk, and every principal submatrix of G is then exactly symmetric too
     g = rows @ rows.T
     np.fill_diagonal(g, 1.0)
+    return g
+
+
+def _spectrum(g):
+    """k_star of the unit rows whose Gram is `g`, which is not checked again.
+
+    `g` must be exactly symmetric with a unit diagonal, as _unit_gram's
+    result and its principal submatrices are; eigvalsh reads one triangle.
+    """
     # unit rows: Tr(G) = n exactly
-    eigs = symmetric_eigenvalues(g) / len(rows)
+    eigs = np.linalg.eigvalsh(g)[::-1] / len(g)
     if np.any(eigs < -EIG_CLIP_TOL):
         raise ValueError(f"eigenvalue {eigs.min():.3e} below -{EIG_CLIP_TOL}; Gram not PSD")
     eigs = np.clip(eigs, 0.0, None)
@@ -131,9 +141,18 @@ def k_star_conditioned(emb: EmbeddingSet, correct_mask):
     mask = np.asarray(correct_mask, dtype=bool)
     if mask.shape != (emb.n,):
         raise ValueError("mask length must equal row count")
+    return _sides(_unit_gram(emb.vectors), mask)
+
+
+def _sides(g, mask):
+    """(K*_c, K*_w) from the principal submatrices of the unit-row Gram `g`.
+
+    The first side takes the rows where the boolean `mask` holds, the second
+    the others; an empty side is None.
+    """
 
     def side(m):
-        return _spectrum(emb.vectors[m]).k_star if m.any() else None
+        return _spectrum(g[np.ix_(m, m)]).k_star if m.any() else None
 
     return side(mask), side(~mask)
 
@@ -209,7 +228,7 @@ def load_embeddings_jsonl(path, digest=None):
 # load_embeddings_jsonl accepts, rejects or returns anything differently, so
 # that caches an older version wrote are read as misses.
 _CACHE_FORMAT = 3
-_HASH_CHUNK = 1 << 20
+_HASH_CHUNK = 1 << 18
 # what reading a missing, torn or foreign cache raises
 _BAD_CACHE = (OSError, ValueError, TypeError)
 
@@ -228,9 +247,12 @@ class _ContentKey:
 
 def _file_sha256(path):
     digest = hashlib.sha256()
+    # one buffer for every chunk, not a new bytes object per read
+    buf = bytearray(_HASH_CHUNK)
+    view = memoryview(buf)
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(_HASH_CHUNK), b""):
-            digest.update(chunk)
+        while size := fh.readinto(buf):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 

@@ -21,6 +21,7 @@ from masinfo.analysis import (
     spearman_rho,
     summarize_runs,
     _ranks,
+    _shuffled_r,
 )
 from masinfo.harness import (
     DiversityPlan,
@@ -330,6 +331,20 @@ class TestPermutation:
         a = permutation_test(x, y, shuffles=200, seed=7)
         b = permutation_test(x, y, shuffles=200, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("n", [5, 16, 200])
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    def test_null_is_the_per_shuffle_pearson_loop(self, n, ties):
+        rng = np.random.default_rng([n, ties])
+        x = rng.standard_normal(n) * 3.0 + 1.0
+        y = rng.integers(0, 3, n) / 7.0 if ties else rng.standard_normal(n) * 1e3 + 7.0
+        loop_rng = np.random.default_rng(11)
+        loop = np.array([pearson_r(x, loop_rng.permutation(y)) for _ in range(300)])
+        null = _shuffled_r(x, y, 300, np.random.default_rng(11))
+        assert np.array_equal(null, loop)
+        report = permutation_test(x, y, shuffles=300, seed=11)
+        assert (report.null_mean, report.null_std) == (float(loop.mean()), float(loop.std()))
+        assert report.p_value == (np.sum(np.abs(loop) >= abs(pearson_r(x, y))) + 1) / 301
 
     def test_validation(self):
         with pytest.raises(DegenerateInput):

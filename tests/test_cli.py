@@ -907,6 +907,14 @@ class TestAnalyze:
         rows = json.loads((reports / "summaries.json").read_text())
         assert all(r["k_star"] is None for r in rows)
 
+    def test_negative_seed_exits_2_before_reading(self, tmp_path, capsys):
+        # numpy takes no negative seed; the permutation test runs only from 5 configs
+        store = self.run_store(tmp_path)
+        code, out = run_cli("analyze", str(store), "--seed", "-1", capsys=capsys)
+        assert code == 2
+        assert "--seed: must be >= 0, got -1" in out.err
+        assert not (store / "reports").exists()
+
     def test_empty_store_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -349,6 +349,34 @@ class TestEmbeddings:
         b = MockEmbeddingBackend(dim=5, seed=3)
         assert b.embed(["x"]) == b.embed(["x"])
 
+    @staticmethod
+    def replying(indices):
+        """An OpenAIEmbeddingBackend whose /embeddings reply carries `indices`."""
+        backend = OpenAIEmbeddingBackend("http://127.0.0.1:9", "emb-model")
+        backend.client.post = lambda path, body: {
+            "data": [{"index": i, "embedding": [float(k), 1.0]} for k, i in enumerate(indices)]}
+        return backend
+
+    def test_reply_placed_by_its_indices(self):
+        backend = self.replying([2, 0, 1])
+        try:
+            assert backend.embed(["a", "b", "c"]) == [[1.0, 1.0], [2.0, 1.0], [0.0, 1.0]]
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("texts,indices", [
+        (3, [1, 1, 2]), (2, [0, 5]), (2, [0]), (2, [0, 1, 2]),
+        (2, [False, True]), (2, [0, 1.0]), (2, [0, "1"]), (1, [None])],
+        ids=["repeated", "out-of-range", "too-few", "too-many", "bools", "float", "string",
+             "null"])
+    def test_reply_indices_not_0_to_n_minus_1_raise(self, texts, indices):
+        backend = self.replying(indices)
+        try:
+            with pytest.raises(BackendError, match=re.escape(f"indices {indices} are not")):
+                backend.embed([f"t{k}" for k in range(texts)])
+        finally:
+            backend.close()
+
     @pytest.mark.parametrize("dim", [1, 3, 64, 1536])
     def test_mock_draws_what_a_fresh_philox_draws(self, dim):
         texts = [f"text {i}" for i in range(300)] + ["", "é", "text 0"]

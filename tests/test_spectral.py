@@ -93,16 +93,15 @@ class TestEmbeddingSet:
     @pytest.mark.parametrize("n", [1, 2, 7, 33, 64])
     @pytest.mark.parametrize("d", [2, 64, 1536])
     def test_gram_is_exactly_symmetric(self, n, d):
-        # _spectrum hands rows @ rows.T to the solver without symmetrizing it:
-        # numpy computes a product with its own transpose by BLAS syrk and
-        # mirrors the triangle, for the C-contiguous rows and the boolean-mask
-        # subsets (copies) that k_star and k_star_conditioned pass
+        # _spectrum hands the Gram and its principal submatrices to eigvalsh,
+        # which reads one triangle, without symmetrizing them: numpy computes
+        # a product with its own transpose by BLAS syrk and mirrors the
+        # triangle, and k_star_conditioned's sides are submatrices of that Gram
         rng = np.random.default_rng([n, d])
-        rows = EmbeddingSet(random_unit_rows(rng, n, d)).vectors
+        g = spectral._unit_gram(EmbeddingSet(random_unit_rows(rng, n, d)).vectors)
         mask = rng.random(n) < 0.5
-        for sub in (rows, rows[mask], rows[~mask]):
-            g = sub @ sub.T
-            assert np.array_equal(g, g.T)
+        for sub in (g, g[np.ix_(mask, mask)], g[np.ix_(~mask, ~mask)]):
+            assert np.array_equal(sub, sub.T)
 
 
 class TestGram:
@@ -224,6 +223,30 @@ class TestConditioned:
         emb = normalize_embeddings(np.eye(2))
         with pytest.raises(ValueError):
             k_star_conditioned(emb, [True])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 33, 64])
+    @pytest.mark.parametrize("rank", ["full", "deficient"])
+    def test_shared_gram_sides_match_sub_row_grams(self, n, rank):
+        # each side is a principal submatrix of the whole set's Gram; a Gram
+        # of the side's own rows may sum its dot products in another order
+        rng = np.random.default_rng([n, rank == "full"])
+        raw = rng.standard_normal((n, 48))
+        if rank == "deficient":  # rows in a 3-dim subspace, some repeated
+            raw = rng.standard_normal((n, 3)) @ rng.standard_normal((3, 48))
+            raw[n // 2:] = raw[: n - n // 2]
+        emb = EmbeddingSet(raw)
+        masks = [rng.random(n) < 0.5, np.ones(n, bool), np.zeros(n, bool),
+                 np.arange(n) == n - 1]
+        for mask in masks:
+            got = k_star_conditioned(emb, mask)
+            for side, m in zip(got, (mask, ~mask)):
+                if not m.any():
+                    assert side is None
+                    continue
+                fresh = spectral._spectrum(spectral._unit_gram(emb.vectors[m])).k_star
+                assert side == pytest.approx(fresh, rel=1e-12, abs=0)
+                if m.sum() == 1:
+                    assert side == 1.0
 
 
 class TestRedundancy:
@@ -491,6 +514,13 @@ class TestStoreCache:
         digest = hashlib.sha256()
         load_embeddings_jsonl(store / "emb.jsonl", digest)
         assert digest.hexdigest() == hashlib.sha256((store / "emb.jsonl").read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("size", [0, 1, spectral._HASH_CHUNK - 1, spectral._HASH_CHUNK,
+                                      spectral._HASH_CHUNK + 1, 3 * spectral._HASH_CHUNK + 5])
+    def test_file_sha256_is_the_digest_of_every_byte(self, tmp_path, size):
+        data = np.random.default_rng(size).bytes(size)
+        (tmp_path / "f").write_bytes(data)
+        assert spectral._file_sha256(tmp_path / "f") == hashlib.sha256(data).hexdigest()
 
     def test_appended_row_makes_the_cache_stale(self, store):
         path = store / "emb.jsonl"
