@@ -304,8 +304,7 @@ def cmd_run(args):
             # two leaves the task undone, and its rerun's rows win
             if vectors:
                 emb_file = emb_file or stack.enter_context(open(emb_path, "a"))
-                emb_file.write("".join(harness.embedding_row(i, v) + "\n"
-                                       for i, v in zip(t.embedding_ids(), vectors)))
+                emb_file.write(harness.embedding_rows(t.embedding_ids(), vectors))
                 emb_file.flush()
             stores[spec].append(t)
             if not t.invalid:

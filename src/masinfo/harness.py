@@ -63,7 +63,13 @@ class BackendError(RuntimeError):
 
 
 class TransientBackendError(BackendError):
-    """A failure a retry may cure: HTTP 5xx or 429, a connection error or a timeout."""
+    """A failure a retry may cure: HTTP 5xx or 429, a connection error or a timeout.
+
+    `retry_after` holds the seconds a 429 or 503 reply's Retry-After header
+    asked for, or None.
+    """
+
+    retry_after = None
 
 
 class DimensionMismatch(ValueError):
@@ -363,6 +369,9 @@ class MockEmbeddingBackend:
         return vectors
 
 
+_DELAY_SECONDS = re.compile(r"[0-9]+")  # Retry-After's delay-seconds form (RFC 9110)
+
+
 class JSONClient:
     """POSTs JSON to paths under one base URL and returns the decoded reply.
 
@@ -372,7 +381,9 @@ class JSONClient:
     (HTTP_PROXY, HTTPS_PROXY, NO_PROXY); HTTPS verifies against the system
     CA store.  HTTP 5xx and 429, connection errors and timeouts are retried
     up to `max_retries` times with exponential back-off; any other 4xx
-    fails at once.
+    fails at once.  A 429 or 503 whose Retry-After is a number of seconds
+    waits that long instead when it is longer, but never more than `timeout`;
+    an HTTP-date or any other Retry-After is ignored.
     """
 
     def __init__(self, base_url, api_key=None, max_retries=3, backoff=1.0, timeout=60.0):
@@ -439,7 +450,11 @@ class JSONClient:
             with self._lock:
                 self._idle.append(conn)
         if resp.status == 429 or resp.status >= 500:
-            raise TransientBackendError(f"server error {resp.status} from {url}")
+            exc = TransientBackendError(f"server error {resp.status} from {url}")
+            retry_after = resp.getheader("Retry-After", "").strip()
+            if resp.status in (429, 503) and _DELAY_SECONDS.fullmatch(retry_after):
+                exc.retry_after = int(retry_after)
+            raise exc
         if resp.status >= 400:
             raise BackendError(f"request rejected ({resp.status}) by {url}: {data[:200]!r}")
         # imported here, so the toolkit commands never load it
@@ -455,7 +470,8 @@ class JSONClient:
         body = json.dumps(payload).encode()
         for attempt in range(self.max_retries + 1):
             if attempt:
-                time.sleep(self.backoff * 2 ** (attempt - 1))
+                time.sleep(max(self.backoff * 2 ** (attempt - 1),
+                               min(last.retry_after or 0, self.timeout)))
             try:
                 return self._exchange(url, body)
             except TransientBackendError as exc:
@@ -538,22 +554,30 @@ class OpenAIEmbeddingBackend:
 
 
 def fetch_embeddings(texts, backend):
-    """Embed a batch, chunking transparently to the backend's batch limit.
+    """One vector per text, in the order of `texts`.
 
+    Each distinct text goes to the backend once, in order of first
+    occurrence, chunked to the backend's batch limit; a repeated text shares
+    the vector object the backend returned for its first occurrence.
     Raises DimensionMismatch unless the backend returns one flat list of
-    finite numbers per text, all of one width, none of norm below 1e-12.
+    finite numbers per text, all of one width, none of norm below 1e-12;
+    a bad row is named by the first position of its text.
     """
     texts = list(texts)
-    if not texts:
+    first = {}  # text -> first position, in order of first occurrence
+    for k, t in enumerate(texts):
+        first.setdefault(t, k)
+    if not first:
         raise ValueError("texts must be nonempty")
-    limit = getattr(backend, "max_batch", None) or len(texts)
+    distinct = list(first)
+    limit = getattr(backend, "max_batch", None) or len(distinct)
     vectors = []
-    for start in range(0, len(texts), limit):
-        vectors.extend(backend.embed(texts[start:start + limit]))
-    if len(vectors) != len(texts):
+    for start in range(0, len(distinct), limit):
+        vectors.extend(backend.embed(distinct[start:start + limit]))
+    if len(vectors) != len(distinct):
         raise DimensionMismatch("backend returned wrong number of vectors")
     # the rules of load_embeddings_jsonl and EmbeddingSet: `run` writes no row `analyze` rejects
-    for k, v in enumerate(vectors):
+    for k, v in zip(first.values(), vectors):
         if not is_finite_number_list(v):
             raise DimensionMismatch(
                 f"embedding row {k} is not a flat list of finite numbers: {str(v)[:80]}")
@@ -565,7 +589,8 @@ def fetch_embeddings(texts, backend):
     dims = {len(v) for v in vectors}
     if len(dims) != 1:
         raise DimensionMismatch(f"inconsistent embedding dimensions: {sorted(dims)}")
-    return vectors
+    by_text = dict(zip(distinct, vectors))
+    return [by_text[t] for t in texts]
 
 
 # ---------------------------------------------------------------------------
@@ -779,8 +804,8 @@ def run_tasks(jobs, plan: DiversityPlan, backend, embedder=None, concurrency=4, 
 # persistence
 
 
-def embedding_row(row_id, vector):
-    """`json.dumps({"id": row_id, "vector": vector})`, byte for byte, about 6x faster.
+def _vector_json(vector):
+    """`json.dumps(vector)`, byte for byte, about 6x faster.
 
     `vector` is a list of finite floats and ints.  orjson prints the same
     shortest digits as `float.__repr__` and differs only in layout: it writes
@@ -795,7 +820,7 @@ def embedding_row(row_id, vector):
     try:
         raw = orjson.dumps(vector)
     except orjson.JSONEncodeError:  # an int beyond 64 bits
-        return json.dumps({"id": row_id, "vector": vector})
+        return json.dumps(vector)
     spans = {}  # start -> end of each token to re-render
     for needle in (b"e", b"0.0000"):
         k = raw.find(needle)
@@ -814,7 +839,30 @@ def embedding_row(row_id, vector):
             done = spans[start]
         parts.append(raw[done:])
         raw = b"".join(parts)
-    return f'{{"id": {json.dumps(row_id)}, "vector": {raw.replace(b",", b", ").decode()}}}'
+    return raw.replace(b",", b", ").decode()
+
+
+def embedding_rows(row_ids, vectors):
+    """One `json.dumps({"id": row_id, "vector": vector})` line per pair, byte
+    for byte, each ending in a newline.
+
+    A vector object that repeats (fetch_embeddings gives repeated texts one
+    shared vector) is encoded once and its bytes reused.
+    """
+    encoded = {}  # id(vector) -> (vector, its JSON); holding the vector keeps its id unique
+    lines = []
+    for row_id, v in zip(row_ids, vectors):
+        hit = encoded.get(id(v))
+        if hit is None:
+            hit = encoded[id(v)] = (v, _vector_json(v))
+        lines.append(f'{{"id": {json.dumps(row_id)}, "vector": {hit[1]}}}\n')
+    return "".join(lines)
+
+
+def embedding_row(row_id, vector):
+    """`json.dumps({"id": row_id, "vector": vector})`, byte for byte: the one
+    line `embedding_rows` writes for this pair, without its newline."""
+    return embedding_rows([row_id], [vector])[:-1]
 
 
 class TranscriptStore:
@@ -852,6 +900,8 @@ def load_tasks_jsonl(path):
     """Tasks as {"id", "question", "choices"?, "answer"?} objects, one per line.
 
     Ids must be unique: they name the task's transcript and its embedding rows.
+    The question must be a string and the choices, when given, a list: a
+    string would be split into one-letter options.
     """
     tasks, seen = [], set()
     with open(path) as fh:
@@ -863,7 +913,11 @@ def load_tasks_jsonl(path):
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
-                obj["id"], obj["question"]
+                obj["id"]
+                if not isinstance(obj["question"], str):
+                    raise TypeError(f"question must be a string, got {obj['question']!r}")
+                if obj.get("choices") is not None and not isinstance(obj["choices"], list):
+                    raise TypeError(f"choices must be a list, got {obj['choices']!r}")
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"malformed task at line {lineno}: {exc}") from exc
             if str(obj["id"]) in seen:

@@ -547,6 +547,10 @@ class TestConfigValidation:
         ('{"id": "t0", "question": "Q?"}\n[1, 2]\n', None, "line 2"),
         ('{"id": "t0", "question": "Q?"}\n{"id": "t0", "question": "Again?"}\n', None,
          "line 2 repeats id 't0'"),
+        ('{"id": "t0", "question": "Q?"}\n{"id": "t1", "question": 5}\n', None,
+         "line 2: question must be a string, got 5"),
+        ('{"id": "t0", "question": "Q?", "choices": "ab"}\n', None,
+         "line 1: choices must be a list, got 'ab'"),
         ("", None, "holds no tasks"),
         ("\n\n", None, "holds no tasks"),
         (None, {"kind": "openai"}, "chat_url"),
@@ -557,7 +561,8 @@ class TestConfigValidation:
         (None, {"kind": "openai", "chat_url": 5}, "backend chat_url must be a string"),
         (None, {"kind": "openai", "chat_url": "http://127.0.0.1:9/v1", "api_key_env": 5},
          "backend api_key_env must be a string"),
-    ], ids=["task-not-object", "task-id-repeated", "no-tasks", "blank-lines-only",
+    ], ids=["task-not-object", "task-id-repeated", "question-number", "choices-string",
+            "no-tasks", "blank-lines-only",
             "openai-without-chat-url",
             "unknown-backend-kind", "backend-string", "mock-dim-string", "mock-dim-zero",
             "chat-url-number", "api-key-env-number"])
@@ -760,10 +765,16 @@ class FailingEmbed:
 
 
 class TestEmbeddingFailures:
+    # FailingEmbed fails by batch position, and fetch_embeddings sends each
+    # distinct text once: the two calls of each task need distinct outputs
+    @staticmethod
+    def distinct_chat():
+        return MockChatBackend(seed=11, initial_answers="ABABAB")
+
     @pytest.mark.parametrize("failure", ["backend", "dimensions"])
     def test_warns_per_task_and_keeps_running(self, tmp_path, capsys, monkeypatch, failure):
         monkeypatch.setattr(
-            cli, "_build_backends", lambda cfg: (MockChatBackend(seed=11), FailingEmbed(failure)))
+            cli, "_build_backends", lambda cfg: (self.distinct_chat(), FailingEmbed(failure)))
         cfg_path, _ = base_config(tmp_path, n_agents_list=[2])
         code, out = run_cli("run", str(cfg_path), capsys=capsys)
         assert code == 0
@@ -792,7 +803,7 @@ class TestEmbeddingFailures:
 
     def test_zero_norm_vectors_write_no_row(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "_build_backends", lambda cfg: (MockChatBackend(seed=11), FailingEmbed("zero")))
+            cli, "_build_backends", lambda cfg: (self.distinct_chat(), FailingEmbed("zero")))
         cfg_path, _ = base_config(tmp_path, n_agents_list=[2])
         code, out = run_cli("run", str(cfg_path), capsys=capsys)
         assert code == 0

@@ -31,6 +31,7 @@ from masinfo.harness import (
     answer_matches,
     build_layer_pool,
     embedding_row,
+    embedding_rows,
     extract_answer,
     fetch_embeddings,
     load_tasks_jsonl,
@@ -349,6 +350,59 @@ class TestEmbeddings:
         b = MockEmbeddingBackend(dim=5, seed=3)
         assert b.embed(["x"]) == b.embed(["x"])
 
+    class Recording(MockEmbeddingBackend):
+        """The mock embedder, keeping every batch it is sent."""
+
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            self.batches = []
+
+        def embed(self, texts):
+            self.batches.append(list(texts))
+            return super().embed(texts)
+
+    # repeats of the kinds run_tasks sends: clone outputs and failed calls ("")
+    REPEATED = ["b", "a", "b", "", "c", "a", "", "d", "b", "e"]
+
+    @pytest.mark.parametrize("max_batch", [None, 1, 2, 4, 100])
+    def test_each_distinct_text_sent_once_in_first_occurrence_order(self, max_batch):
+        backend = self.Recording(dim=4, max_batch=max_batch)
+        fetch_embeddings(self.REPEATED, backend)
+        distinct = ["b", "a", "", "c", "d", "e"]
+        limit = max_batch or len(distinct)
+        assert backend.batches == [distinct[k:k + limit] for k in range(0, len(distinct), limit)]
+
+    def test_repeats_share_the_vector_a_per_text_call_gives(self):
+        backend = MockEmbeddingBackend(dim=5, seed=2, max_batch=3)
+        vectors = fetch_embeddings(self.REPEATED, backend)
+        assert vectors == [backend.embed([t])[0] for t in self.REPEATED]
+        for t, v in zip(self.REPEATED, vectors):
+            assert v is vectors[self.REPEATED.index(t)]
+
+    @pytest.mark.parametrize("bad,message", [
+        ([None, 0.5], "embedding row 2 is not a flat list"),
+        ([0.0, 0.0], "embedding row 2 has norm < 1e-12"),
+    ], ids=["not-numbers", "zero-norm"])
+    def test_bad_repeated_text_named_by_its_first_position(self, bad, message):
+        class BadForC:
+            max_batch = None
+
+            def embed(self, texts):
+                return [bad if t == "c" else [0.6, 0.8] for t in texts]
+
+        with pytest.raises(DimensionMismatch, match=message):
+            fetch_embeddings(["a", "b", "c", "a", "c"], BadForC())
+
+    def test_rows_of_repeated_vectors_equal_embedding_row(self):
+        texts = self.REPEATED
+        vectors = fetch_embeddings(texts, MockEmbeddingBackend(dim=32, seed=9))
+        # an exponent token and an int beyond 64 bits, which take the other encoder paths
+        vectors += [[1e-05, -2.5e-07, 0.5]] * 2 + [[2 ** 70, 0.5]] * 2
+        ids = [f"q{k}:{k}" for k in range(len(vectors))]
+        assert embedding_rows(ids, vectors) == "".join(
+            embedding_row(i, v) + "\n" for i, v in zip(ids, vectors))
+        assert embedding_rows([], []) == ""
+
     @staticmethod
     def replying(indices):
         """An OpenAIEmbeddingBackend whose /embeddings reply carries `indices`."""
@@ -497,6 +551,28 @@ class TestTaskLoading:
         with pytest.raises(ValueError, match="line 2"):
             load_tasks_jsonl(path)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("question", 5, "question must be a string, got 5"),
+        ("question", None, "question must be a string, got None"),
+        ("question", ["Which?"], "question must be a string"),
+        ("choices", "ab", "choices must be a list, got 'ab'"),
+        ("choices", {"A": "one"}, "choices must be a list"),
+    ])
+    def test_question_not_string_or_choices_not_list_names_line(self, tmp_path, field, value,
+                                                               message):
+        path = tmp_path / "tasks.jsonl"
+        path.write_text(json.dumps(TASK_MC) + "\n\n" + json.dumps({**TASK_MC, "id": "t2",
+                                                                   field: value}) + "\n")
+        with pytest.raises(ValueError, match=f"malformed task at line 3: {re.escape(message)}"):
+            load_tasks_jsonl(path)
+
+    def test_null_or_absent_choices_are_numeric_tasks(self, tmp_path):
+        path = tmp_path / "tasks.jsonl"
+        numeric = {"id": "n1", "question": "2 + 2?", "answer": 4}
+        path.write_text(json.dumps(numeric) + "\n"
+                        + json.dumps({**numeric, "id": "n2", "choices": None}) + "\n")
+        assert [t["id"] for t in load_tasks_jsonl(path)] == ["n1", "n2"]
+
     @pytest.mark.parametrize("text", ["", "\n  \n"])
     def test_no_tasks_rejected(self, tmp_path, text):
         path = tmp_path / "tasks.jsonl"
@@ -512,6 +588,7 @@ class TestTaskLoading:
 class _Handler(BaseHTTPRequestHandler):
     fail_first = 0
     fail_status = 500
+    retry_after = None  # the Retry-After header of each failure, when set
     garbage_first = 0  # requests answered 200 with a body that is not JSON
     hits = 0
 
@@ -524,6 +601,8 @@ class _Handler(BaseHTTPRequestHandler):
         if cls.fail_first > 0:
             cls.fail_first -= 1
             self.send_response(cls.fail_status)
+            if cls.retry_after is not None:
+                self.send_header("Retry-After", cls.retry_after)
             self.end_headers()
             return
         if cls.garbage_first > 0:
@@ -568,7 +647,7 @@ def http_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _Handler.fail_first, _Handler.fail_status, _Handler.hits = 0, 500, 0
-    _Handler.garbage_first = 0
+    _Handler.garbage_first, _Handler.retry_after = 0, None
     yield f"http://127.0.0.1:{server.server_port}/v1"
     server.shutdown()
     server.server_close()
@@ -600,6 +679,35 @@ class TestHTTPBackends:
         out = backend.chat([{"role": "user", "content": "hi"}], "m", Decoding())
         assert "(A)" in out
         assert _Handler.hits == 2
+
+    @pytest.mark.parametrize("status,retry_after,backoff,sleeps", [
+        (429, "7", 0.5, [7, 7]),
+        (503, " 3 ", 1.0, [3, 3]),
+        (503, "1", 4.0, [4, 8]),  # the back-off is longer
+        (429, "120", 1.0, [10, 10]),  # capped at the client's timeout
+        (429, "0", 1.0, [1, 2]),
+        (500, "7", 1.0, [1, 2]),  # only 429 and 503 are asked to wait
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 1.0, [1, 2]),
+        (503, "soon", 1.0, [1, 2]),
+        (503, "-3", 1.0, [1, 2]),
+        (503, "1.5", 1.0, [1, 2]),
+        (503, "\u00b2", 1.0, [1, 2]),  # "²", which str.isdigit takes
+    ], ids=["429-seconds", "503-padded", "backoff-longer", "capped", "zero", "500-ignored",
+            "http-date-ignored", "word-ignored", "negative-ignored", "fraction-ignored",
+            "superscript-ignored"])
+    def test_retry_after_seconds_lengthens_the_back_off(self, http_server, monkeypatch, status,
+                                                        retry_after, backoff, sleeps):
+        slept = []
+        monkeypatch.setattr("time.sleep", slept.append)
+        _Handler.fail_first, _Handler.fail_status = 2, status
+        _Handler.retry_after = retry_after
+        backend = OpenAIChatBackend(http_server, backoff=backoff, timeout=10.0)
+        try:
+            assert "(A)" in backend.chat([{"role": "user", "content": "hi"}], "m", Decoding())
+        finally:
+            backend.close()
+        assert slept == sleeps
+        assert _Handler.hits == 3
 
     def test_client_error_fails_on_first_request(self, http_server):
         _Handler.fail_first, _Handler.fail_status = 5, 400
