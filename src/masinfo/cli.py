@@ -292,6 +292,8 @@ def cmd_run(args):
         for backend in (chat, embed):
             if hasattr(backend, "close"):
                 stack.callback(backend.close)
+        for store in stores.values():
+            stack.callback(store.close)
         # closed before the backends: it waits for the calls still in flight
         results = stack.enter_context(contextlib.closing(
             harness.run_tasks(jobs, plan, chat, embed, concurrency, dataset_name)))

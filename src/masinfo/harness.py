@@ -439,7 +439,8 @@ class JSONClient:
             # server; a closed connection reopens on its next request
             conn.close()
         try:
-            # a bytes body goes out in the same write as the headers
+            # http.client sends the headers and a bytes body in two writes; it
+            # sets TCP_NODELAY on connect, so the body does not wait on Nagle
             conn.request("POST", url, body, self._headers)
             resp = conn.getresponse()
             data = resp.read()
@@ -698,6 +699,7 @@ def run_workflow(task, spec: WorkflowSpec, plan: DiversityPlan, backend, pool, d
     """
     n_agents, rounds = spec.num_agents, spec.rounds
     configs = plan.configs(n_agents)
+    labels = [cfg.type_label for cfg in configs]
     fmt = _task_format(task)
     base_prompt = _question_text(task)
 
@@ -725,7 +727,7 @@ def run_workflow(task, spec: WorkflowSpec, plan: DiversityPlan, backend, pool, d
             calls.append(
                 {
                     "call_index": (r - 1) * n_agents + i,
-                    "agent_type_label": configs[i].type_label,
+                    "agent_type_label": labels[i],
                     "round": r,
                     "raw_output": raw,
                     "extracted_answer": ans,
@@ -866,14 +868,26 @@ def embedding_row(row_id, vector):
 
 
 class TranscriptStore:
-    """Append-only JSONL store of transcripts, one per line."""
+    """Append-only JSONL store of transcripts, one per line.
+
+    The file is opened on the first append and stays open until close();
+    each transcript is flushed as it is written.
+    """
 
     def __init__(self, path):
         self.path = path
+        self._fh = None
 
     def append(self, transcript: Transcript):
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(transcript.to_dict(), sort_keys=True) + "\n")
+        if self._fh is None:
+            self._fh = open(self.path, "a")
+        self._fh.write(json.dumps(transcript.to_dict(), sort_keys=True) + "\n")
+        self._fh.flush()
+
+    def close(self):
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
     def __iter__(self):
         try:

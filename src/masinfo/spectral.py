@@ -192,15 +192,16 @@ def load_embeddings_jsonl(path, digest=None):
     Each vector must pass is_finite_number_list: `null`, `NaN`, `Infinity`,
     a literal that overflows a double (`1e400`), a boolean, a string or a
     nested list is rejected.  Raises ValueError naming the offending line
-    number on malformed input.  An object passed as `digest` has its
-    `update` called with every byte read, so it names exactly the bytes the
-    rows came from.
+    number on malformed input.  `path` may also be a binary file open for
+    reading, which is read from where it stands and left open.  An object
+    passed as `digest` has its `update` called with every byte read, so it
+    names exactly the bytes the rows came from.
     """
     # imported here, so processes that never read embeddings do not load it
     import orjson
 
     ids, rows = [], []
-    with open(path, "rb") as fh:
+    with contextlib.nullcontext(path) if hasattr(path, "read") else open(path, "rb") as fh:
         lines = fh if digest is None else (digest.update(line) or line for line in fh)
         for lineno, line in enumerate(lines, start=1):
             line = line.strip()
@@ -227,10 +228,14 @@ def load_embeddings_jsonl(path, digest=None):
 # Names the cache layout and the decoder that filled it.  Bump it whenever
 # load_embeddings_jsonl accepts, rejects or returns anything differently, so
 # that caches an older version wrote are read as misses.
-_CACHE_FORMAT = 3
+_CACHE_FORMAT = 4
 _HASH_CHUNK = 1 << 18
 # what reading a missing, torn or foreign cache raises
 _BAD_CACHE = (OSError, ValueError, TypeError)
+# A stat stamp proves a file unchanged only where its ctime is the inode's
+# change time, which no user-space call can set; on Windows it is the
+# creation time.
+_STAMPS = os.name == "posix"
 
 
 class _ContentKey:
@@ -245,71 +250,158 @@ class _ContentKey:
         self.size += len(data)
 
 
-def _file_sha256(path):
+def _file_sha256(fh):
+    """The sha256 hex digest of the rest of the binary file `fh`."""
     digest = hashlib.sha256()
     # one buffer for every chunk, not a new bytes object per read
     buf = bytearray(_HASH_CHUNK)
     view = memoryview(buf)
-    with open(path, "rb") as fh:
-        while size := fh.readinto(buf):
-            digest.update(view[:size])
+    while size := fh.readinto(buf):
+        digest.update(view[:size])
     return digest.hexdigest()
+
+
+def _stamp(st):
+    """The stat fields a write to the file changes: device, inode, size, mtime, ctime."""
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def _trusted(stamp, reference):
+    """Whether `stamp`, equal to its file's stat now, proves the file unchanged
+    since a time `reference` (ns) taken on its filesystem before the stamp;
+    never when there is no reference.
+
+    Its mtime and ctime must both be older than the reference: a write in
+    the same timestamp tick could otherwise leave the stamp unchanged (git's
+    "racy git" rule).
+    """
+    return _STAMPS and reference is not None and max(stamp[3:]) < reference
 
 
 def load_store_embeddings(path):
     """load_embeddings_jsonl(path), through a binary copy of its rows beside it.
 
-    `<name>.cache` holds one orjson line `[format, size, sha256, width, ids]`
-    (_CACHE_FORMAT, the size and sha256 of the JSONL bytes the rows were
-    decoded from, the row width and the ids), then the rows as raw
-    little-endian float64.  It is used only while the JSONL still has that
-    size and digest, so the JSONL stays the only source of truth; a file
-    whose size differs is not hashed.  Otherwise the JSONL is decoded and the
-    cache rewritten; a cache that cannot be read counts as absent, and one
-    that cannot be written is left out.
+    `<name>.cache` holds one orjson line `[format, size, sha256, stamp, width,
+    ids]`, then the rows as raw little-endian float64: _CACHE_FORMAT, the
+    size and sha256 of the JSONL bytes the rows were decoded from, the
+    JSONL's _stamp while it held still through that read (else null), the
+    row width and the ids.  The cache's own mtime is a reference time taken
+    on the store's filesystem before that read (_NewCache).
+
+    The rows are read back only while the format is the current one, the
+    JSONL still has that size, and the cache holds exactly len(ids) * width
+    floats, all finite.  They are then trusted without hashing the JSONL
+    when its stat now equals the stamp and _trusted holds.  Failing that,
+    they are trusted when the JSONL's sha256 matches, and the cache is
+    rewritten with a fresh stamp if a later hit could trust it, so the next
+    hit needs no hash.  Otherwise the JSONL is decoded and the cache
+    rewritten.  The JSONL stays the only source of truth; a cache that
+    cannot be read counts as absent, and one that cannot be written is left
+    out.
     """
+    cache = os.path.splitext(path)[0] + ".cache"
+    with open(path, "rb") as src:
+        st = os.fstat(src.fileno())
+        cached = _read_cache(cache, st.st_size)
+        if cached is not None:
+            sha256, stamp, ids, vectors, reference = cached
+            if stamp == _stamp(st) and _trusted(stamp, reference):
+                return ids, vectors
+        with _NewCache(cache) as new:
+            before = _stamp(os.fstat(src.fileno()))
+            if cached is not None and sha256 == _file_sha256(src):
+                # a JSONL stamped in the future, in this tick or where ctime is
+                # a creation time would be hashed again all the same
+                if not _trusted(before, new.reference):
+                    return ids, vectors
+                size = st.st_size
+            else:
+                # the stale rows go before the decode
+                cached = ids = vectors = None
+                src.seek(0)
+                key = _ContentKey()
+                ids, vectors = load_embeddings_jsonl(src, key)
+                size, sha256 = key.size, key.sha256.hexdigest()
+            # a stamp names the bytes read only if nothing wrote to them meanwhile
+            stamp = before if before == _stamp(os.fstat(src.fileno())) else None
+            new.write([_CACHE_FORMAT, size, sha256, stamp, vectors.shape[1], ids], vectors,
+                      stat.S_IMODE(st.st_mode))
+    return ids, vectors
+
+
+def _read_cache(cache, size):
+    """(sha256, stamp, ids, rows, mtime in ns) of `cache`, or None unless it is of
+    the current format, was decoded from `size` JSONL bytes and holds exactly
+    len(ids) * width finite floats."""
     import orjson
 
-    cache = os.path.splitext(path)[0] + ".cache"
     try:
         with open(cache, "rb") as fh:
-            fmt, size, sha256, width, ids = orjson.loads(fh.readline())
-            if (fmt == _CACHE_FORMAT and size == os.stat(path).st_size
-                    and sha256 == _file_sha256(path) and isinstance(ids, list)):
+            fmt, cached_size, sha256, stamp, width, ids = orjson.loads(fh.readline())
+            st = os.fstat(fh.fileno())
+            # the rows' bytes are counted before they are allocated, so a
+            # damaged width cannot ask for more memory than the file holds
+            if (fmt == _CACHE_FORMAT and cached_size == size and isinstance(ids, list)
+                    and type(width) is int and st.st_size - fh.tell() == len(ids) * width * 8):
                 vectors = np.empty((len(ids), width), dtype="<f8")
                 # exactly len(ids) * width floats, and nothing after them
                 if (fh.readinto(vectors) == vectors.nbytes and not fh.read(1)
                         and np.isfinite(vectors).all()):
-                    return ids, vectors
+                    return sha256, stamp, ids, vectors, st.st_mtime_ns
     except _BAD_CACHE:
         pass
-    key = _ContentKey()
-    ids, vectors = load_embeddings_jsonl(path, key)
-    _write_cache(cache, path, key.size, key.sha256.hexdigest(), ids, vectors)
-    return ids, vectors
+    return None
 
 
-def _write_cache(cache, path, size, sha256, ids, vectors):
-    """Write the cache aside and rename it into place; give up on any OSError."""
-    import orjson
+class _NewCache:
+    """The next `cache`, begun before the JSONL is read.
 
-    try:
-        # no .jsonl suffix: analyze reads every *.jsonl of a store as transcripts
-        fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(cache)}.", suffix=".tmp",
-                                   dir=os.path.dirname(cache) or ".")
-    except OSError:
-        return
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            # mkstemp makes 0600 files; whoever may read the rows may read the copy
-            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-            # orjson escapes every control character, so the header is one line
-            fh.write(orjson.dumps([_CACHE_FORMAT, size, sha256, vectors.shape[1], ids]) + b"\n")
-            fh.write(np.ascontiguousarray(vectors, "<f8").data)
-        os.replace(tmp, cache)
-    except OSError:
-        pass
-    finally:
-        # gone after the rename; otherwise the write failed or was interrupted
+    Entering makes its temp file beside `cache`.  That file's mtime, taken
+    then on the store's own filesystem, is put back before the rename, so
+    the cache's mtime is the reference its stamp is checked against; no
+    clock is read, since a network filesystem's server stamps the file.  A
+    store that cannot be written gets no cache and no reference, write()
+    gives up on any OSError, and the temp file never outlives the `with`
+    block.
+    """
+
+    def __init__(self, cache):
+        self.cache, self.fd, self.tmp, self.reference = cache, None, None, None
+
+    def __enter__(self):
         with contextlib.suppress(OSError):
-            os.unlink(tmp)
+            # no .jsonl suffix: analyze reads every *.jsonl of a store as transcripts
+            self.fd, self.tmp = tempfile.mkstemp(prefix=f".{os.path.basename(self.cache)}.",
+                                                 suffix=".tmp",
+                                                 dir=os.path.dirname(self.cache) or ".")
+            st = os.fstat(self.fd)
+            self.atime, self.reference = st.st_atime_ns, st.st_mtime_ns
+        return self
+
+    def write(self, header, vectors, mode):
+        """Write `header` and `vectors` as the cache, with permission bits `mode`."""
+        import orjson
+
+        if self.reference is None:
+            return
+        fd, self.fd = self.fd, None
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                # mkstemp makes 0600 files; whoever may read the rows may read the copy
+                os.chmod(self.tmp, mode)
+                # orjson escapes every control character, so the header is one line
+                fh.write(orjson.dumps(header) + b"\n")
+                fh.write(np.ascontiguousarray(vectors, "<f8").data)
+            os.utime(self.tmp, ns=(self.atime, self.reference))
+            os.replace(self.tmp, self.cache)
+        except OSError:
+            pass
+
+    def __exit__(self, *exc):
+        if self.fd is not None:
+            os.close(self.fd)
+        if self.tmp is not None:
+            # gone after the rename; otherwise the write failed, was
+            # interrupted or never came
+            with contextlib.suppress(OSError):
+                os.unlink(self.tmp)

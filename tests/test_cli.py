@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import masinfo
-from masinfo import cli, spectral
+from masinfo import cli, harness, spectral
 from masinfo.cli import main
 from masinfo.harness import (
     BackendError,
@@ -20,6 +21,7 @@ from masinfo.harness import (
     TranscriptStore,
 )
 from masinfo.info_theory import bsc_views_joint, usable_evidence
+from test_spectral import after_a_tick, change_a_digit, trust
 
 
 def write_jsonl(path, rows):
@@ -355,6 +357,20 @@ def base_config(tmp_path, n_tasks=3, **overrides):
 
 
 class TestRun:
+    def test_each_store_file_is_opened_once(self, tmp_path, monkeypatch):
+        cfg_path, _ = base_config(tmp_path)  # three tasks into each of two stores
+        opened = []
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if "a" in mode:
+                opened.append(os.path.basename(file))
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "open", counting_open, raising=False)
+        assert main(["run", str(cfg_path)]) == 0
+        assert sorted(opened) == ["vote_L1_N2.jsonl", "vote_L1_N4.jsonl"]
+        assert all(len(list(TranscriptStore(tmp_path / "store" / name))) == 3 for name in opened)
+
     def test_mock_vote_call_accounting(self, tmp_path):
         cfg_path, cfg = base_config(tmp_path)
         assert main(["run", str(cfg_path)]) == 0
@@ -1014,12 +1030,30 @@ class TestAnalyze:
         with monkeypatch.context() as m:
             m.setattr(spectral, "load_embeddings_jsonl", None)  # a hit decodes nothing
             warm = self.analyze(store, tmp_path / "warm")
+        # a copy's JSONL has a new inode, so its stamp fails and the hash proves the hit
+        shutil.copytree(store, tmp_path / "copy")
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "load_embeddings_jsonl", None)
+            copied = self.analyze(tmp_path / "copy", tmp_path / "copied")
         cache.unlink()
         rebuilt = self.analyze(store, tmp_path / "rebuilt")
         assert cache.exists()
         # the reference: every store decoded from its JSONL, no cache
         monkeypatch.setattr(spectral, "load_store_embeddings", spectral.load_embeddings_jsonl)
-        assert cold == warm == rebuilt == self.analyze(store, tmp_path / "jsonl")
+        assert cold == warm == copied == rebuilt == self.analyze(store, tmp_path / "jsonl")
+
+    def test_edit_with_its_mtime_put_back_reports_as_a_cold_analyze(self, tmp_path):
+        store = self.run_store(tmp_path)
+        emb, cache = store / "embeddings.jsonl", store / "embeddings.cache"
+        warm = self.analyze(store, tmp_path / "warm")
+        trust(cache, emb)
+        after_a_tick(emb)
+        before = change_a_digit(emb)
+        os.utime(emb, ns=(before.st_atime_ns, before.st_mtime_ns))
+        edited = self.analyze(store, tmp_path / "edited")
+        cache.unlink()
+        assert edited == self.analyze(store, tmp_path / "cold")
+        assert edited["summaries.csv"] != warm["summaries.csv"]
 
     def test_unwritable_cache_changes_nothing(self, tmp_path, monkeypatch, capsys):
         store = self.run_store(tmp_path)

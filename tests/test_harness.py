@@ -1,4 +1,5 @@
 import base64
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -500,18 +501,19 @@ class TestTranscriptStore:
         store = TranscriptStore(tmp_path / "s.jsonl")
         t = run_workflow(TASK_MC, WorkflowSpec("vote", 2), make_plan(), MockChatBackend(seed=0),
                          pool)
-        store.append(t)
-        store.append(t)
-        loaded = list(store)
+        with contextlib.closing(store):
+            store.append(t)
+            store.append(t)
+            loaded = list(store)  # each append is flushed, so it reads back at once
         assert len(loaded) == 2
         assert loaded[0].to_dict() == t.to_dict()
         assert loaded[0].schema == 1
 
     def test_malformed_line_names_file_and_line(self, tmp_path, pool):
         path = tmp_path / "s.jsonl"
-        store = TranscriptStore(path)
-        store.append(run_workflow(TASK_MC, WorkflowSpec("vote", 2), make_plan(),
-                                  MockChatBackend(seed=0), pool))
+        with contextlib.closing(TranscriptStore(path)) as store:
+            store.append(run_workflow(TASK_MC, WorkflowSpec("vote", 2), make_plan(),
+                                      MockChatBackend(seed=0), pool))
         with open(path, "a") as fh:
             fh.write("\n" + '{"task_id": "t2", "calls": [' + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed transcript at line 3: "):
@@ -532,9 +534,9 @@ class TestTranscriptStore:
         assert len(t.calls) == 6
 
     def test_task_ids(self, tmp_path, pool):
-        store = TranscriptStore(tmp_path / "s.jsonl")
-        store.append(run_workflow(TASK_MC, WorkflowSpec("vote", 2), make_plan(),
-                                  MockChatBackend(seed=0), pool))
+        with contextlib.closing(TranscriptStore(tmp_path / "s.jsonl")) as store:
+            store.append(run_workflow(TASK_MC, WorkflowSpec("vote", 2), make_plan(),
+                                      MockChatBackend(seed=0), pool))
         assert store.task_ids() == {"t1"}
 
 

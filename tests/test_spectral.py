@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import os
+import shutil
+import time
 import tracemalloc
 import warnings
 
@@ -442,23 +444,73 @@ def write_rows(path, ids, vectors, mode="w"):
                       for i, v in zip(ids, vectors))
 
 
+HEADER = ["format", "size", "sha256", "stamp", "width", "ids"]
+
+
+def trust(cache, path):
+    """Move `cache`'s mtime, the reference of its stamp, past `path`'s mtime and
+    ctime, so that a stamp of `path` in it is not racy.
+
+    A test cannot make a ctime older, so the reference moves forward instead.
+    """
+    st = os.stat(path)
+    t = max(st.st_mtime_ns, st.st_ctime_ns) + 1
+    os.utime(cache, ns=(t, t))
+
+
+def make_racy(cache, path):
+    """Set `cache`'s mtime to `path`'s ctime: its stamp of `path` is then racy."""
+    t = os.stat(path).st_ctime_ns
+    os.utime(cache, ns=(t, t))
+
+
+def after_a_tick(path):
+    """Wait until a file written now gets a later timestamp than `path`'s ctime,
+    so that any write to `path` from here on changes its ctime."""
+    probe = path.parent / ".tick"
+    deadline = time.monotonic() + 10  # coarse filesystems tick every second or two
+    while True:
+        probe.write_bytes(b"")
+        if probe.stat().st_mtime_ns > path.stat().st_ctime_ns:
+            break
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+    probe.unlink()
+
+
 def write_cache(cache, path, rows=None, **header):
-    """A cache for `path` as load_store_embeddings writes it, with `header` fields
-    (format, size, sha256, width, ids) and the `rows` bytes replaced."""
+    """A cache for `path` as load_store_embeddings writes it, with a trusted
+    stamp of `path` (see trust), `header` fields (HEADER) and the `rows` bytes
+    replaced."""
     ids, vectors = load_embeddings_jsonl(path)
     data = path.read_bytes()
     fields = {"format": spectral._CACHE_FORMAT, "size": len(data),
-              "sha256": hashlib.sha256(data).hexdigest(), "width": vectors.shape[1],
+              "sha256": hashlib.sha256(data).hexdigest(),
+              "stamp": spectral._stamp(os.stat(path)), "width": vectors.shape[1],
               "ids": ids, **header}
     rows = vectors.astype("<f8").tobytes() if rows is None else rows
-    cache.write_bytes(json.dumps(list(fields.values())).encode() + b"\n" + rows)
+    cache.write_bytes(json.dumps([fields[f] for f in HEADER]).encode() + b"\n" + rows)
+    trust(cache, path)
 
 
 def read_cache(cache):
     """The header fields of `cache` by name, and its rows as a flat float64 array."""
     header, rows = cache.read_bytes().split(b"\n", 1)
-    return (dict(zip(["format", "size", "sha256", "width", "ids"], json.loads(header))),
-            np.frombuffer(rows, dtype="<f8"))
+    return dict(zip(HEADER, json.loads(header))), np.frombuffer(rows, dtype="<f8")
+
+
+def change_a_digit(path):
+    """Change the first digit of the last row's first coordinate in `path`, in place, keeping
+    its size and inode; returns `path`'s stat from before."""
+    before = path.stat()
+    data = bytearray(path.read_bytes())
+    i = data.rindex(b"[") + 1
+    while not chr(data[i]).isdigit():
+        i += 1
+    data[i] = ord("1") if data[i] == ord("2") else ord("2")
+    with open(path, "r+b") as fh:
+        fh.write(data)
+    return before
 
 
 def cached_digest(store):
@@ -490,6 +542,22 @@ class TestStoreCache:
             raise AssertionError("JSONL decoded on a cache hit")
         monkeypatch.setattr(spectral, "load_embeddings_jsonl", fail)
 
+    def no_hash(self, monkeypatch):
+        def fail(fh):
+            raise AssertionError("JSONL hashed on a trusted hit")
+        monkeypatch.setattr(spectral, "_file_sha256", fail)
+
+    def count_hashes(self, monkeypatch):
+        calls = []
+        digest = spectral._file_sha256
+
+        def counted(fh):
+            calls.append(fh.name)
+            return digest(fh)
+
+        monkeypatch.setattr(spectral, "_file_sha256", counted)
+        return calls
+
     def assert_same(self, got, want):
         assert got[0] == want[0]
         assert got[1].dtype == np.float64
@@ -502,7 +570,7 @@ class TestStoreCache:
         header, rows = read_cache(store / "emb.cache")
         assert header == {"format": spectral._CACHE_FORMAT, "size": path.stat().st_size,
                           "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
-                          "width": 5, "ids": want[0]}
+                          "stamp": spectral._stamp(path.stat()), "width": 5, "ids": want[0]}
         assert np.array_equal(rows.view(np.uint64), want[1].ravel().view(np.uint64))
         self.no_decode(monkeypatch)
         hit = load_store_embeddings(path)
@@ -520,7 +588,8 @@ class TestStoreCache:
     def test_file_sha256_is_the_digest_of_every_byte(self, tmp_path, size):
         data = np.random.default_rng(size).bytes(size)
         (tmp_path / "f").write_bytes(data)
-        assert spectral._file_sha256(tmp_path / "f") == hashlib.sha256(data).hexdigest()
+        with open(tmp_path / "f", "rb") as fh:
+            assert spectral._file_sha256(fh) == hashlib.sha256(data).hexdigest()
 
     def test_appended_row_makes_the_cache_stale(self, store):
         path = store / "emb.jsonl"
@@ -536,7 +605,7 @@ class TestStoreCache:
         load_store_embeddings(path)
         write_rows(path, ["q9:0"], np.ones((1, 5)), mode="a")
 
-        def fail(path):
+        def fail(fh):
             raise AssertionError("hashed a file whose size rules the cache out")
 
         monkeypatch.setattr(spectral, "_file_sha256", fail)
@@ -562,13 +631,142 @@ class TestStoreCache:
         monkeypatch.setattr(spectral, "load_embeddings_jsonl", decode)
         self.assert_same(load_store_embeddings(path), load_embeddings_jsonl(path))
 
-    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "npy", "foreign",
-                                        "wrong-shape", "other-format", "trailing", "wide",
-                                        "not-finite"])
-    def test_unreadable_cache_is_a_miss_and_rewritten(self, store, damage):
+    def test_trusted_stamp_is_a_hit_without_hashing_or_decoding(self, store, monkeypatch):
         path, cache = store / "emb.jsonl", store / "emb.cache"
         want = load_embeddings_jsonl(path)
         load_store_embeddings(path)
+        trust(cache, path)
+        data = cache.read_bytes()
+        self.no_hash(monkeypatch)
+        self.no_decode(monkeypatch)
+        self.assert_same(load_store_embeddings(path), want)
+        assert cache.read_bytes() == data
+        # the helper's cache is a trusted hit too, so a case that damages it
+        # misses through its damage alone
+        header, rows = read_cache(cache)
+        write_cache(cache, path)
+        assert read_cache(cache)[0] == header
+        assert read_cache(cache)[1].tobytes() == rows.tobytes()
+        self.assert_same(load_store_embeddings(path), want)
+
+    def test_same_size_rewrite_with_its_mtime_put_back_is_seen(self, store):
+        # as `cp -p`, `rsync -t` or `touch -r` leave a file: only its ctime moved
+        path, cache = store / "emb.jsonl", store / "emb.cache"
+        old = load_store_embeddings(path)
+        trust(cache, path)
+        after_a_tick(path)
+        before = change_a_digit(path)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        now = path.stat()
+        assert [now.st_ino, now.st_size, now.st_mtime_ns] == \
+               [before.st_ino, before.st_size, before.st_mtime_ns]
+        got = load_store_embeddings(path)
+        self.assert_same(got, load_embeddings_jsonl(path))
+        assert not np.array_equal(got[1], old[1])
+
+    def test_same_size_rewrite_during_the_decode_leaves_no_stamp(self, store, monkeypatch):
+        path, cache = store / "emb.jsonl", store / "emb.cache"
+        decode = spectral.load_embeddings_jsonl
+
+        def decode_then_rewrite(*args, **kwargs):
+            result = decode(*args, **kwargs)
+            after_a_tick(path)
+            change_a_digit(path)
+            return result
+
+        monkeypatch.setattr(spectral, "load_embeddings_jsonl", decode_then_rewrite)
+        old = load_store_embeddings(path)
+        assert read_cache(cache)[0]["stamp"] is None
+        monkeypatch.setattr(spectral, "load_embeddings_jsonl", decode)
+        got = load_store_embeddings(path)
+        self.assert_same(got, load_embeddings_jsonl(path))
+        assert not np.array_equal(got[1], old[1])
+
+    def test_racy_stamp_is_hashed_and_refreshed(self, store, monkeypatch):
+        path, cache = store / "emb.jsonl", store / "emb.cache"
+        want = load_embeddings_jsonl(path)
+        load_store_embeddings(path)
+        make_racy(cache, path)  # the JSONL's ctime is not older than the reference
+        after_a_tick(path)
+        hashed = self.count_hashes(monkeypatch)
+        self.no_decode(monkeypatch)
+        self.assert_same(load_store_embeddings(path), want)
+        assert hashed == [str(path)]
+        assert read_cache(cache)[0]["stamp"] == spectral._stamp(path.stat())
+        assert cache.stat().st_mtime_ns > path.stat().st_ctime_ns
+        self.assert_same(load_store_embeddings(path), want)
+        assert hashed == [str(path)]
+
+    def test_copied_store_is_hashed_once_and_stamped_afresh(self, store, monkeypatch):
+        load_store_embeddings(store / "emb.jsonl")
+        trust(store / "emb.cache", store / "emb.jsonl")
+        copy = store.parent / "copy"
+        shutil.copytree(store, copy)  # new inodes; mtimes kept, as `cp -p` keeps them
+        path, cache = copy / "emb.jsonl", copy / "emb.cache"
+        after_a_tick(path)  # else the copy's ctime is racy, and a fresh stamp of no use
+        hashed = self.count_hashes(monkeypatch)
+        self.no_decode(monkeypatch)
+        self.assert_same(load_store_embeddings(path), load_embeddings_jsonl(store / "emb.jsonl"))
+        assert hashed == [str(path)]
+        header = read_cache(cache)[0]
+        assert header["stamp"] == spectral._stamp(path.stat())
+        assert header["stamp"] != read_cache(store / "emb.cache")[0]["stamp"]
+        assert sorted(os.listdir(copy)) == ["emb.cache", "emb.jsonl"]
+
+    @pytest.mark.parametrize("why", ["no-stamps", "future-mtime"])
+    def test_untrustable_stamp_is_hashed_and_the_cache_kept(self, store, monkeypatch, why):
+        # where ctime is a creation time (Windows) no stamp is trusted, and a
+        # JSONL whose mtime is ahead of the clock is not trusted before then:
+        # a rewritten cache would not spare the next hit its hash
+        path, cache = store / "emb.jsonl", store / "emb.cache"
+        want = load_embeddings_jsonl(path)
+        if why == "no-stamps":
+            monkeypatch.setattr(spectral, "_STAMPS", False)
+            load_store_embeddings(path)
+            trust(cache, path)
+        else:
+            future = time.time_ns() + 3600 * 10**9
+            os.utime(path, ns=(future, future))
+            load_store_embeddings(path)
+        data, mtime = cache.read_bytes(), cache.stat().st_mtime_ns
+        hashed = self.count_hashes(monkeypatch)
+        self.no_decode(monkeypatch)
+        self.assert_same(load_store_embeddings(path), want)
+        self.assert_same(load_store_embeddings(path), want)
+        assert hashed == [str(path)] * 2
+        assert (cache.read_bytes(), cache.stat().st_mtime_ns) == (data, mtime)
+
+    @pytest.mark.parametrize("where", ["write", "replace"])
+    def test_failed_refresh_is_ignored_and_leaves_nothing(self, store, monkeypatch, where):
+        path, cache = store / "emb.jsonl", store / "emb.cache"
+        want = load_embeddings_jsonl(path)
+        load_store_embeddings(path)
+        make_racy(cache, path)
+        after_a_tick(path)  # so that the hit tries to refresh the stamp
+        data = cache.read_bytes()
+
+        def disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        if where == "write":
+            monkeypatch.setattr(spectral.os, "fdopen",
+                                lambda fd, mode: FailingWriter(io.FileIO(fd, "w")))
+        else:
+            monkeypatch.setattr(spectral.os, "replace", disk_full)
+        self.no_decode(monkeypatch)
+        self.assert_same(load_store_embeddings(path), want)
+        assert sorted(os.listdir(store)) == ["emb.cache", "emb.jsonl"]
+        assert cache.read_bytes() == data
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "npy", "foreign",
+                                        "wrong-shape", "other-format", "trailing", "wide",
+                                        "not-finite", "huge"])
+    def test_unreadable_cache_is_a_miss_and_rewritten(self, store, damage):
+        # every case keeps a trusted stamp, so it misses through its own damage
+        path, cache = store / "emb.jsonl", store / "emb.cache"
+        want = load_embeddings_jsonl(path)
+        load_store_embeddings(path)
+        trust(cache, path)
         data = cache.read_bytes()
         if damage == "truncated":
             cache.write_bytes(data[:-8])
@@ -588,10 +786,13 @@ class TestStoreCache:
             cache.write_bytes(data + b"\x00")
         elif damage == "wide":  # one id over 45 floats, as reshape(len(ids), -1) would read
             write_cache(cache, path, ids=["q0:0"])
+        elif damage == "huge":  # a width no machine could allocate
+            write_cache(cache, path, width=10**14)
         elif damage == "not-finite":
             write_cache(cache, path, rows=np.append(want[1].ravel()[:-1], np.nan).tobytes())
         else:  # the right key and rows, but a width they do not fill
             write_cache(cache, path, width=4)
+        trust(cache, path)
         self.assert_same(load_store_embeddings(path), want)
         assert cache.read_bytes() == data
         self.assert_same(load_store_embeddings(path), want)
@@ -601,10 +802,11 @@ class TestStoreCache:
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id": "a", "vector": [1.0, 0.0]}\n{"id": "b", "vector": [true, false]}\n')
         data = path.read_bytes()
-        header = [spectral._CACHE_FORMAT - 1, len(data), hashlib.sha256(data).hexdigest(), 2,
-                  ["a", "b"]]
+        header = [spectral._CACHE_FORMAT - 1, len(data), hashlib.sha256(data).hexdigest(),
+                  spectral._stamp(path.stat()), 2, ["a", "b"]]
         (tmp_path / "emb.cache").write_bytes(
             json.dumps(header).encode() + b"\n" + np.array([[1.0, 0.0], [1.0, 0.0]]).tobytes())
+        trust(tmp_path / "emb.cache", path)
         with pytest.raises(ValueError, match="line 2"):
             load_store_embeddings(path)
 
@@ -639,12 +841,14 @@ class TestStoreCache:
         write_rows(path, [f"q{i}:0" for i in range(200)],
                    np.random.default_rng(6).standard_normal((200, 256)))
         ids, rows = load_embeddings_jsonl(path)
-        tracemalloc.start()
-        try:
-            spectral._write_cache(str(tmp_path / "emb.cache"), str(path), 1, "0" * 64, ids, rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with spectral._NewCache(str(tmp_path / "emb.cache")) as new:
+            tracemalloc.start()
+            try:
+                new.write([spectral._CACHE_FORMAT, 1, "0" * 64, None, rows.shape[1], ids], rows,
+                          0o644)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak < rows.nbytes / 4
         assert np.array_equal(read_cache(tmp_path / "emb.cache")[1], rows.ravel())
 
@@ -654,7 +858,8 @@ class TestStoreCache:
         write_rows(path, [f"q{i}:0" for i in range(200)],
                    np.random.default_rng(6).standard_normal((200, 256)))
         load_store_embeddings(path)
-        digest = spectral._file_sha256(path)
+        with open(path, "rb") as fh:
+            digest = spectral._file_sha256(fh)
         monkeypatch.setattr(spectral, "_file_sha256", lambda path: digest)  # its chunks aside
         tracemalloc.start()
         try:
