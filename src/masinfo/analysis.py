@@ -20,11 +20,11 @@ from masinfo.harness import LAYERS, answer_matches
 from masinfo.spectral import (
     ZERO_NORM_TOL,
     ZeroNormVector,
+    _mean_cosine,
+    _normalize_rows,
     _sides,
     _spectrum,
     _unit_gram,
-    normalize_embeddings,
-    mean_pairwise_cosine,
 )
 
 
@@ -74,41 +74,67 @@ def _mean_or_none(values):
     return float(np.mean(values)) if values else None
 
 
-def _unit_columns(unit):
-    """(K*, K*_c, K*_w, mean cosine) of every call of `unit`, (transcript, lookup) pairs.
+def _table(lookup):
+    """(id -> row index, rows) of `lookup`: such a pair as given, or a mapping
+    of ids to raw vectors turned into one."""
+    if isinstance(lookup, tuple):
+        return lookup
+    return dict(zip(lookup, range(len(lookup)))), np.array([*lookup.values()], dtype=float)
 
-    Each row is looked up and normalized once, and their one Gram gives K*
+
+def _unit_columns(unit, buf):
+    """(K*, K*_c, K*_w, mean cosine) of every call of `unit`, (transcript, table) pairs.
+
+    The unit's rows are copied, member by member, to the start of the flat
+    float64 buffer `buf` and normalized there once.  Their one Gram gives K*
     and, through its principal submatrices, K*_c and K*_w: the values of
-    k_star and k_star_conditioned.  No cosine below 2 rows.
+    k_star and k_star_conditioned on the EmbeddingSet of the same rows.  No
+    cosine below 2 rows.
     """
-    ids, rows, mask = [], [], []
-    for t, lookup in unit:
+    ids, picks, mask = [], [], []
+    for t, (index, rows) in unit:
         t_ids = t.embedding_ids()
         try:
-            rows += [lookup[i] for i in t_ids]
+            picks.append((t, rows, [index[i] for i in t_ids]))
         except KeyError:
             raise MissingEmbeddings(t.task_id) from None
         ids += t_ids
         mask += [answer_matches(c["extracted_answer"], t.gold_answer) for c in t.calls]
+    d = picks[0][1].shape[1]
+    z = buf[:len(ids) * d].reshape(len(ids), d)
+    start = 0
+    for t, rows, pos in picks:
+        if rows.shape[1] != d:
+            raise ValueError(f"embeddings of task {t.task_id} have width {rows.shape[1]}, "
+                             f"not the {d} of the rest of their group")
+        end = start + len(pos)
+        first = pos[0] if pos else 0
+        if pos == list(range(first, first + len(pos))):
+            z[start:end] = rows[first:first + len(pos)]
+        else:
+            np.take(rows, pos, axis=0, out=z[start:end], mode="clip")
+        start = end
     try:
-        emb = normalize_embeddings(rows)
+        _normalize_rows(z)
     except ZeroNormVector as exc:
         raise ValueError(f"embedding {ids[exc.index]} has norm < {ZERO_NORM_TOL}") from None
-    g = _unit_gram(emb.vectors)
+    g = _unit_gram(z)
     c, w = _sides(g, np.array(mask, dtype=bool))
-    cos = mean_pairwise_cosine(emb).mean_pairwise_cosine if emb.n >= 2 else None
+    cos = _mean_cosine(z) if len(z) >= 2 else None
     return _spectrum(g).k_star, c, w, cos
 
 
 def summarize_runs(transcripts, embeddings=None, mode="per-question"):
     """One RunSummary per (dataset, layer, workflow, N) group.
 
-    `embeddings` maps "<task_id>:<call_index>" to a raw vector; when None,
-    the spectral columns are None and only accuracy is reported.  Ids are
-    only unique within one store, so for transcripts merged from several
-    stores pass a list instead, aligned with `transcripts`, holding the
-    mapping of the store each transcript came from (an empty one for a
-    store without embeddings, whose transcripts raise MissingEmbeddings).
+    `embeddings` maps "<task_id>:<call_index>" to a raw vector, or is a pair
+    (index, rows): `index` maps each id to its row of the 2-D array `rows`.
+    When None, the spectral columns are None and only accuracy is reported.
+    Ids are only unique within one store, so for transcripts merged from
+    several stores pass a list instead, aligned with `transcripts`, holding
+    the mapping or pair of the store each transcript came from (an empty
+    mapping for a store without embeddings, whose transcripts raise
+    MissingEmbeddings); each distinct mapping is turned into a pair once.
     The spectral columns are the mean over units of each unit's columns: a
     unit is one transcript in mode "per-question" and the whole group in
     mode "pooled", which stacks all call embeddings of the group into one set.
@@ -119,19 +145,28 @@ def summarize_runs(transcripts, embeddings=None, mode="per-question"):
         pairs = zip(transcripts, embeddings, strict=True)
     else:
         pairs = ((t, embeddings) for t in transcripts)
-    groups = {}
+    tables, groups = {}, {}
     for t, lookup in pairs:
         if t.invalid:
             continue
-        groups.setdefault((t.dataset, t.layer, t.workflow, t.n_agents), []).append((t, lookup))
+        if embeddings is not None and id(lookup) not in tables:
+            tables[id(lookup)] = _table(lookup)
+        groups.setdefault((t.dataset, t.layer, t.workflow, t.n_agents), []).append(
+            (t, tables.get(id(lookup))))
 
+    units = {key: [[m] for m in members] if mode == "per-question" else [members]
+             for key, members in groups.items()}
+    buf = None
+    if tables:
+        # one buffer for every unit's rows, as large as the largest unit needs
+        calls = max(sum(len(t.calls) for t, _ in u) for us in units.values() for u in us)
+        buf = np.empty(calls * max(rows.shape[-1] for _, rows in tables.values()))
     summaries = []
     for (dataset, layer, workflow, n), members in sorted(groups.items()):
         acc = sum(answer_matches(t.final_answer, t.gold_answer) for t, _ in members) / len(members)
         ks = ks_c = ks_w = cos = None
-        if embeddings is not None:
-            units = [[m] for m in members] if mode == "per-question" else [members]
-            columns = zip(*(_unit_columns(u) for u in units))
+        if buf is not None:
+            columns = zip(*(_unit_columns(u, buf) for u in units[dataset, layer, workflow, n]))
             ks, ks_c, ks_w, cos = (_mean_or_none(col) for col in columns)
         summaries.append(
             RunSummary(dataset, layer, workflow, n, acc, ks, ks_c, ks_w, cos, len(members), mode)

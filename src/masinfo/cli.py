@@ -332,9 +332,10 @@ def _load_store_dir(store_dir):
     embeddings = None
     emb_path = os.path.join(store_dir, "embeddings.jsonl")
     if os.path.exists(emb_path):
-        ids, raw = spectral.load_store_embeddings(emb_path)
-        embeddings = dict(zip(ids, raw))
-        if len(embeddings) < len(ids):
+        ids, rows = spectral.load_store_embeddings(emb_path)
+        index = dict(zip(ids, range(len(ids))))
+        embeddings = (index, rows)
+        if len(index) < len(ids):
             # ids name no N, so every N of one output_dir writes the same ones
             repeated = next(i for i, c in collections.Counter(ids).items() if c > 1)
             print(f"warning: {emb_path} repeats embedding id {repeated!r}; "
@@ -344,6 +345,11 @@ def _load_store_dir(store_dir):
 
 def cmd_analyze(args):
     store_dirs = [args.store_dir] + (args.merge or [])
+    # a store given twice would count each of its transcripts twice
+    real = [os.path.realpath(d) for d in store_dirs]
+    for i, r in enumerate(real):
+        if r in real[:i]:
+            return _fail(f"store directory {store_dirs[i]} repeats {store_dirs[real.index(r)]}")
     # ids repeat across stores, so each transcript keeps its own store's vectors
     transcripts, embeddings = [], []
     try:

@@ -15,6 +15,8 @@ Transcripts persist as append-only JSONL, one per line, schema-versioned.
 
 import base64
 import collections
+import datetime
+import email.utils
 import hashlib
 import http.client
 import itertools
@@ -66,7 +68,7 @@ class TransientBackendError(BackendError):
     """A failure a retry may cure: HTTP 5xx or 429, a connection error or a timeout.
 
     `retry_after` holds the seconds a 429 or 503 reply's Retry-After header
-    asked for, or None.
+    asked for when it came (negative for a date in the past), or None.
     """
 
     retry_after = None
@@ -372,6 +374,20 @@ class MockEmbeddingBackend:
 _DELAY_SECONDS = re.compile(r"[0-9]+")  # Retry-After's delay-seconds form (RFC 9110)
 
 
+def _retry_after(value):
+    """Seconds from now that a Retry-After value names: delay-seconds, or an
+    HTTP-date less the clock (RFC 9110); None for anything else."""
+    if _DELAY_SECONDS.fullmatch(value):
+        return int(value)
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (TypeError, ValueError, IndexError):
+        return None
+    if when.tzinfo is None:  # "-0000", a GMT time of unknown origin
+        when = when.replace(tzinfo=datetime.timezone.utc)
+    return when.timestamp() - time.time()
+
+
 class JSONClient:
     """POSTs JSON to paths under one base URL and returns the decoded reply.
 
@@ -381,9 +397,10 @@ class JSONClient:
     (HTTP_PROXY, HTTPS_PROXY, NO_PROXY); HTTPS verifies against the system
     CA store.  HTTP 5xx and 429, connection errors and timeouts are retried
     up to `max_retries` times with exponential back-off; any other 4xx
-    fails at once.  A 429 or 503 whose Retry-After is a number of seconds
-    waits that long instead when it is longer, but never more than `timeout`;
-    an HTTP-date or any other Retry-After is ignored.
+    fails at once.  A 429 or 503 whose Retry-After is a number of seconds, or
+    an HTTP-date, waits that long (until then) instead when it is longer,
+    but never more than `timeout`; a date in the past or any other
+    Retry-After keeps the back-off.
     """
 
     def __init__(self, base_url, api_key=None, max_retries=3, backoff=1.0, timeout=60.0):
@@ -452,9 +469,8 @@ class JSONClient:
                 self._idle.append(conn)
         if resp.status == 429 or resp.status >= 500:
             exc = TransientBackendError(f"server error {resp.status} from {url}")
-            retry_after = resp.getheader("Retry-After", "").strip()
-            if resp.status in (429, 503) and _DELAY_SECONDS.fullmatch(retry_after):
-                exc.retry_after = int(retry_after)
+            if resp.status in (429, 503):
+                exc.retry_after = _retry_after(resp.getheader("Retry-After", "").strip())
             raise exc
         if resp.status >= 400:
             raise BackendError(f"request rejected ({resp.status}) by {url}: {data[:200]!r}")

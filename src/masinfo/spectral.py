@@ -10,7 +10,9 @@ are collinear, n when they are pairwise orthogonal.
 
 import contextlib
 import hashlib
+import json
 import math
+import mmap
 import os
 import stat
 import tempfile
@@ -45,24 +47,45 @@ class EmbeddingSet:
 
     def __post_init__(self):
         v = np.array(self.vectors, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise ValueError("vectors must be a nonempty 2-D array")
-        with np.errstate(over="ignore"):  # an overflowing row is rescaled below
-            norms = np.linalg.norm(v, axis=1)
-        bad = np.flatnonzero(norms < ZERO_NORM_TOL)
-        if bad.size:
-            raise ZeroNormVector(int(bad[0]))
-        huge = np.isinf(norms)  # finite rows whose squares overflow, such as [1e308, 1e308]
-        if huge.any():
-            v[huge] /= np.abs(v[huge]).max(axis=1, keepdims=True)
-            norms[huge] = np.linalg.norm(v[huge], axis=1)
-        v /= norms[:, None]
+        _normalize_rows(v)
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
 
     @property
     def n(self):
         return self.vectors.shape[0]
+
+
+# bytes of squares _normalize_rows holds at once
+_NORM_BLOCK_BYTES = 1 << 18
+
+
+def _normalize_rows(v):
+    """Scale each row of the writable C-contiguous float64 array `v` to unit norm, in place.
+
+    Each norm is np.linalg.norm(v, axis=1)'s sqrt(add.reduce(row * row)),
+    taken a block of rows at a time, so the squares need no n x d temporary.
+    Raises ZeroNormVector for the first row with norm below 1e-12, and
+    ValueError unless `v` is 2-D with a row and a column.
+    """
+    if v.ndim != 2 or 0 in v.shape:
+        raise ValueError("vectors must be a nonempty 2-D array")
+    n, d = v.shape
+    step = max(1, _NORM_BLOCK_BYTES // (8 * d))
+    squares = np.empty((min(step, n), d))
+    with np.errstate(over="ignore"):  # an overflowing row is rescaled below
+        for start in range(0, n, step):
+            block = v[start:start + step]
+            sq = np.multiply(block, block, out=squares[:len(block)])
+            norms = np.sqrt(np.add.reduce(sq, axis=1))
+            bad = np.flatnonzero(norms < ZERO_NORM_TOL)
+            if bad.size:
+                raise ZeroNormVector(start + int(bad[0]))
+            huge = np.isinf(norms)  # finite rows whose squares overflow, such as [1e308, 1e308]
+            if huge.any():
+                block[huge] /= np.abs(block[huge]).max(axis=1, keepdims=True)
+                norms[huge] = np.linalg.norm(block[huge], axis=1)
+            block /= norms[:, None]
 
 
 @dataclass(frozen=True)
@@ -152,7 +175,7 @@ def _sides(g, mask):
     """
 
     def side(m):
-        return _spectrum(g[np.ix_(m, m)]).k_star if m.any() else None
+        return _spectrum(g[m][:, m]).k_star if m.any() else None
 
     return side(mask), side(~mask)
 
@@ -166,8 +189,14 @@ def mean_pairwise_cosine(emb: EmbeddingSet) -> RedundancyScore:
     n = emb.n
     if n < 2:
         raise TooFewRows("mean pairwise cosine needs at least 2 rows")
-    s = emb.vectors.sum(axis=0)
-    return RedundancyScore(float((s @ s - n) / (n * (n - 1))), n * (n - 1) // 2)
+    return RedundancyScore(_mean_cosine(emb.vectors), n * (n - 1) // 2)
+
+
+def _mean_cosine(rows):
+    """mean_pairwise_cosine's mean of two or more unit rows."""
+    n = len(rows)
+    s = rows.sum(axis=0)
+    return float((s @ s - n) / (n * (n - 1)))
 
 
 def is_finite_number_list(v):
@@ -226,9 +255,10 @@ def load_embeddings_jsonl(path, digest=None):
 
 
 # Names the cache layout and the decoder that filled it.  Bump it whenever
-# load_embeddings_jsonl accepts, rejects or returns anything differently, so
-# that caches an older version wrote are read as misses.
-_CACHE_FORMAT = 4
+# the layout changes or load_embeddings_jsonl accepts, rejects or returns
+# anything differently, so that caches an older version wrote are read as
+# misses.  Format 5 pads the header so that the rows are 8-byte aligned.
+_CACHE_FORMAT = 5
 _HASH_CHUNK = 1 << 18
 # what reading a missing, torn or foreign cache raises
 _BAD_CACHE = (OSError, ValueError, TypeError)
@@ -281,18 +311,21 @@ def _trusted(stamp, reference):
 def load_store_embeddings(path):
     """load_embeddings_jsonl(path), through a binary copy of its rows beside it.
 
-    `<name>.cache` holds one orjson line `[format, size, sha256, stamp, width,
-    ids]`, then the rows as raw little-endian float64: _CACHE_FORMAT, the
-    size and sha256 of the JSONL bytes the rows were decoded from, the
-    JSONL's _stamp while it held still through that read (else null), the
-    row width and the ids.  The cache's own mtime is a reference time taken
-    on the store's filesystem before that read (_NewCache).
+    `<name>.cache` holds one JSON line `[format, size, sha256, stamp, width,
+    ids]`, padded with spaces to a multiple of 8 bytes, then the rows as raw
+    little-endian float64: _CACHE_FORMAT, the size and sha256 of the JSONL
+    bytes the rows were decoded from, the JSONL's _stamp while it held
+    still through that read (else null), the row width and the ids.  The
+    cache's own mtime is a reference time taken on the store's filesystem
+    before that read (_NewCache).
 
     The rows are read back only while the format is the current one, the
     JSONL still has that size, and the cache holds exactly len(ids) * width
-    floats, all finite.  They are then trusted without hashing the JSONL
-    when its stat now equals the stamp and _trusted holds.  Failing that,
-    they are trusted when the JSONL's sha256 matches, and the cache is
+    floats, all finite; they are the cache's own pages, mapped read-only.
+    The cache is only ever replaced by a rename, which leaves rows already
+    mapped as they were.  They are trusted without hashing the JSONL when
+    its stat now equals the stamp and _trusted holds.  Failing that, they
+    are trusted when the JSONL's sha256 matches, and the cache is
     rewritten with a fresh stamp if a later hit could trust it, so the next
     hit needs no hash.  Otherwise the JSONL is decoded and the cache
     rewritten.  The JSONL stays the only source of truth; a cache that
@@ -332,22 +365,20 @@ def load_store_embeddings(path):
 def _read_cache(cache, size):
     """(sha256, stamp, ids, rows, mtime in ns) of `cache`, or None unless it is of
     the current format, was decoded from `size` JSONL bytes and holds exactly
-    len(ids) * width finite floats."""
-    import orjson
-
+    len(ids) * width finite floats; the rows are the file's pages, mapped read-only."""
     try:
         with open(cache, "rb") as fh:
-            fmt, cached_size, sha256, stamp, width, ids = orjson.loads(fh.readline())
-            st = os.fstat(fh.fileno())
-            # the rows' bytes are counted before they are allocated, so a
-            # damaged width cannot ask for more memory than the file holds
+            fmt, cached_size, sha256, stamp, width, ids = json.loads(fh.readline())
+            offset, mtime = fh.tell(), os.fstat(fh.fileno()).st_mtime_ns
             if (fmt == _CACHE_FORMAT and cached_size == size and isinstance(ids, list)
-                    and type(width) is int and st.st_size - fh.tell() == len(ids) * width * 8):
-                vectors = np.empty((len(ids), width), dtype="<f8")
+                    and type(width) is int):
+                rows = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
                 # exactly len(ids) * width floats, and nothing after them
-                if (fh.readinto(vectors) == vectors.nbytes and not fh.read(1)
-                        and np.isfinite(vectors).all()):
-                    return sha256, stamp, ids, vectors, st.st_mtime_ns
+                if len(rows) - offset == len(ids) * width * 8:
+                    vectors = np.frombuffer(rows, "<f8", len(ids) * width, offset)
+                    vectors = vectors.reshape(len(ids), width)
+                    if np.isfinite(vectors).all():
+                        return sha256, stamp, ids, vectors, mtime
     except _BAD_CACHE:
         pass
     return None
@@ -380,8 +411,6 @@ class _NewCache:
 
     def write(self, header, vectors, mode):
         """Write `header` and `vectors` as the cache, with permission bits `mode`."""
-        import orjson
-
         if self.reference is None:
             return
         fd, self.fd = self.fd, None
@@ -389,8 +418,10 @@ class _NewCache:
             with os.fdopen(fd, "wb") as fh:
                 # mkstemp makes 0600 files; whoever may read the rows may read the copy
                 os.chmod(self.tmp, mode)
-                # orjson escapes every control character, so the header is one line
-                fh.write(orjson.dumps(header) + b"\n")
+                # json escapes every control character, so the header is one
+                # line; spaces pad it to whole floats, so the mapped rows are aligned
+                line = json.dumps(header).encode()
+                fh.write(line + b" " * (-(len(line) + 1) % 8) + b"\n")
                 fh.write(np.ascontiguousarray(vectors, "<f8").data)
             os.utime(self.tmp, ns=(self.atime, self.reference))
             os.replace(self.tmp, self.cache)

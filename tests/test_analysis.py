@@ -224,6 +224,73 @@ class TestOnePath:
         with pytest.raises(ValueError, match=r"^embedding t2:1 has norm < 1e-12$"):
             summarize_runs(ts, emb, mode=mode)
 
+    def expected(self, raws, masks, mode):
+        """The columns of the EmbeddingSets of `raws`, as summarize_runs reports them."""
+        if mode == "pooled":
+            return columns_of(normalize_embeddings(np.vstack(raws)), sum(masks, []))
+        per_task = [columns_of(normalize_embeddings(r), m) for r, m in zip(raws, masks)]
+        return tuple(float(np.mean([v for v in col if v is not None])) for col in zip(*per_task))
+
+    @staticmethod
+    def table(ts, raws, order):
+        """A store's (index, rows) pair holding every call row of `ts`, row j of
+        the stack of `raws` at position order[j]."""
+        ids = [i for t in ts for i in t.embedding_ids()]
+        stacked = np.vstack(raws)
+        rows = np.empty_like(stacked)
+        rows[order] = stacked
+        return {i: int(k) for i, k in zip(ids, order)}, rows
+
+    @pytest.mark.parametrize("mode", ["per-question", "pooled"])
+    @pytest.mark.parametrize("layout", ["consecutive", "shuffled", "interleaved"])
+    def test_store_table_of_any_row_order(self, mode, layout):
+        # consecutive rows are copied as a slice, the others with take
+        ts, _, raws, masks = one_path_group(np.random.default_rng(33))
+        total = sum(map(len, raws))
+        if layout == "consecutive":
+            order = np.arange(total)
+        elif layout == "shuffled":
+            order = np.random.default_rng(34).permutation(total)
+        else:  # the calls of t0 and t1 alternate in the store
+            order = np.arange(total)
+            order[:8] = [0, 2, 4, 6, 1, 3, 5, 7]
+        (s,) = summarize_runs(ts, self.table(ts, raws, order), mode=mode)
+        assert (s.k_star, s.k_star_c, s.k_star_w, s.mean_cosine) == self.expected(raws, masks, mode)
+
+    def test_pooled_group_across_two_stores(self):
+        ts, _, raws, masks = one_path_group(np.random.default_rng(35))
+        first = self.table(ts[:2], raws[:2], np.arange(sum(map(len, raws[:2])))[::-1])
+        second = self.table(ts[2:], raws[2:], np.arange(sum(map(len, raws[2:]))))
+        lookups = [first] * 2 + [second] * 3
+        (s,) = summarize_runs(ts, lookups, mode="pooled")
+        assert (s.k_star, s.k_star_c, s.k_star_w, s.mean_cosine) == self.expected(raws, masks,
+                                                                                  "pooled")
+        # the same group with the second store as a mapping of ids to vectors
+        mapping = {i: list(r) for i, r in zip(second[0], second[1])}
+        (m,) = summarize_runs(ts, [first] * 2 + [mapping] * 3, mode="pooled")
+        assert m == s
+
+    @pytest.mark.parametrize("mode", ["per-question", "pooled"])
+    def test_row_whose_squares_overflow(self, mode):
+        ts, lookup, raws, masks = one_path_group(np.random.default_rng(36))
+        raws[1][2] = [1e308, -1e308, 5e307, 0.0, 1.0, -1e200, 1e308]
+        lookup.update(embeddings_for("t1", raws[1]))
+        (s,) = summarize_runs(ts, lookup, mode=mode)
+        assert (s.k_star, s.k_star_c, s.k_star_w, s.mean_cosine) == self.expected(raws, masks, mode)
+
+    @pytest.mark.parametrize("mode", ["per-question", "pooled"])
+    def test_zero_norm_row_no_unit_uses_is_no_error(self, mode):
+        ts, lookup, raws, masks = one_path_group(np.random.default_rng(37))
+        lookup["t9:0"] = [0.0] * 7
+        (s,) = summarize_runs(ts, lookup, mode=mode)
+        assert (s.k_star, s.k_star_c, s.k_star_w, s.mean_cosine) == self.expected(raws, masks, mode)
+
+    def test_pooled_group_of_two_widths_is_refused(self):
+        ts = [make_transcript("t1", ["A", "A"]), make_transcript("t1", ["A", "A"])]
+        lookups = [embeddings_for("t1", np.eye(2)), embeddings_for("t1", np.eye(3)[:2])]
+        with pytest.raises(ValueError, match=r"^embeddings of task t1 have width 3, not the 2 "):
+            summarize_runs(ts, lookups, mode="pooled")
+
 
 class TestNumericGold:
     """A numeric answer scores against its gold's canonical number."""

@@ -328,6 +328,27 @@ def test_toolkit_leaves_out_orjson(tmp_path):
     assert proc.stdout.strip() == "False"
 
 
+def test_warm_analyze_leaves_out_orjson(tmp_path):
+    # a hit maps the cache's rows and reads its header with json: no JSONL is decoded
+    cfg_path, _ = base_config(tmp_path)
+    assert main(["run", str(cfg_path)]) == 0
+    store = tmp_path / "store"
+    assert main(["analyze", str(store), "--output", str(tmp_path / "cold")]) == 0
+    src = os.path.dirname(os.path.dirname(masinfo.__file__))
+    script = (
+        "import sys\n"
+        "from masinfo.cli import main\n"
+        f"assert main(['analyze', {str(store)!r}, '--output', {str(tmp_path / 'warm')!r}]) == 0\n"
+        "print('orjson' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    assert [p.read_bytes() for p in sorted((tmp_path / "warm").iterdir())] == \
+           [p.read_bytes() for p in sorted((tmp_path / "cold").iterdir())]
+
+
 def make_dataset(tmp_path, n_tasks=3):
     path = tmp_path / "tasks.jsonl"
     write_jsonl(path, [
@@ -977,6 +998,23 @@ class TestAnalyze:
         assert len(merged) == len(alone) == 4
         for r in merged:
             assert r == alone[(r["layer"], r["n_agents"])]
+
+    @pytest.mark.parametrize("again", ["same", "dot-slash", "symlink"])
+    def test_store_given_twice_exits_2_before_reading(self, tmp_path, monkeypatch, capsys,
+                                                      again):
+        # merged with itself, a store would count each of its tasks twice
+        self.run_store(tmp_path, workflow="debate", layer="L4", model_pool=["m1", "m2"],
+                       rounds=2)
+        monkeypatch.chdir(tmp_path)
+        if again == "symlink":
+            os.symlink("store", "link")
+        repeat = {"same": "store", "dot-slash": "./store/", "symlink": "link"}[again]
+        code, out = run_cli("analyze", "store", "--merge", repeat, "--output", "out",
+                            capsys=capsys)
+        assert code == 2
+        assert out.err == f"error: store directory {repeat} repeats store\n"
+        assert not os.path.exists("out")
+        assert not os.path.exists("store/embeddings.cache")
 
     def test_merged_store_without_embeddings_exits_2(self, tmp_path, capsys):
         s1 = self.run_store(tmp_path / "r1", layer="L1")

@@ -1,6 +1,7 @@
 import base64
 import contextlib
 import dataclasses
+import email.utils
 import hashlib
 import json
 import re
@@ -703,6 +704,30 @@ class TestHTTPBackends:
         monkeypatch.setattr("time.sleep", slept.append)
         _Handler.fail_first, _Handler.fail_status = 2, status
         _Handler.retry_after = retry_after
+        backend = OpenAIChatBackend(http_server, backoff=backoff, timeout=10.0)
+        try:
+            assert "(A)" in backend.chat([{"role": "user", "content": "hi"}], "m", Decoding())
+        finally:
+            backend.close()
+        assert slept == sleeps
+        assert _Handler.hits == 3
+
+    @pytest.mark.parametrize("status,ahead,backoff,sleeps", [
+        (503, 5, 1.0, [5.0, 5.0]),
+        (429, 3, 1.0, [3, 3]),
+        (503, 2, 4.0, [4, 8]),  # the back-off is longer
+        (429, 3600, 1.0, [10, 10]),  # capped at the client's timeout
+        (503, -30, 1.0, [1, 2]),  # a date in the past
+        (500, 5, 1.0, [1, 2]),  # only 429 and 503 are asked to wait
+    ], ids=["503-date", "429-date", "backoff-longer", "capped", "past", "500-ignored"])
+    def test_retry_after_http_date_waits_until_then(self, http_server, monkeypatch, status,
+                                                    ahead, backoff, sleeps):
+        now = 1_760_000_000.0
+        slept = []
+        monkeypatch.setattr("time.sleep", slept.append)
+        monkeypatch.setattr("time.time", lambda: now)
+        _Handler.fail_first, _Handler.fail_status = 2, status
+        _Handler.retry_after = email.utils.formatdate(now + ahead, usegmt=True)
         backend = OpenAIChatBackend(http_server, backoff=backoff, timeout=10.0)
         try:
             assert "(A)" in backend.chat([{"role": "user", "content": "hi"}], "m", Decoding())

@@ -80,6 +80,24 @@ class TestEmbeddingSet:
         np.testing.assert_allclose(emb.vectors, [[2 ** -0.5, 2 ** -0.5], [1.0, 0.0], [-1.0, 0.0]],
                                    rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("d", [1, 7, 64, 1536])
+    def test_rows_are_divided_by_numpys_norm_bit_for_bit(self, d):
+        # the norms are taken a block of rows at a time; these rows span three blocks
+        n = 2 * max(1, spectral._NORM_BLOCK_BYTES // (8 * d)) + 3
+        rng = np.random.default_rng(d)
+        raw = rng.standard_normal((n, d)) * rng.uniform(1e-3, 1e3, (n, 1))
+        want = raw / np.linalg.norm(raw, axis=1)[:, None]
+        got = EmbeddingSet(raw).vectors
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_zero_norm_row_of_a_later_block_names_its_index(self):
+        step = spectral._NORM_BLOCK_BYTES // (8 * 64)
+        raw = np.ones((3 * step, 64))
+        raw[[step + 5, 2 * step + 1]] = 0.0
+        with pytest.raises(ZeroNormVector) as exc:
+            EmbeddingSet(raw)
+        assert exc.value.index == step + 5
+
     @pytest.mark.parametrize("raw", [[[0.6, 0.8], [1.0, 0.0]], [[3.0, 4.0], [1.0, 0.0]]],
                              ids=["unit", "non-unit"])
     def test_leaves_the_callers_array_writable_and_unchanged(self, raw):
@@ -851,6 +869,34 @@ class TestStoreCache:
                 tracemalloc.stop()
         assert peak < rows.nbytes / 4
         assert np.array_equal(read_cache(tmp_path / "emb.cache")[1], rows.ravel())
+
+    def test_hit_rows_are_mapped_read_only(self, store, monkeypatch):
+        path = store / "emb.jsonl"
+        want = load_embeddings_jsonl(path)
+        load_store_embeddings(path)
+        trust(store / "emb.cache", path)
+        self.no_decode(monkeypatch)
+        ids, rows = load_store_embeddings(path)
+        self.assert_same((ids, rows), want)
+        assert not rows.flags.writeable
+        assert rows.flags.aligned  # the header is padded to whole floats
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+
+    def test_rows_held_across_a_rewrite_of_the_cache_stay_unchanged(self, store):
+        # the cache is replaced by a rename, so the old file's pages stay mapped
+        path, cache = store / "emb.jsonl", store / "emb.cache"
+        want = load_embeddings_jsonl(path)
+        load_store_embeddings(path)
+        trust(cache, path)
+        _, held = load_store_embeddings(path)
+        assert not held.flags.writeable  # mapped
+        inode = cache.stat().st_ino
+        write_rows(path, ["q9:0"], np.full((1, 5), 7.0), mode="a")
+        ids = load_store_embeddings(path)[0]  # a miss that rewrites the cache
+        assert cache.stat().st_ino != inode and len(ids) == 10
+        assert load_store_embeddings(path)[1][-1].tolist() == [7.0] * 5
+        assert np.array_equal(held.view(np.uint64), want[1].view(np.uint64))
 
     def test_cache_read_makes_no_copy_of_the_rows(self, tmp_path, monkeypatch):
         # a hit reads the rows into their array, with no bytes object between
