@@ -108,11 +108,7 @@ def _unit_columns(unit, buf):
             raise ValueError(f"embeddings of task {t.task_id} have width {rows.shape[1]}, "
                              f"not the {d} of the rest of their group")
         end = start + len(pos)
-        first = pos[0] if pos else 0
-        if pos == list(range(first, first + len(pos))):
-            z[start:end] = rows[first:first + len(pos)]
-        else:
-            np.take(rows, pos, axis=0, out=z[start:end], mode="clip")
+        np.take(rows, pos, axis=0, out=z[start:end], mode="clip")
         start = end
     try:
         _normalize_rows(z)

@@ -381,7 +381,7 @@ def _retry_after(value):
         return int(value)
     try:
         when = email.utils.parsedate_to_datetime(value)
-    except (TypeError, ValueError, IndexError):
+    except (TypeError, ValueError, IndexError, OverflowError):  # e.g. a ten-digit year
         return None
     if when.tzinfo is None:  # "-0000", a GMT time of unknown origin
         when = when.replace(tzinfo=datetime.timezone.utc)

@@ -56,36 +56,25 @@ class EmbeddingSet:
         return self.vectors.shape[0]
 
 
-# bytes of squares _normalize_rows holds at once
-_NORM_BLOCK_BYTES = 1 << 18
-
-
 def _normalize_rows(v):
-    """Scale each row of the writable C-contiguous float64 array `v` to unit norm, in place.
+    """Scale each row of the writable float64 array `v` to unit norm, in place.
 
-    Each norm is np.linalg.norm(v, axis=1)'s sqrt(add.reduce(row * row)),
-    taken a block of rows at a time, so the squares need no n x d temporary.
+    Each norm is np.linalg.norm(v, axis=1)'s sqrt(add.reduce(row * row)).
     Raises ZeroNormVector for the first row with norm below 1e-12, and
     ValueError unless `v` is 2-D with a row and a column.
     """
     if v.ndim != 2 or 0 in v.shape:
         raise ValueError("vectors must be a nonempty 2-D array")
-    n, d = v.shape
-    step = max(1, _NORM_BLOCK_BYTES // (8 * d))
-    squares = np.empty((min(step, n), d))
     with np.errstate(over="ignore"):  # an overflowing row is rescaled below
-        for start in range(0, n, step):
-            block = v[start:start + step]
-            sq = np.multiply(block, block, out=squares[:len(block)])
-            norms = np.sqrt(np.add.reduce(sq, axis=1))
-            bad = np.flatnonzero(norms < ZERO_NORM_TOL)
-            if bad.size:
-                raise ZeroNormVector(start + int(bad[0]))
-            huge = np.isinf(norms)  # finite rows whose squares overflow, such as [1e308, 1e308]
-            if huge.any():
-                block[huge] /= np.abs(block[huge]).max(axis=1, keepdims=True)
-                norms[huge] = np.linalg.norm(block[huge], axis=1)
-            block /= norms[:, None]
+        norms = np.sqrt(np.add.reduce(v * v, axis=1))
+    bad = np.flatnonzero(norms < ZERO_NORM_TOL)
+    if bad.size:
+        raise ZeroNormVector(int(bad[0]))
+    huge = np.isinf(norms)  # finite rows whose squares overflow, such as [1e308, 1e308]
+    if huge.any():
+        v[huge] /= np.abs(v[huge]).max(axis=1, keepdims=True)
+        norms[huge] = np.linalg.norm(v[huge], axis=1)
+    v /= norms[:, None]
 
 
 @dataclass(frozen=True)

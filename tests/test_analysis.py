@@ -244,7 +244,6 @@ class TestOnePath:
     @pytest.mark.parametrize("mode", ["per-question", "pooled"])
     @pytest.mark.parametrize("layout", ["consecutive", "shuffled", "interleaved"])
     def test_store_table_of_any_row_order(self, mode, layout):
-        # consecutive rows are copied as a slice, the others with take
         ts, _, raws, masks = one_path_group(np.random.default_rng(33))
         total = sum(map(len, raws))
         if layout == "consecutive":

@@ -695,9 +695,14 @@ class TestHTTPBackends:
         (503, "-3", 1.0, [1, 2]),
         (503, "1.5", 1.0, [1, 2]),
         (503, "\u00b2", 1.0, [1, 2]),  # "²", which str.isdigit takes
+        # dates that parse but overflow datetime's ints
+        (503, "Thu, 01 Jan 3000000000 00:00:00 GMT", 1.0, [1, 2]),
+        (429, "Thu, 01 Jan 2026 00:00:00 +99999999999999", 1.0, [1, 2]),
+        (503, "Thu, 01 Jan 2026 99999999999999999999:00:00 GMT", 1.0, [1, 2]),
     ], ids=["429-seconds", "503-padded", "backoff-longer", "capped", "zero", "500-ignored",
             "http-date-ignored", "word-ignored", "negative-ignored", "fraction-ignored",
-            "superscript-ignored"])
+            "superscript-ignored", "date-year-overflow", "date-zone-overflow",
+            "date-hour-overflow"])
     def test_retry_after_seconds_lengthens_the_back_off(self, http_server, monkeypatch, status,
                                                         retry_after, backoff, sleeps):
         slept = []
