@@ -95,9 +95,9 @@ def cmd_simulate(args):
 def cmd_bounds(args):
     try:
         with open(args.joint) as fh:
-            joint = info_theory.DiscreteJoint.from_json(json.load(fh))
+            joint = info_theory.DiscreteJoint.from_json(fh.read())
         report = info_theory.usable_evidence(joint, n_calls=args.calls)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
     _write_out(json.dumps(dataclasses.asdict(report)), args.output)
     return EXIT_OK

@@ -13,24 +13,16 @@ schema, or a deterministic in-process mock for tests and dry runs.
 Transcripts persist as append-only JSONL, one per line, schema-versioned.
 """
 
-import base64
 import collections
-import datetime
-import email.utils
 import hashlib
-import http.client
 import itertools
 import json
 import math
 import re
-import select
-import ssl
 import threading
 import time
 import types
 import urllib.parse
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 
@@ -379,6 +371,10 @@ def _retry_after(value):
     HTTP-date less the clock (RFC 9110); None for anything else."""
     if _DELAY_SECONDS.fullmatch(value):
         return int(value)
+    # imported here, as is the rest of the HTTP client, so only a networked run loads it
+    import datetime
+    import email.utils
+
     try:
         when = email.utils.parsedate_to_datetime(value)
     except (TypeError, ValueError, IndexError, OverflowError):  # e.g. a ten-digit year
@@ -404,6 +400,11 @@ class JSONClient:
     """
 
     def __init__(self, base_url, api_key=None, max_retries=3, backoff=1.0, timeout=60.0):
+        # imported here, so no command but a networked run loads the HTTP/TLS client
+        import base64
+        import ssl
+        import urllib.request
+
         url = urllib.parse.urlsplit(base_url.rstrip("/"))
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"backend URL must be http(s)://host/...: {base_url!r}")
@@ -438,6 +439,8 @@ class JSONClient:
         self._idle = []
 
     def _connect(self):
+        import http.client
+
         host, port = self._proxy or self._target
         if not self._https:
             return http.client.HTTPConnection(host, port, timeout=self.timeout)
@@ -447,6 +450,9 @@ class JSONClient:
         return conn
 
     def _exchange(self, url, body):
+        import http.client
+        import select
+
         with self._lock:
             conn = self._idle.pop() if self._idle else None
         if conn is None:
@@ -806,6 +812,8 @@ def run_tasks(jobs, plan: DiversityPlan, backend, embedder=None, concurrency=4, 
         calls = types.SimpleNamespace(map=map)  # the executor API, on this thread
         yield from itertools.starmap(drive, jobs)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     jobs = iter(jobs)
     # drivers block on the call pool, so they never run on it
     with ThreadPoolExecutor(concurrency) as calls, ThreadPoolExecutor(concurrency) as drivers:

@@ -6,6 +6,7 @@ and "Z1".."Zn" (agent calls), though any names work for the generic ops.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,8 @@ class InvalidVariable(ValueError):
 
 def _entropy_bits(p):
     p = p[p > 0.0]
-    return float(-np.sum(p * np.log2(p)))
+    # 0.0 - x, not -x: a point mass (a set of clones) has entropy +0.0, not -0.0
+    return float(0.0 - np.sum(p * np.log2(p)))
 
 
 def _row_entropies_bits(rows):
@@ -50,6 +52,8 @@ class DiscreteJoint:
             raise ValueError("variable names must be unique")
         if p.size > MAX_TABLE_SIZE:
             raise ValueError(f"product space {p.size} exceeds {MAX_TABLE_SIZE}")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be finite")
         if np.any(p < -1e-12):
             raise ValueError("negative probability")
         if abs(p.sum() - 1.0) > 1e-10:
@@ -101,13 +105,37 @@ class DiscreteJoint:
 
     @classmethod
     def from_json(cls, obj):
-        """{"alphabets": [..], "probs": [flat row-major], "names": [..]?}."""
+        """{"alphabets": [..], "probs": [flat row-major], "names": [..]?}.
+
+        Raises ValueError, naming the field, unless `obj` is an object whose
+        "alphabets" is a list of positive ints, "probs" a list of one number
+        per cell and "names", if present and not null, a list of strings.
+        """
         if isinstance(obj, str):
             obj = json.loads(obj)
-        shape = tuple(int(a) for a in obj["alphabets"])
-        names = tuple(obj.get("names") or _default_names(len(shape)))
-        probs = np.array(obj["probs"], dtype=float).reshape(shape)
-        return cls(names, probs)
+        if not isinstance(obj, dict):
+            raise ValueError(f"joint must be a JSON object, got {str(obj)[:80]}")
+        for key in ("alphabets", "probs"):
+            if key not in obj:
+                raise ValueError(f"joint has no {key!r} field")
+        shape = obj["alphabets"]
+        # a bool is no alphabet size, and int() would truncate a float
+        if not isinstance(shape, list) or any(type(a) is not int or a < 1 for a in shape):
+            raise ValueError(f"'alphabets' must be a list of positive ints, "
+                             f"got {str(shape)[:80]}")
+        names = obj.get("names")
+        if names is None:
+            names = _default_names(len(shape))
+        elif not isinstance(names, list) or any(type(n) is not str for n in names):
+            raise ValueError(f"'names' must be a list of strings, got {str(names)[:80]}")
+        probs = obj["probs"]
+        # one type() per cell in C: a joint of 12 views has 8,192 of them
+        if not isinstance(probs, list) or not set(map(type, probs)) <= {int, float}:
+            raise ValueError(f"'probs' must be a flat list of numbers, got {str(probs)[:80]}")
+        if len(probs) != math.prod(shape):
+            raise ValueError(f"'probs' has {len(probs)} entries, but 'alphabets' "
+                             f"{shape} has {math.prod(shape)} cells")
+        return cls(tuple(names), np.array(probs, dtype=float).reshape(shape))
 
     def to_json(self):
         return json.dumps(

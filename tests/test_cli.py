@@ -114,6 +114,14 @@ class TestKstar:
         assert code == 0
         assert out.out == expected
 
+    def test_clones_have_positive_zero_entropy(self, tmp_path, capsys):
+        # the fully homogeneous case: one channel, entropy 0.0 and never -0.0
+        path = tmp_path / "emb.jsonl"
+        write_jsonl(path, [{"id": str(i), "vector": [3.0, 4.0]} for i in range(2)])
+        code, out = run_cli("kstar", str(path), capsys=capsys)
+        assert code == 0
+        assert out.out == '{"eigenvalues": [1.0, 0.0], "entropy_bits": 0.0, "k_star": 1.0}\n'
+
     def test_output_is_the_summary_fields_in_order(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         raw = rng.standard_normal((9, 6)) * 3.0
@@ -248,6 +256,33 @@ class TestBounds:
         code, _ = run_cli("bounds", str(joint), capsys=capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("text, named", [
+        ("[1, 2]", "JSON object"),
+        ("null", "JSON object"),
+        # a JSON string holding a joint is a string, not a joint
+        (json.dumps(json.dumps({"alphabets": [1, 2, 2], "probs": [0.25] * 4})), "JSON object"),
+        ('{"alphabets": 3, "probs": [1.0]}', "'alphabets'"),
+        ('{"alphabets": [2.7, 2], "probs": [0.25, 0.25, 0.25, 0.25]}', "'alphabets'"),
+        ('{"alphabets": [true, 2, 2], "probs": [0.25, 0.25, 0.25, 0.25]}', "'alphabets'"),
+        ('{"alphabets": [1, 2, 2], "probs": [0.25, 0.25, 0.25, 0.25], "names": 5}', "'names'"),
+        ('{"alphabets": [1, 2, 2], "probs": [0.25, 0.25, 0.25, 0.25], "names": ["X", "Y", 3]}',
+         "'names'"),
+        ('{"probs": [0.25, 0.25, 0.25, 0.25]}', "'alphabets'"),
+        ('{"alphabets": [1, 2, 2]}', "'probs'"),
+        ('{"alphabets": [1, 2, 2], "probs": [0.5, 0.5]}', "'probs'"),
+        ('{"alphabets": [1, 2, 2], "probs": [0.25, 0.25, 0.25, true]}', "'probs'"),
+        ('{"alphabets": [1, 2, 2], "probs": [0.5, NaN, 0.25, 0.25]}', "finite"),
+    ], ids=["list", "null", "string", "alphabets-int", "alphabets-float", "alphabets-bool", "names-int",
+            "names-not-strings", "no-alphabets", "no-probs", "probs-count", "probs-bool",
+            "probs-nan"])
+    def test_malformed_joint_exits_2_naming_the_field(self, tmp_path, capsys, text, named):
+        joint = tmp_path / "joint.json"
+        joint.write_text(text)
+        code, out = run_cli("bounds", str(joint), capsys=capsys)
+        assert code == 2
+        assert out.err.startswith("error: ") and named in out.err
+        assert out.out == ""
+
 
 class TestFitAlpha:
     def test_round_trip_with_header(self, tmp_path, capsys):
@@ -347,6 +382,35 @@ def test_warm_analyze_leaves_out_orjson(tmp_path):
     assert proc.stdout.strip() == "False"
     assert [p.read_bytes() for p in sorted((tmp_path / "warm").iterdir())] == \
            [p.read_bytes() for p in sorted((tmp_path / "cold").iterdir())]
+
+
+def test_offline_commands_leave_out_the_network_stack(tmp_path):
+    # only `run` on an openai backend loads the HTTP/TLS client and the thread pools
+    curve = tmp_path / "curve.csv"
+    curve.write_text("".join(f"{k},{1.0 - math.exp(-0.3 * k)}\n" for k in range(1, 9)))
+    joint = tmp_path / "joint.json"
+    joint.write_text(bsc_views_joint(0.1, 3).to_json())
+    cfg_path, _ = base_config(tmp_path)
+    store = tmp_path / "store"
+    network = ("http.client", "ssl", "urllib.request", "email.utils", "concurrent.futures")
+    src = os.path.dirname(os.path.dirname(masinfo.__file__))
+    script = (
+        "import os, sys\n"
+        "from masinfo.cli import main\n"
+        "assert main(['simulate', '--alpha', '0.2', '--trials', '10', '--output', os.devnull]) == 0\n"
+        f"assert main(['bounds', {str(joint)!r}, '--output', os.devnull]) == 0\n"
+        f"assert main(['fit-alpha', {str(curve)!r}, '--output', os.devnull]) == 0\n"
+        f"assert main(['run', {str(cfg_path)!r}]) == 0\n"
+        f"assert main(['kstar', {str(store / 'embeddings.jsonl')!r}, '--output', os.devnull]) == 0\n"
+        f"assert main(['analyze', {str(store)!r}, '--output', {str(tmp_path / 'cold')!r}]) == 0\n"
+        f"assert os.path.exists({str(store / 'embeddings.cache')!r})\n"
+        f"assert main(['analyze', {str(store)!r}, '--output', {str(tmp_path / 'warm')!r}]) == 0\n"
+        f"print([m for m in {network!r} if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def make_dataset(tmp_path, n_tasks=3):

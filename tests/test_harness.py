@@ -644,11 +644,17 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
 
+def serve(server):
+    """Serve on a daemon thread.  A 10 ms poll lets `server.shutdown()` return
+    at once, where the default 0.5 s poll cost every test half a second."""
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                     daemon=True).start()
+
+
 @pytest.fixture
 def http_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    serve(server)
     _Handler.fail_first, _Handler.fail_status, _Handler.hits = 0, 500, 0
     _Handler.garbage_first, _Handler.retry_after = 0, None
     yield f"http://127.0.0.1:{server.server_port}/v1"
@@ -820,8 +826,7 @@ def proxy(monkeypatch):
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.upper(), raising=False)
     server = HTTPServer(("127.0.0.1", 0), _ProxyRecorder)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    serve(server)
     _ProxyRecorder.seen = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
@@ -831,8 +836,7 @@ def proxy(monkeypatch):
 class TestHTTPClient:
     def test_reconnects_after_server_closes_idle_connection(self):
         server = _ClosingServer(("127.0.0.1", 0), _KeepAliveHandler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        serve(server)
         _KeepAliveHandler.fail_first, _KeepAliveHandler.hits = 0, 0
         backend = OpenAIChatBackend(f"http://127.0.0.1:{server.server_port}/v1", max_retries=0)
         try:
