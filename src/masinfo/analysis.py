@@ -1,7 +1,9 @@
 """Measurement tables from transcript stores.
 
-`summarize_runs` turns persisted Vote/Debate transcripts plus embeddings into
-per-config summaries (accuracy, K*, K*_c/K*_w, mean cosine).  `report_bundle`
+`task_table` turns persisted Vote/Debate transcripts plus embeddings into one
+row per unit (a task, or a pooled group) with its correct count and its K*,
+K*_c/K*_w and mean cosine; `summarize_table` aggregates those rows into
+per-config summaries, and `summarize_runs` does both.  `report_bundle`
 renders them as the `analyze` report files: the summaries, accuracy per N and
 its marginal gains, agents-to-match tables, the correct/wrong-dominant
 boundary, the (K*, accuracy) points, a permutation test of Pearson r(K*,
@@ -86,10 +88,10 @@ def _unit_columns(unit, buf):
     """(K*, K*_c, K*_w, mean cosine) of every call of `unit`, (transcript, table) pairs.
 
     The unit's rows are copied, member by member, to the start of the flat
-    float64 buffer `buf` and normalized there once.  Their one Gram gives K*
-    and, through its principal submatrices, K*_c and K*_w: the values of
-    k_star and k_star_conditioned on the EmbeddingSet of the same rows.  No
-    cosine below 2 rows.
+    float64 buffer `buf`, which must hold them, and normalized there once.
+    Their one Gram gives K* and, through its principal submatrices, K*_c and
+    K*_w: the values of k_star and k_star_conditioned on the EmbeddingSet of
+    the same rows.  No cosine below 2 rows.
     """
     ids, picks, mask = [], [], []
     for t, (index, rows) in unit:
@@ -120,54 +122,121 @@ def _unit_columns(unit, buf):
     return _spectrum(g).k_star, c, w, cos
 
 
-def summarize_runs(transcripts, embeddings=None, mode="per-question"):
-    """One RunSummary per (dataset, layer, workflow, N) group.
+@dataclass(frozen=True)
+class TaskRow:
+    """One unit of task_table: its config (dataset, layer, workflow, N), its
+    task (None for a pooled group), how many of its task_count transcripts
+    are correct, and its spectral columns (None without embeddings)."""
 
-    `embeddings` maps "<task_id>:<call_index>" to a raw vector, or is a pair
-    (index, rows): `index` maps each id to its row of the 2-D array `rows`.
-    When None, the spectral columns are None and only accuracy is reported.
-    Ids are only unique within one store, so for transcripts merged from
-    several stores pass a list instead, aligned with `transcripts`, holding
-    the mapping or pair of the store each transcript came from (an empty
-    mapping for a store without embeddings, whose transcripts raise
-    MissingEmbeddings); each distinct mapping is turned into a pair once.
-    The spectral columns are the mean over units of each unit's columns: a
-    unit is one transcript in mode "per-question" and the whole group in
-    mode "pooled", which stacks all call embeddings of the group into one set.
+    config: tuple
+    task_id: str | None
+    correct: int
+    task_count: int
+    k_star: float | None
+    k_star_c: float | None
+    k_star_w: float | None
+    mean_cosine: float | None
+
+
+class TaskScorer:
+    """task_table, call after call, with one buffer for the rows of every unit.
+
+    The buffer grows to the largest unit met so far and is kept, so a caller
+    that scores its stores batch by batch allocates it once.  The rows of
+    several calls may be joined into one table as long as no pooled group
+    spans two calls.
     """
-    if mode not in ("per-question", "pooled"):
-        raise ValueError("mode must be 'per-question' or 'pooled'")
-    if isinstance(embeddings, list):
-        pairs = zip(transcripts, embeddings, strict=True)
-    else:
-        pairs = ((t, embeddings) for t in transcripts)
-    tables, groups = {}, {}
-    for t, lookup in pairs:
-        if t.invalid:
-            continue
-        if embeddings is not None and id(lookup) not in tables:
-            tables[id(lookup)] = _table(lookup)
-        groups.setdefault((t.dataset, t.layer, t.workflow, t.n_agents), []).append(
-            (t, tables.get(id(lookup))))
 
-    units = {key: [[m] for m in members] if mode == "per-question" else [members]
-             for key, members in groups.items()}
-    buf = None
-    if tables:
-        # one buffer for every unit's rows, as large as the largest unit needs
-        calls = max(sum(len(t.calls) for t, _ in u) for us in units.values() for u in us)
-        buf = np.empty(calls * max(rows.shape[-1] for _, rows in tables.values()))
+    def __init__(self, mode="per-question"):
+        if mode not in ("per-question", "pooled"):
+            raise ValueError("mode must be 'per-question' or 'pooled'")
+        self.mode = mode
+        self._buf = np.empty(0)
+
+    def score(self, transcripts, embeddings=None):
+        """task_table(transcripts, embeddings, self.mode)."""
+        if isinstance(embeddings, list):
+            pairs = zip(transcripts, embeddings, strict=True)
+        else:
+            pairs = ((t, embeddings) for t in transcripts)
+        tables, groups = {}, {}
+        for t, lookup in pairs:
+            if t.invalid:
+                continue
+            if embeddings is not None and id(lookup) not in tables:
+                tables[id(lookup)] = _table(lookup)
+            groups.setdefault((t.dataset, t.layer, t.workflow, t.n_agents), []).append(
+                (t, tables.get(id(lookup))))
+
+        per_question = self.mode == "per-question"
+        units = {key: [[m] for m in members] if per_question else [members]
+                 for key, members in groups.items()}
+        if tables:
+            calls = max(sum(len(t.calls) for t, _ in u) for us in units.values() for u in us)
+            size = calls * max(rows.shape[-1] for _, rows in tables.values())
+            if self._buf.size < size:
+                self._buf = np.empty(size)
+        table = []
+        for key, config_units in sorted(units.items()):
+            for u in config_units:
+                columns = _unit_columns(u, self._buf) if tables else (None,) * 4
+                correct = sum(answer_matches(t.final_answer, t.gold_answer) for t, _ in u)
+                task_id = u[0][0].task_id if per_question else None
+                table.append(TaskRow(key, task_id, correct, len(u), *columns))
+        return table
+
+
+def task_table(transcripts, embeddings=None, mode="per-question"):
+    """One TaskRow per unit, config by config in sorted order, and within a
+    config in the order of `transcripts`.
+
+    A unit is one valid transcript in mode "per-question" and the whole
+    group of valid transcripts of one config in mode "pooled", which stacks
+    all call embeddings of the group into one set.  `embeddings` maps
+    "<task_id>:<call_index>" to a raw vector, or is a pair (index, rows):
+    `index` maps each id to its row of the 2-D array `rows`.  When None, the
+    spectral columns are None.  Ids are only unique within one store, so for
+    transcripts merged from several stores pass a list instead, aligned with
+    `transcripts`, holding the mapping or pair of the store each transcript
+    came from (an empty mapping for a store without embeddings, whose
+    transcripts raise MissingEmbeddings); each distinct mapping is turned
+    into a pair once.  The table holds no rows of `embeddings`.
+    """
+    return TaskScorer(mode).score(transcripts, embeddings)
+
+
+def summarize_table(table, mode="per-question"):
+    """One RunSummary per config of the task_table rows `table`, in sorted order.
+
+    Accuracy is the group's correct transcripts over its transcripts; each
+    spectral column is the mean over the group's units, in table order, of
+    the unit's value where it has one.  A pooled group must be whole in one
+    row, so the rows of several task_table calls may be joined only when no
+    pooled group spans two of them.
+    """
+    groups = {}
+    for row in table:
+        groups.setdefault(row.config, []).append(row)
     summaries = []
-    for (dataset, layer, workflow, n), members in sorted(groups.items()):
-        acc = sum(answer_matches(t.final_answer, t.gold_answer) for t, _ in members) / len(members)
-        ks = ks_c = ks_w = cos = None
-        if buf is not None:
-            columns = zip(*(_unit_columns(u, buf) for u in units[dataset, layer, workflow, n]))
-            ks, ks_c, ks_w, cos = (_mean_or_none(col) for col in columns)
+    for (dataset, layer, workflow, n), rows in sorted(groups.items()):
+        count = sum(r.task_count for r in rows)
+        acc = sum(r.correct for r in rows) / count
+        ks, ks_c, ks_w, cos = (_mean_or_none([getattr(r, c) for r in rows])
+                               for c in ("k_star", "k_star_c", "k_star_w", "mean_cosine"))
         summaries.append(
-            RunSummary(dataset, layer, workflow, n, acc, ks, ks_c, ks_w, cos, len(members), mode)
-        )
+            RunSummary(dataset, layer, workflow, n, acc, ks, ks_c, ks_w, cos, count, mode))
     return summaries
+
+
+def summarize_runs(transcripts, embeddings=None, mode="per-question"):
+    """One RunSummary per (dataset, layer, workflow, N) group:
+    summarize_table(task_table(transcripts, embeddings, mode), mode).
+
+    `embeddings` is as task_table takes it; when None, the spectral columns
+    are None and only accuracy is reported.  The spectral columns are the
+    mean over the group's units of each unit's columns.
+    """
+    return summarize_table(task_table(transcripts, embeddings, mode), mode)
 
 
 def marginal_gains(series):

@@ -323,24 +323,57 @@ def cmd_run(args):
 # analyze
 
 
-def _load_store_dir(store_dir):
+def _store_transcripts(store_dir):
     transcripts = []
     for name in sorted(os.listdir(store_dir)):
         if not name.endswith(".jsonl") or name == "embeddings.jsonl":
             continue
         transcripts.extend(harness.TranscriptStore(os.path.join(store_dir, name)))
-    embeddings = None
+    return transcripts
+
+
+def _store_embeddings(store_dir):
+    """The (id -> row index, rows) pair of the store's embeddings.jsonl, or {} without one."""
     emb_path = os.path.join(store_dir, "embeddings.jsonl")
-    if os.path.exists(emb_path):
-        ids, rows = spectral.load_store_embeddings(emb_path)
-        index = dict(zip(ids, range(len(ids))))
-        embeddings = (index, rows)
-        if len(index) < len(ids):
-            # ids name no N, so every N of one output_dir writes the same ones
-            repeated = next(i for i, c in collections.Counter(ids).items() if c > 1)
-            print(f"warning: {emb_path} repeats embedding id {repeated!r}; "
-                  "each repeated id keeps its last row", file=sys.stderr)
-    return transcripts, embeddings
+    if not os.path.exists(emb_path):
+        return {}
+    ids, rows = spectral.load_store_embeddings(emb_path)
+    index = dict(zip(ids, range(len(ids))))
+    if len(index) < len(ids):
+        # ids name no N, so every N of one output_dir writes the same ones
+        repeated = next(i for i, c in collections.Counter(ids).items() if c > 1)
+        print(f"warning: {emb_path} repeats embedding id {repeated!r}; "
+              "each repeated id keeps its last row", file=sys.stderr)
+    return index, rows
+
+
+def _batches(stores, mode):
+    """`stores`, (store_dir, transcripts) pairs, split into lists that no unit
+    crosses: one store each in mode "per-question"; in mode "pooled", stores
+    that share a config go together.  Each list keeps the stores in order,
+    and the lists come in the order of their first stores."""
+    if mode == "per-question":
+        return [[s] for s in stores]
+    batches = []  # (configs, store positions)
+    for i, (_, ts) in enumerate(stores):
+        configs, members = {(t.dataset, t.layer, t.workflow, t.n_agents) for t in ts}, [i]
+        for b in [b for b in batches if b[0] & configs]:
+            batches.remove(b)
+            configs |= b[0]
+            members += b[1]
+        batches.append((configs, sorted(members)))
+    return [[stores[i] for i in members] for _, members in sorted(batches, key=lambda b: b[1])]
+
+
+def _score(batch, scorer):
+    """The task table of the stores in `batch`, each transcript with its own
+    store's rows; the rows are let go when it returns."""
+    transcripts, embeddings = [], []
+    for store_dir, ts in batch:
+        emb = _store_embeddings(store_dir)
+        transcripts.extend(ts)
+        embeddings.extend([emb] * len(ts))
+    return scorer.score(transcripts, embeddings)
 
 
 def cmd_analyze(args):
@@ -350,25 +383,26 @@ def cmd_analyze(args):
     for i, r in enumerate(real):
         if r in real[:i]:
             return _fail(f"store directory {store_dirs[i]} repeats {store_dirs[real.index(r)]}")
-    # ids repeat across stores, so each transcript keeps its own store's vectors
-    transcripts, embeddings = [], []
     try:
-        for d in store_dirs:
-            ts, emb = _load_store_dir(d)
-            transcripts.extend(ts)
-            embeddings.extend([emb or {}] * len(ts))
+        stores = [(d, _store_transcripts(d)) for d in store_dirs]
     except ValueError as exc:
         return _fail(str(exc))
-    if not transcripts:
+    if not any(ts for _, ts in stores):
         return _fail("store contains no transcripts")
-    if not any(embeddings):
-        embeddings = None
-        print("warning: no embeddings found; spectral columns omitted", file=sys.stderr)
-
+    # ids repeat across stores, so each transcript keeps its own store's rows,
+    # and each batch of stores is scored and its rows let go before the next
+    # is loaded: only one batch's rows are held at a time
+    table, scorer = [], analysis.TaskScorer(args.mode)
     try:
-        summaries = analysis.summarize_runs(transcripts, embeddings, mode=args.mode)
+        if any(ts and os.path.exists(os.path.join(d, "embeddings.jsonl")) for d, ts in stores):
+            for batch in _batches(stores, args.mode):
+                table += _score(batch, scorer)
+        else:
+            print("warning: no embeddings found; spectral columns omitted", file=sys.stderr)
+            table = scorer.score([t for _, ts in stores for t in ts])
     except (analysis.MissingEmbeddings, ValueError) as exc:
         return _fail(str(exc))
+    summaries = analysis.summarize_table(table, args.mode)
     files, skipped = analysis.report_bundle(summaries, seed=args.seed)
 
     out_dir = args.output or os.path.join(args.store_dir, "reports")

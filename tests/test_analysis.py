@@ -11,6 +11,7 @@ from masinfo.analysis import (
     MissingEmbeddings,
     NeedTwoPoints,
     RunSummary,
+    TaskScorer,
     agents_to_match,
     boundary_classification,
     marginal_gains,
@@ -20,6 +21,8 @@ from masinfo.analysis import (
     report_bundle,
     spearman_rho,
     summarize_runs,
+    summarize_table,
+    task_table,
     _ranks,
     _shuffled_r,
 )
@@ -28,6 +31,7 @@ from masinfo.harness import (
     MockEmbeddingBackend,
     Transcript,
     WorkflowSpec,
+    answer_matches,
     run_workflow,
 )
 from masinfo.spectral import (
@@ -289,6 +293,51 @@ class TestOnePath:
         lookups = [embeddings_for("t1", np.eye(2)), embeddings_for("t1", np.eye(3)[:2])]
         with pytest.raises(ValueError, match=r"^embeddings of task t1 have width 3, not the 2 "):
             summarize_runs(ts, lookups, mode="pooled")
+
+
+class TestTaskTable:
+    """task_table's rows are the units summarize_runs averages."""
+
+    def test_one_row_per_unit(self):
+        ts, lookup, raws, masks = one_path_group(np.random.default_rng(38))
+        ts.insert(2, make_transcript("t9", ["A", "A"], n=4, invalid=True))
+        valid = [t for t in ts if not t.invalid]
+        rows = task_table(ts, lookup)
+        assert [(r.config, r.task_id, r.correct, r.task_count) for r in rows] == [
+            (("d1", "L1", "vote", 4), t.task_id, answer_matches(t.final_answer, "A"), 1)
+            for t in valid]
+        for r, raw, mask in zip(rows, raws, masks):
+            assert (r.k_star, r.k_star_c, r.k_star_w, r.mean_cosine) == columns_of(
+                normalize_embeddings(raw), mask)
+        (pooled,) = task_table(ts, lookup, mode="pooled")
+        assert (pooled.task_id, pooled.correct, pooled.task_count) == (
+            None, sum(r.correct for r in rows), len(valid))
+        assert (pooled.k_star, pooled.k_star_c, pooled.k_star_w, pooled.mean_cosine) == (
+            columns_of(normalize_embeddings(np.vstack(raws)), sum(masks, [])))
+
+    def test_without_embeddings_only_counts(self):
+        ts = [make_transcript("t1", ["A", "B", "A"]), make_transcript("t2", ["B", "B"], n=3)]
+        assert [(r.task_id, r.correct, r.task_count, r.k_star, r.mean_cosine)
+                for r in task_table(ts)] == [("t1", 1, 1, None, None), ("t2", 0, 1, None, None)]
+
+    @pytest.mark.parametrize("mode", ["per-question", "pooled"])
+    def test_tables_scored_store_by_store_summarize_as_all_at_once(self, mode):
+        # two stores of one L1 group and one L2 group, with the larger units
+        # in the second store, so one scorer's buffer grows between them
+        rng = np.random.default_rng(39)
+        ts, lookups = [], []
+        for layer, widths in (("L1", [2, 3]), ("L2", [4, 6])):
+            for k, calls in enumerate(widths):
+                t = make_transcript(f"t{k}", ["A", "B"] * (calls // 2) + ["A"] * (calls % 2),
+                                    layer=layer, n=6)
+                ts.append(t)
+                lookups.append(embeddings_for(t.task_id, rng.standard_normal((calls, 5))))
+        stores = [[0, 2], [1, 3]] if mode == "per-question" else [[0, 1], [2, 3]]
+        scorer = TaskScorer(mode)
+        table = []
+        for store in stores:
+            table += scorer.score([ts[i] for i in store], [lookups[i] for i in store])
+        assert summarize_table(table, mode) == summarize_runs(ts, lookups, mode=mode)
 
 
 class TestNumericGold:

@@ -7,12 +7,13 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
 
 import masinfo
-from masinfo import cli, harness, spectral
+from masinfo import analysis, cli, harness, spectral
 from masinfo.cli import main
 from masinfo.harness import (
     BackendError,
@@ -867,7 +868,10 @@ class FailingEmbed:
 
 class TestEmbeddingFailures:
     # FailingEmbed fails by batch position, and fetch_embeddings sends each
-    # distinct text once: the two calls of each task need distinct outputs
+    # distinct text once: the two calls of each task need distinct outputs.
+    # FailingEmbed is not deterministic, so run_tasks takes its threaded
+    # path, where tasks running side by side would interleave their pops of
+    # the scripted answers; one task at a time keeps "AB" within each task.
     @staticmethod
     def distinct_chat():
         return MockChatBackend(seed=11, initial_answers="ABABAB")
@@ -876,7 +880,7 @@ class TestEmbeddingFailures:
     def test_warns_per_task_and_keeps_running(self, tmp_path, capsys, monkeypatch, failure):
         monkeypatch.setattr(
             cli, "_build_backends", lambda cfg: (self.distinct_chat(), FailingEmbed(failure)))
-        cfg_path, _ = base_config(tmp_path, n_agents_list=[2])
+        cfg_path, _ = base_config(tmp_path, n_agents_list=[2], concurrency_limit=1)
         code, out = run_cli("run", str(cfg_path), capsys=capsys)
         assert code == 0
         warnings = out.err.strip().splitlines()
@@ -905,7 +909,7 @@ class TestEmbeddingFailures:
     def test_zero_norm_vectors_write_no_row(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(
             cli, "_build_backends", lambda cfg: (self.distinct_chat(), FailingEmbed("zero")))
-        cfg_path, _ = base_config(tmp_path, n_agents_list=[2])
+        cfg_path, _ = base_config(tmp_path, n_agents_list=[2], concurrency_limit=1)
         code, out = run_cli("run", str(cfg_path), capsys=capsys)
         assert code == 0
         warnings = out.err.strip().splitlines()
@@ -1063,6 +1067,62 @@ class TestAnalyze:
         for r in merged:
             assert r == alone[(r["layer"], r["n_agents"])]
 
+    @staticmethod
+    def held_rows(monkeypatch):
+        """For each load_store_embeddings call, the stores whose rows are alive
+        when it returns; a finalizer on each returned array marks it freed."""
+        load, live, held = spectral.load_store_embeddings, set(), []
+
+        def tracked(path):
+            ids, rows = load(path)
+            store = os.path.dirname(path)
+            live.add(store)
+            weakref.finalize(rows, live.discard, store)
+            held.append(sorted(live))
+            return ids, rows
+
+        monkeypatch.setattr(spectral, "load_store_embeddings", tracked)
+        return held
+
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    def test_per_question_holds_one_stores_rows_at_a_time(self, tmp_path, monkeypatch, cache):
+        # the last two share every config: in pooled mode they would go together
+        stores = [str(self.run_store(tmp_path / name, layer=layer, seed=seed))
+                  for name, layer, seed in (("a", "L1", 11), ("b", "L2", 12), ("c", "L2", 13))]
+        argv = ["analyze", stores[0], "--merge", *stores[1:], "--output", str(tmp_path / "out")]
+        if cache == "warm":
+            assert main(argv) == 0
+        held = self.held_rows(monkeypatch)
+        assert main(argv) == 0
+        assert held == [[s] for s in stores]
+
+    def test_pooled_holds_together_only_stores_that_share_a_config(self, tmp_path, monkeypatch):
+        # b and c both hold vote/L2/N2 and vote/L2/N4; a shares no config with them
+        b, a, c = (str(self.run_store(tmp_path / name, layer=layer, seed=seed))
+                   for name, layer, seed in (("b", "L2", 12), ("a", "L1", 11), ("c", "L2", 13)))
+        held = self.held_rows(monkeypatch)
+        assert main(["analyze", b, "--merge", a, c, "--mode", "pooled",
+                     "--output", str(tmp_path / "out")]) == 0
+        assert held == [[b], sorted([b, c]), [a]]
+
+    def test_pooled_group_across_two_stores_reports_as_all_at_once(self, tmp_path):
+        # vote/L1/N4 is in both stores: its one pooled unit stacks the rows of both
+        s1 = self.run_store(tmp_path / "r1", seed=11)
+        s2 = self.run_store(tmp_path / "r2", seed=12, n_agents_list=[4, 8])
+        out = tmp_path / "out"
+        assert main(["analyze", str(s1), "--merge", str(s2), "--mode", "pooled", "--seed", "5",
+                     "--output", str(out)]) == 0
+        transcripts, lookups = [], []
+        for store in (s1, s2):
+            ts = [t for f in sorted(store.glob("vote_*.jsonl")) for t in TranscriptStore(f)]
+            ids, rows = spectral.load_embeddings_jsonl(store / "embeddings.jsonl")
+            transcripts += ts
+            lookups += [(dict(zip(ids, range(len(ids)))), rows)] * len(ts)
+        summaries = analysis.summarize_runs(transcripts, lookups, mode="pooled")
+        assert [(s.n_agents, s.task_count) for s in summaries] == [(2, 3), (4, 6), (8, 3)]
+        files, _ = analysis.report_bundle(summaries, seed=5)
+        assert {p.name: p.read_text() for p in out.iterdir()} == files
+
     @pytest.mark.parametrize("again", ["same", "dot-slash", "symlink"])
     def test_store_given_twice_exits_2_before_reading(self, tmp_path, monkeypatch, capsys,
                                                       again):
@@ -1088,6 +1148,25 @@ class TestAnalyze:
                             "--output", str(tmp_path / "out"), capsys=capsys)
         assert code == 2
         assert "no embeddings for task" in out.err
+
+    @pytest.mark.parametrize("first", ["zero-norm", "no-embeddings"])
+    def test_of_two_faulty_stores_the_first_given_names_the_error(self, tmp_path, capsys,
+                                                                   first):
+        # the L2 store has a zero-norm row, the L1 store no embeddings.jsonl:
+        # store by store, the first on the command line fails first, whichever
+        # config sorts first
+        zero = self.run_store(tmp_path / "zero", layer="L2", n_agents_list=[2])
+        rows = [json.loads(l) for l in (zero / "embeddings.jsonl").read_text().splitlines()]
+        rows[0]["vector"] = [0.0] * len(rows[0]["vector"])
+        write_jsonl(zero / "embeddings.jsonl", rows)
+        bare = self.run_store(tmp_path / "bare", layer="L1", n_agents_list=[2])
+        (bare / "embeddings.jsonl").unlink()
+        stores = [str(zero), str(bare)] if first == "zero-norm" else [str(bare), str(zero)]
+        code, out = run_cli("analyze", stores[0], "--merge", stores[1],
+                            "--output", str(tmp_path / "out"), capsys=capsys)
+        assert code == 2
+        assert out.err == ("error: embedding t0:0 has norm < 1e-12\n" if first == "zero-norm"
+                           else "error: 'no embeddings for task t0'\n")
 
     def test_malformed_store_line_exits_2_with_file_and_line(self, tmp_path, capsys):
         store = self.run_store(tmp_path, n_agents_list=[2])
