@@ -4,13 +4,18 @@ M latent evidence bits jointly carry H(Y|X); each of K effective channels
 reveals each still-hidden bit independently with probability alpha.  The
 expected residual (uncovered) fraction after K channels is (1-alpha)**K,
 bounded above by exp(-alpha*K).  The simulation draws each bit's first
-revealing channel, Geometric(alpha), by inversion of one uniform.
+revealing channel, Geometric(alpha), by inversion of one uniform.  It splits
+the trials between threads, each reading its own span of one counter-based
+Philox stream, and adds the per-chunk sums in chunk order, so the curve does
+not depend on the number of threads.
 """
 
 import csv
 import io
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +31,9 @@ class DegenerateCurve(ValueError):
 
 DEFAULT_TRIALS = 100_000
 _CHUNK_BYTES = 1 << 18  # bytes of each per-chunk buffer of simulate_coverage
+# simulate_coverage's workers at most: each adds three chunk buffers and a
+# thread, about 1 MiB of resident memory
+_MAX_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -108,6 +116,13 @@ class ContractionCurve:
         )
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate_coverage(params: CoverageParams, trials: int = DEFAULT_TRIALS) -> ContractionCurve:
     """Simulate residual fractions for K = 0 .. params.num_channels.
 
@@ -116,8 +131,18 @@ def simulate_coverage(params: CoverageParams, trials: int = DEFAULT_TRIALS) -> C
     whole curve: with V = 1 - U in (0, 1], G = floor(log V / log1p(-alpha)) + 1.
     One Philox stream keyed by the seed is read in order, trial t taking
     uniforms [t*m, (t+1)*m), so extending `trials` never reshuffles earlier
-    trials.  Chunks of trials run on the calling thread, each chunk buffer
-    at most 256 KiB or one trial.  K = 0 hides every bit: mean 1.0, stderr 0.
+    trials.  Trials run in chunks whose buffers hold at most 256 KiB (or one
+    trial) each.  The chunks are cut into contiguous spans, one per worker:
+    as many workers as there are usable CPUs, but no more than the chunks or
+    `_MAX_WORKERS`.  The calling thread runs the first span and one thread
+    each of the others runs the rest.  A worker keys its own Philox, advances
+    it to its span's first uniform, holds three chunk buffers, 768 KiB at
+    most, and runs under the caller's numpy errstate.  Every chunk's column
+    sums are added in chunk order, as one thread would add them, so the
+    curve is the same to the bit for any number of workers.  The sums wait
+    in a table until the earlier chunks are added; the spans run in rounds
+    that bound it at 256 KiB (or one chunk's sums) per worker, whatever
+    `trials`.  K = 0 hides every bit: mean 1.0, stderr 0.
     """
     if trials < 1:
         raise BadParams("trials must be >= 1")
@@ -130,26 +155,69 @@ def simulate_coverage(params: CoverageParams, trials: int = DEFAULT_TRIALS) -> C
     log_q = math.log1p(-params.alpha)
     width = k_max + 1  # bins per trial, for G - 1 = 0 .. k_max
     chunk = min(trials, max(1, _CHUNK_BYTES // (8 * max(m, width))))
+    chunks = -(-trials // chunk)
+    workers = min(_usable_cpus(), chunks, _MAX_WORKERS)
+    per_round = workers * max(1, _CHUNK_BYTES // (16 * width))  # chunks a round sums
     weights = np.tile(np.array(params.bit_entropies, dtype=float) / total, chunk)
     first_bin = np.arange(chunk)[:, None] * width
-    rng = np.random.Generator(np.random.Philox(key=params.seed))
-    sums = np.zeros((2, width))  # of the fractions and of their squares
-    for first in range(0, trials, chunk):
-        b = min(chunk, trials - first)
-        log_v = rng.random(b * m)
-        np.log1p(np.negative(log_v, out=log_v), out=log_v)
-        # log V below (k_max + 1) * log_q means G > k_max anyway; raising it
-        # there bounds the quotient, which overflows for alpha near 5e-324
-        np.maximum(log_v, (k_max + 1) * log_q, out=log_v)
-        np.divide(log_v, log_q, out=log_v)
-        hidden = log_v.astype(np.intp).reshape(b, m)  # G - 1 >= 0, so truncation floors
-        np.minimum(hidden, k_max, out=hidden)
-        bins = np.add(hidden, first_bin[:b], out=hidden)
-        res = np.bincount(bins.ravel(), weights=weights[:b * m], minlength=b * width).reshape(b, width)
-        # column K sums the entropy fractions of the bits with G > K
-        np.cumsum(res[:, ::-1], axis=1, out=res[:, ::-1])
-        sums[0] += res.sum(axis=0)
-        sums[1] += np.square(res, out=res).sum(axis=0)
+
+    def run_span(start, rows):
+        # rows[i] receives the sums of chunk start + i: of the fractions and of their squares
+        rng = np.random.Generator(np.random.Philox(key=params.seed))
+        draw = start * chunk * m
+        # each Philox counter step makes 4 uniforms
+        rng.bit_generator.advance(draw // 4)
+        rng.random(draw % 4)
+        log_v = np.empty(chunk * m)
+        hidden = np.empty(chunk * m, dtype=np.intp)
+        for i, row in enumerate(rows):
+            b = min(chunk, trials - (start + i) * chunk)
+            v = rng.random(out=log_v[:b * m])
+            np.log1p(np.negative(v, out=v), out=v)
+            # log V below (k_max + 1) * log_q means G > k_max anyway; raising it
+            # there bounds the quotient, which overflows for alpha near 5e-324
+            np.maximum(v, (k_max + 1) * log_q, out=v)
+            np.divide(v, log_q, out=v)
+            bins = hidden[:b * m].reshape(b, m)
+            np.copyto(bins, v.reshape(b, m), casting="unsafe")  # G - 1 >= 0, so truncation floors
+            np.minimum(bins, k_max, out=bins)
+            np.add(bins, first_bin[:b], out=bins)
+            res = np.bincount(bins.ravel(), weights=weights[:b * m], minlength=b * width).reshape(b, width)
+            # column K sums the entropy fractions of the bits with G > K
+            np.cumsum(res[:, ::-1], axis=1, out=res[:, ::-1])
+            np.sum(res, axis=0, out=row[0])
+            np.sum(np.square(res, out=res), axis=0, out=row[1])
+
+    errstate = np.geterr()  # numpy keeps it per thread
+
+    def run_caught(span, errors, i):
+        try:
+            with np.errstate(**errstate):
+                run_span(*span)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors[i] = exc
+
+    sums = np.zeros((2, width))
+    for first in range(0, chunks, per_round):
+        table = np.empty((min(per_round, chunks - first), 2, width))
+        cuts = [len(table) * w // workers for w in range(workers + 1)]
+        spans = [(first + a, table[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b]
+        errors = [None] * len(spans)
+        threads = [threading.Thread(target=run_caught, args=(spans[i], errors, i))
+                   for i in range(1, len(spans))]
+        try:
+            for t in threads:
+                t.start()
+            run_span(*spans[0])
+        finally:
+            for t in threads:
+                if t.ident is not None:
+                    t.join()
+        for exc in errors:
+            if exc is not None:
+                raise exc
+        for row in table:
+            sums += row
 
     mean, mean_sq = sums / trials
     mean[0] = mean_sq[0] = 1.0  # K = 0 hides every bit of every trial
@@ -179,6 +247,13 @@ def marginal_gain(alpha: float, k: int) -> float:
 
 def recovered_lower_bound(alpha: float, k: float, h_y_given_x: float = 1.0) -> float:
     """H(Y|X) * (1 - e^(-alpha*k)), the saturating information-recovery guarantee."""
+    if not 0.0 < alpha < 1.0:
+        raise BadParams(f"alpha must lie in (0, 1), got {alpha}")
+    # NaN fails every comparison, so test for what is allowed
+    if not (math.isfinite(k) and k >= 0):
+        raise BadParams(f"k must be finite and >= 0, got {k}")
+    if not (math.isfinite(h_y_given_x) and h_y_given_x >= 0):
+        raise BadParams(f"H(Y|X) must be finite and >= 0, got {h_y_given_x}")
     return h_y_given_x * (1.0 - math.exp(-alpha * k))
 
 
@@ -192,11 +267,6 @@ def compare_designs(a, b, h_y_given_x: float = 1.0):
     """
     alpha_a, k_a = a
     alpha_b, k_b = b
-    for alpha, k in (a, b):
-        if not 0.0 < alpha < 1.0:
-            raise BadParams(f"alpha must lie in (0, 1), got {alpha}")
-        if k < 0:
-            raise BadParams("k must be >= 0")
     lb_a = recovered_lower_bound(alpha_a, k_a, h_y_given_x)
     lb_b = recovered_lower_bound(alpha_b, k_b, h_y_given_x)
     pa, pb = alpha_a * k_a, alpha_b * k_b

@@ -395,10 +395,14 @@ def test_offline_commands_leave_out_the_network_stack(tmp_path):
     store = tmp_path / "store"
     network = ("http.client", "ssl", "urllib.request", "email.utils", "concurrent.futures")
     src = os.path.dirname(os.path.dirname(masinfo.__file__))
+    # 6,000 trials of 16 bits are 3 chunks, which simulate splits between
+    # threads on any host
     script = (
         "import os, sys\n"
+        "from masinfo import coverage\n"
         "from masinfo.cli import main\n"
-        "assert main(['simulate', '--alpha', '0.2', '--trials', '10', '--output', os.devnull]) == 0\n"
+        "coverage._usable_cpus = lambda: 2\n"
+        "assert main(['simulate', '--alpha', '0.2', '--trials', '6000', '--output', os.devnull]) == 0\n"
         f"assert main(['bounds', {str(joint)!r}, '--output', os.devnull]) == 0\n"
         f"assert main(['fit-alpha', {str(curve)!r}, '--output', os.devnull]) == 0\n"
         f"assert main(['run', {str(cfg_path)!r}]) == 0\n"

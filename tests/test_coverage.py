@@ -1,5 +1,6 @@
 import hashlib
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -15,8 +16,40 @@ from masinfo.coverage import (
     compare_designs,
     fit_alpha,
     marginal_gain,
+    recovered_lower_bound,
     simulate_coverage,
 )
+
+
+def force_workers(monkeypatch, n, cap=None):
+    """Make simulate_coverage see n usable CPUs, its worker cap lifted to `cap`."""
+    monkeypatch.setattr(coverage, "_usable_cpus", lambda: n)
+    if cap is not None:
+        monkeypatch.setattr(coverage, "_MAX_WORKERS", cap)
+
+
+def count_philox_keys(monkeypatch):
+    """Count the Philox streams simulate_coverage keys: one per span of each round."""
+    keys = []
+    real = np.random.Philox
+
+    def philox(key):
+        keys.append(key)
+        return real(key=key)
+
+    monkeypatch.setattr(coverage.np.random, "Philox", philox)
+    return keys
+
+
+PINNED = [
+    (CoverageParams.equal_bits(alpha=0.3, num_channels=10, seed=1, num_bits=16), 45_000,
+     "df305569e4596a06ab489e13b5fb7d28842c310ec7c49ca1711b47a7207abe12"),
+    (CoverageParams(7, tuple(np.linspace(0.01, 0.2, 7)), 0.35, 6, 17), 21_001,
+     "5b2180524d48eb158abdc7760e28c5e70b1a44b3a39fd7b557aa03e8e992af88"),
+    (CoverageParams(17, tuple(np.linspace(0.01, 0.3, 17)), 0.3, 5, 23), 20_101,
+     "40f484a1aef7008b6cd6cb29138489d73d48d97d04c19998082651579a889734"),
+]
+PINNED_IDS = ["equal-m16", "nonuniform-m7", "nonuniform-m17"]
 
 
 class TestParams:
@@ -145,31 +178,107 @@ class TestSimulate:
 
     @pytest.mark.parametrize("alpha, residual", [(5e-324, 1.0), (1e-300, 1.0), (1.0 - 2.0**-53, 0.0)],
                              ids=["denormal", "tiny", "one-minus-ulp"])
-    def test_extreme_alpha_raises_no_warning(self, alpha, residual):
+    def test_extreme_alpha_raises_no_warning(self, monkeypatch, alpha, residual):
         # for tiny alpha, log V / log1p(-alpha) lies far past intp's range,
         # and past float64's at 5e-324: neither the division nor the cast
-        # to an integer bin may overflow
+        # to an integer bin may overflow.  Three chunks put a span on a
+        # worker thread, whose numpy warnings the filter turns into errors
+        force_workers(monkeypatch, 2, cap=2)
         p = CoverageParams.equal_bits(alpha=alpha, num_channels=5, seed=3)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            curve = simulate_coverage(p, trials=1000)
+            curve = simulate_coverage(p, trials=5000)
         # a bit flips only when U sits on one value of 2**53
         assert curve.mean_residual_fraction == (1.0,) + (residual,) * 5
         assert curve.stderr == (0.0,) * 6
 
-    @pytest.mark.parametrize("params, trials, digest", [
-        (CoverageParams.equal_bits(alpha=0.3, num_channels=10, seed=1, num_bits=16), 45_000,
-         "df305569e4596a06ab489e13b5fb7d28842c310ec7c49ca1711b47a7207abe12"),
-        (CoverageParams(7, tuple(np.linspace(0.01, 0.2, 7)), 0.35, 6, 17), 21_001,
-         "5b2180524d48eb158abdc7760e28c5e70b1a44b3a39fd7b557aa03e8e992af88"),
-        (CoverageParams(17, tuple(np.linspace(0.01, 0.3, 17)), 0.3, 5, 23), 20_101,
-         "40f484a1aef7008b6cd6cb29138489d73d48d97d04c19998082651579a889734"),
-    ], ids=["equal-m16", "nonuniform-m7", "nonuniform-m17"])
+    @pytest.mark.parametrize("params, trials, digest", PINNED, ids=PINNED_IDS)
     def test_stream_and_reduction_pinned(self, params, trials, digest):
         # the Philox draw order and the chunked reduction fix every digit of
         # the curve; a change to either shows here
         csv = simulate_coverage(params, trials=trials).to_csv()
         assert hashlib.sha256(csv.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_any_worker_count_gives_the_same_bytes(self, monkeypatch, workers):
+        # the pinned curves are one round of 22, 5 and 11 chunks, so m7 has
+        # fewer chunks than 8 workers
+        force_workers(monkeypatch, workers, cap=workers)
+        for params, trials, digest in PINNED:
+            keys = count_philox_keys(monkeypatch)
+            csv = simulate_coverage(params, trials=trials).to_csv()
+            assert hashlib.sha256(csv.encode()).hexdigest() == digest
+            chunk = coverage._CHUNK_BYTES // (8 * max(params.num_bits, params.num_channels + 1))
+            assert len(keys) == min(workers, -(-trials // chunk))
+        # one-trial chunks of 7 bits start the second worker's span 3 draws
+        # into a Philox block and the third's 2 draws into one
+        params = CoverageParams(7, tuple(np.linspace(0.01, 0.2, 7)), 0.35, 6, 17)
+        monkeypatch.setattr(coverage, "_CHUNK_BYTES", 8 * 7)
+        curve = simulate_coverage(params, trials=3)
+        force_workers(monkeypatch, 1)
+        assert curve.to_csv() == simulate_coverage(params, trials=3).to_csv()
+
+    @pytest.mark.parametrize("cpus, trials, workers", [
+        (1, 45_000, 1),
+        (64, 45_000, coverage._MAX_WORKERS),
+        (64, 2_048, 1),  # one chunk
+    ], ids=["one-cpu", "capped", "one-chunk"])
+    def test_worker_count(self, monkeypatch, cpus, trials, workers):
+        # min(usable CPUs, chunks, cap) workers, each keying one Philox; no
+        # worker thread outlives the call
+        force_workers(monkeypatch, cpus)
+        keys = count_philox_keys(monkeypatch)
+        before = threading.active_count()
+        params = CoverageParams.equal_bits(alpha=0.3, num_channels=10, seed=1, num_bits=16)
+        simulate_coverage(params, trials=trials)
+        assert len(keys) == workers
+        assert threading.active_count() == before
+
+    def test_usable_cpus_follow_affinity(self, monkeypatch):
+        monkeypatch.setattr(coverage.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert coverage._usable_cpus() == 3
+        monkeypatch.delattr(coverage.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(coverage.os, "cpu_count", lambda: 6)
+        assert coverage._usable_cpus() == 6
+        monkeypatch.setattr(coverage.os, "cpu_count", lambda: None)
+        assert coverage._usable_cpus() == 1
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_span_failure_reraised_and_threads_joined(self, monkeypatch, failing):
+        # of two spans, the one that raises surfaces on the calling thread,
+        # and the worker thread does not outlive the call
+        force_workers(monkeypatch, 2, cap=2)
+        real = np.bincount
+        caller = threading.current_thread()
+
+        def bincount(*args, **kwargs):
+            if (threading.current_thread() is caller) == (failing == "caller"):
+                raise FloatingPointError(f"bincount failed on the {failing}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(coverage.np, "bincount", bincount)
+        before = threading.active_count()
+        params = CoverageParams.equal_bits(alpha=0.3, num_channels=10, seed=1, num_bits=16)
+        with pytest.raises(FloatingPointError, match=f"on the {failing}"):
+            simulate_coverage(params, trials=45_000)
+        assert threading.active_count() == before
+
+    def test_workers_keep_the_callers_errstate(self, monkeypatch):
+        # an overflow on a worker thread raises as np.errstate asks the caller's
+        force_workers(monkeypatch, 2, cap=2)
+        real = np.divide
+        caller = threading.current_thread()
+
+        def divide(a, b, out=None):
+            if threading.current_thread() is not caller:
+                np.multiply(a, 1e308, out=a)
+                np.multiply(a, 1e308, out=a)
+            return real(a, b, out=out)
+
+        monkeypatch.setattr(coverage.np, "divide", divide)
+        params = CoverageParams.equal_bits(alpha=0.3, num_channels=10, seed=1, num_bits=16)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            simulate_coverage(params, trials=45_000)
 
     def test_bad_trials(self):
         p = CoverageParams.equal_bits(alpha=0.3, num_channels=2, seed=0)
@@ -178,6 +287,11 @@ class TestSimulate:
 
 
 class TestSimulateMemory:
+    # the worker cap bounds the memory on a host with any number of CPUs
+    @pytest.fixture(autouse=True)
+    def many_cpus(self, monkeypatch):
+        force_workers(monkeypatch, 64)
+
     def test_memory_bounded_by_chunks(self):
         # 4,096 draws per trial: one trial's uniforms, bins and weights take
         # 32 KiB each, and a chunk holds 8 trials
@@ -197,6 +311,18 @@ class TestSimulateMemory:
         tracemalloc.start()
         try:
             simulate_coverage(params, trials=20_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_chunk_sums_bounded_whatever_the_trials(self):
+        # 20,001 channels make each one-trial chunk's two column sums 320 KiB:
+        # a table of all 60 chunks' sums would take 19 MiB, a round's 640 KiB
+        params = CoverageParams.equal_bits(alpha=0.3, num_channels=20_000, seed=9, num_bits=1)
+        tracemalloc.start()
+        try:
+            simulate_coverage(params, trials=60)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -259,6 +385,42 @@ class TestCompareDesigns:
     def test_scales_with_entropy(self):
         lb_a, _, _ = compare_designs((0.4, 4), (0.2, 4), 2.5)
         assert abs(lb_a - 2.5 * (1.0 - math.exp(-1.6))) < 1e-12
+
+    @pytest.mark.parametrize("a, b, h, match", [
+        ((0.3, math.nan), (0.3, 2), 1.0, "k must"),
+        ((0.3, math.inf), (0.2, math.inf), 1.0, "k must"),
+        ((0.3, 2), (0.3, -1), 1.0, "k must"),
+        ((math.nan, 2), (0.3, 2), 1.0, "alpha"),
+        ((0.3, 2), (1.5, 2), 1.0, "alpha"),
+        ((0.3, 2), (0.4, 2), math.nan, "H\\(Y\\|X\\)"),
+        ((0.3, 2), (0.4, 2), -1.0, "H\\(Y\\|X\\)"),
+        ((0.3, 2), (0.4, 2), math.inf, "H\\(Y\\|X\\)"),
+    ], ids=["nan-k", "inf-k", "negative-k", "nan-alpha", "alpha-above-1", "nan-h", "negative-h", "inf-h"])
+    def test_bad_design_rejected(self, a, b, h, match):
+        with pytest.raises(BadParams, match=match):
+            compare_designs(a, b, h)
+
+
+class TestRecoveredLowerBound:
+    def test_value(self):
+        assert abs(recovered_lower_bound(0.3, 2, 2.0) - 2.0 * (1.0 - math.exp(-0.6))) < 1e-15
+        assert recovered_lower_bound(0.3, 0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("alpha, k, h, match", [
+        (1.5, 2, 1.0, "alpha"),
+        (0.0, 2, 1.0, "alpha"),
+        (math.nan, 2, 1.0, "alpha"),
+        (0.3, -2, 1.0, "k must"),
+        (0.3, math.nan, 1.0, "k must"),
+        (0.3, math.inf, 1.0, "k must"),
+        (0.3, 2, -0.5, "H\\(Y\\|X\\)"),
+        (0.3, 2, math.nan, "H\\(Y\\|X\\)"),
+        (0.3, 2, math.inf, "H\\(Y\\|X\\)"),
+    ], ids=["alpha-above-1", "alpha-zero", "nan-alpha", "negative-k", "nan-k", "inf-k",
+            "negative-h", "nan-h", "inf-h"])
+    def test_bad_input_rejected(self, alpha, k, h, match):
+        with pytest.raises(BadParams, match=match):
+            recovered_lower_bound(alpha, k, h)
 
 
 class TestFitAlpha:
