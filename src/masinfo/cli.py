@@ -29,7 +29,7 @@ def _fail(message, code=EXIT_USAGE):
 
 def _write_out(text, output):
     if output:
-        with open(output, "w") as fh:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -56,7 +56,7 @@ def cmd_kstar(args):
                              f"{spectral.ZERO_NORM_TOL}") from None
         result = dataclasses.asdict(spectral.k_star(emb))
         if args.mask:
-            with open(args.mask) as fh:
+            with open(args.mask, encoding="utf-8") as fh:
                 mask = json.load(fh)
             # bool("false") is True: only JSON booleans are read as booleans
             if (not isinstance(mask, list) or len(mask) != emb.n
@@ -94,7 +94,7 @@ def cmd_simulate(args):
 
 def cmd_bounds(args):
     try:
-        with open(args.joint) as fh:
+        with open(args.joint, encoding="utf-8") as fh:
             joint = info_theory.DiscreteJoint.from_json(fh.read())
         report = info_theory.usable_evidence(joint, n_calls=args.calls)
     except ValueError as exc:
@@ -110,7 +110,7 @@ def cmd_bounds(args):
 def cmd_fit_alpha(args):
     try:
         points, header_allowed = [], True
-        with open(args.curve) as fh:
+        with open(args.curve, encoding="utf-8") as fh:
             reader = csv.reader(fh)
             for row in reader:
                 if not row or not row[0].strip():
@@ -152,7 +152,7 @@ def _check_names(value, name):
 
 
 def _load_config(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
     for key in ("dataset_path", "workflow", "layer", "n_agents_list", "model_pool",
                 "seed", "output_dir", "backend"):
@@ -224,7 +224,7 @@ def _build_backends(cfg):
 def _read_manifest(path):
     """The manifest object in `path`, or None when there is no such file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
     except FileNotFoundError:
         return None
@@ -276,7 +276,7 @@ def cmd_run(args):
         # Written aside and renamed over the old one, so a crash mid-write
         # leaves a whole manifest.
         tmp_path = manifest_path + ".tmp"
-        with open(tmp_path, "w") as fh:
+        with open(tmp_path, "w", encoding="utf-8") as fh:
             json.dump({**manifest, "status": status}, fh, indent=2, sort_keys=True)
         os.replace(tmp_path, manifest_path)
 
@@ -303,10 +303,11 @@ def cmd_run(args):
                 print(f"warning: embeddings of task {t.task_id} (N={t.n_agents}) failed: "
                       f"{error}", file=sys.stderr)
             # the vectors land before the transcript: a crash between the
-            # two leaves the task undone, and its rerun's rows win
+            # two leaves the task undone, and its rerun's rows win.  Each row
+            # is written as it is made, so a task's rows are never all held
             if vectors:
-                emb_file = emb_file or stack.enter_context(open(emb_path, "a"))
-                emb_file.write(harness.embedding_rows(t.embedding_ids(), vectors))
+                emb_file = emb_file or stack.enter_context(open(emb_path, "ab"))
+                emb_file.writelines(harness.embedding_rows(t.embedding_ids(), vectors))
                 emb_file.flush()
             stores[spec].append(t)
             if not t.invalid:
@@ -408,7 +409,7 @@ def cmd_analyze(args):
     out_dir = args.output or os.path.join(args.store_dir, "reports")
     os.makedirs(out_dir, exist_ok=True)
     for name, text in files.items():
-        with open(os.path.join(out_dir, name), "w") as fh:
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(text)
     for name, reason in skipped.items():
         print(f"note: {name} skipped: {reason}", file=sys.stderr)

@@ -10,8 +10,6 @@ Philox stream, and adds the per-chunk sums in chunk order, so the curve does
 not depend on the number of threads.
 """
 
-import csv
-import io
 import json
 import math
 import os
@@ -96,12 +94,9 @@ class ContractionCurve:
         )
 
     def to_csv(self):
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["k", "mean_residual_fraction", "stderr", "geo_bound", "exp_bound"])
-        for row in self.rows():
-            w.writerow([row[0]] + [repr(v) for v in row[1:]])
-        return buf.getvalue()
+        # every field is an int or a float's repr, which csv would never quote
+        return "k,mean_residual_fraction,stderr,geo_bound,exp_bound\n" + "".join(
+            f"{k},{m!r},{s!r},{g!r},{e!r}\n" for k, m, s, g, e in self.rows())
 
     def to_json(self):
         return json.dumps(
@@ -223,7 +218,11 @@ def simulate_coverage(params: CoverageParams, trials: int = DEFAULT_TRIALS) -> C
     mean[0] = mean_sq[0] = 1.0  # K = 0 hides every bit of every trial
     stderr = np.sqrt(np.maximum(mean_sq - mean * mean, 0.0) / trials)
     ks = tuple(range(k_max + 1))
-    geo, expo = zip(*(analytic_bounds(params.alpha, k) for k in ks))
+    # analytic_bounds' expressions, with alpha checked once by CoverageParams
+    # rather than once per K; numpy's power and exp differ from them in the last digit
+    alpha = params.alpha
+    geo = tuple((1.0 - alpha) ** k for k in ks)
+    expo = tuple(math.exp(-alpha * k) for k in ks)
     return ContractionCurve(ks, tuple(mean.tolist()), tuple(stderr.tolist()), geo, expo, trials)
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -418,6 +419,49 @@ def test_offline_commands_leave_out_the_network_stack(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+# a locale whose encoding is ASCII, with Python's UTF-8 mode and locale
+# coercion off: the default encoding of open() is then ASCII
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def run_in_ascii_locale(*argv):
+    src = os.path.dirname(os.path.dirname(masinfo.__file__))
+    return subprocess.run([sys.executable, "-m", "masinfo.cli", *argv],
+                          env={**os.environ, **ASCII_LOCALE, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_run_reads_a_utf8_dataset_in_any_locale(tmp_path):
+    cfg_path, _ = base_config(tmp_path / "here", workflow="debate", layer="L4", rounds=2,
+                              model_pool=["m1", "m2"])
+    (tmp_path / "here" / "tasks.jsonl").write_text("".join(json.dumps(
+        {"id": f"t{i}", "question": f"Is x{i} \u2264 y, for \u00e9t\u00e9?",
+         "choices": ["oui", "non", "peut-\u00eatre"], "answer": "A"}, ensure_ascii=False) + "\n"
+        for i in range(3)), encoding="utf-8")
+    assert main(["run", str(cfg_path)]) == 0
+    cfg = json.loads(cfg_path.read_text())
+    cfg["output_dir"] = str(tmp_path / "ascii")
+    cfg_path.write_text(json.dumps(cfg))
+    proc = run_in_ascii_locale("run", str(cfg_path))
+    assert proc.returncode == 0, proc.stderr
+    assert store_bytes(tmp_path / "ascii") == store_bytes(tmp_path / "here" / "store")
+
+
+def test_analyze_writes_utf8_reports_in_any_locale(tmp_path):
+    cfg_path, _ = base_config(tmp_path, workflow="debate", layer="L4", rounds=2,
+                              model_pool=["m1", "m2"], dataset_name="l\u00f3gica")
+    assert main(["run", str(cfg_path)]) == 0
+    store = tmp_path / "store"
+    assert main(["analyze", str(store), "--output", str(tmp_path / "here")]) == 0
+    proc = run_in_ascii_locale("analyze", str(store), "--output", str(tmp_path / "ascii"))
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(os.listdir(tmp_path / "here"))
+    assert sorted(os.listdir(tmp_path / "ascii")) == names
+    for name in names:
+        assert (tmp_path / "ascii" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+    assert "l\u00f3gica" in (tmp_path / "here" / "summaries.csv").read_text(encoding="utf-8")
+
+
 def make_dataset(tmp_path, n_tasks=3):
     path = tmp_path / "tasks.jsonl"
     write_jsonl(path, [
@@ -590,6 +634,24 @@ class TestRun:
         digests = {name: hashlib.sha256(data).hexdigest()
                    for name, data in store_bytes(tmp_path / "store").items()}
         assert digests == self.GOLDEN[workflow]
+
+    def test_task_rows_streamed_not_held(self, tmp_path):
+        # one debate task of 16 agents and 4 rounds: 64 rows of 4096 numbers,
+        # about 5.9 MB.  Each row goes to the file as it is made, so the run
+        # never holds the task's rows, neither as text nor as bytes.
+        cfg_path, _ = base_config(
+            tmp_path, n_tasks=1, workflow="debate", layer="L4", rounds=4,
+            model_pool=["m1", "m2", "m3"], n_agents_list=[16],
+            backend={"kind": "mock", "dim": 4096})
+        tracemalloc.start()
+        try:
+            assert main(["run", str(cfg_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = (tmp_path / "store" / "embeddings.jsonl").read_bytes()
+        assert rows.count(b"\n") == 64
+        assert peak < len(rows)
 
     def test_deterministic_reruns_byte_identical(self, tmp_path):
         cfg_a, _ = base_config(tmp_path / "a", n_agents_list=[3])

@@ -32,7 +32,6 @@ from masinfo.harness import (
     WorkflowSpec,
     answer_matches,
     build_layer_pool,
-    embedding_row,
     embedding_rows,
     extract_answer,
     fetch_embeddings,
@@ -401,9 +400,9 @@ class TestEmbeddings:
         # an exponent token and an int beyond 64 bits, which take the other encoder paths
         vectors += [[1e-05, -2.5e-07, 0.5]] * 2 + [[2 ** 70, 0.5]] * 2
         ids = [f"q{k}:{k}" for k in range(len(vectors))]
-        assert embedding_rows(ids, vectors) == "".join(
-            embedding_row(i, v) + "\n" for i, v in zip(ids, vectors))
-        assert embedding_rows([], []) == ""
+        assert b"".join(embedding_rows(ids, vectors)) == b"".join(
+            json.dumps({"id": i, "vector": v}).encode() + b"\n" for i, v in zip(ids, vectors))
+        assert b"".join(embedding_rows([], [])) == b""
 
     @staticmethod
     def replying(indices):
@@ -445,12 +444,13 @@ class TestEmbeddings:
 
 
 class TestEmbeddingRow:
-    """embedding_row against its definition, json.dumps, byte for byte."""
+    """Each row of embedding_rows against its definition, json.dumps, byte for byte."""
 
     def assert_rows_match(self, values, width=64, row_id="q0001:12"):
         for start in range(0, len(values), width):
             v = values[start:start + width]
-            assert embedding_row(row_id, v) == json.dumps({"id": row_id, "vector": v}), v
+            assert b"".join(embedding_rows([row_id], [v])) == (
+                json.dumps({"id": row_id, "vector": v}).encode() + b"\n"), v
 
     def test_random_bit_patterns_in_every_binade(self):
         rng = np.random.default_rng(0)
