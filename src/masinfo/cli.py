@@ -5,17 +5,15 @@ Exit codes: 0 success, 2 usage/validation error, 3 backend/environment error.
 """
 
 import argparse
-import collections
 import contextlib
 import csv
 import dataclasses
-import hashlib
 import json
 import os
 import sys
-import time
 
 from masinfo import analysis, coverage, harness, info_theory, spectral
+from masinfo.store import RunStore
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -134,10 +132,6 @@ def cmd_fit_alpha(args):
 # run
 
 
-def _config_hash(config):
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
-
-
 def _check_count(value, name):
     # bool is an int subclass; `true` is no count
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -221,20 +215,6 @@ def _build_backends(cfg):
     raise ValueError(f"unknown backend kind {kind!r}")
 
 
-def _read_manifest(path):
-    """The manifest object in `path`, or None when there is no such file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError:
-        return None
-    except ValueError:  # torn, or not JSON at all
-        manifest = None
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path} is not a JSON object")
-    return manifest
-
-
 def cmd_run(args):
     # everything that can reject the input runs before output_dir exists;
     # the backends open no connection until their first request
@@ -242,49 +222,14 @@ def cmd_run(args):
         cfg, specs, plan = _load_config(args.config)
         tasks = harness.load_tasks_jsonl(cfg["dataset_path"])
         chat, embed = _build_backends(cfg)
-        # equal specs share a store; a resumed run reads its stores here, so a
-        # malformed line stops it before any call
-        stores = {spec: harness.TranscriptStore(os.path.join(
-            cfg["output_dir"], f"{cfg['workflow']}_{cfg['layer']}_N{spec.num_agents}.jsonl"))
-            for spec in specs}
-        done = {spec: store.task_ids() for spec, store in stores.items()}
-        manifest_path = os.path.join(cfg["output_dir"], "manifest.json")
-        old = _read_manifest(manifest_path)
+        run = RunStore(cfg["output_dir"])
+        done = run.begin(cfg, specs)
     except ValueError as exc:
         return _fail(str(exc))
 
-    out_dir = cfg["output_dir"]
-    chash = _config_hash(cfg)
-    if old is not None and old.get("config_hash") != chash:
-        return _fail("output_dir holds a run with a different config; resume refused")
-    os.makedirs(out_dir, exist_ok=True)
-
-    manifest = {
-        "schema": 1,
-        "config_hash": chash,
-        "seed": cfg["seed"],
-        "workflow": cfg["workflow"],
-        "layer": cfg["layer"],
-        "n_agents_list": cfg["n_agents_list"],
-        "files": [os.path.basename(stores[spec].path) for spec in specs],
-        "started": time.time(),
-    }
-
-    def write_manifest(status):
-        # written before the first call as well, so a rerun after a crash
-        # still meets the config check; a manifest without status is done.
-        # Written aside and renamed over the old one, so a crash mid-write
-        # leaves a whole manifest.
-        tmp_path = manifest_path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as fh:
-            json.dump({**manifest, "status": status}, fh, indent=2, sort_keys=True)
-        os.replace(tmp_path, manifest_path)
-
-    write_manifest("running")
     concurrency = cfg.get("concurrency_limit") or 4
     dataset_name = cfg.get("dataset_name", os.path.basename(cfg["dataset_path"]))
     all_invalid = not any(done.values())
-    emb_path = os.path.join(out_dir, "embeddings.jsonl")
     jobs = [(spec, task) for spec, ids in done.items() for task in tasks
             if str(task["id"]) not in ids]
 
@@ -292,29 +237,19 @@ def cmd_run(args):
         for backend in (chat, embed):
             if hasattr(backend, "close"):
                 stack.callback(backend.close)
-        for store in stores.values():
-            stack.callback(store.close)
+        stack.callback(run.close)
         # closed before the backends: it waits for the calls still in flight
         results = stack.enter_context(contextlib.closing(
             harness.run_tasks(jobs, plan, chat, embed, concurrency, dataset_name)))
-        emb_file = None  # opened on the first vectors, so a run without any writes no file
         for spec, t, vectors, error in results:
             if error is not None:
                 print(f"warning: embeddings of task {t.task_id} (N={t.n_agents}) failed: "
                       f"{error}", file=sys.stderr)
-            # the vectors land before the transcript: a crash between the
-            # two leaves the task undone, and its rerun's rows win.  Each row
-            # is written as it is made, so a task's rows are never all held
-            if vectors:
-                emb_file = emb_file or stack.enter_context(open(emb_path, "ab"))
-                emb_file.writelines(harness.embedding_rows(t.embedding_ids(), vectors))
-                emb_file.flush()
-            stores[spec].append(t)
+            run.append(spec, t, vectors)
             if not t.invalid:
                 all_invalid = False
 
-    manifest["finished"] = time.time()
-    write_manifest("done")
+    run.finish()
     if all_invalid:
         return _fail("backend unreachable: every transcript is invalid", EXIT_ENV)
     return EXIT_OK
@@ -324,32 +259,8 @@ def cmd_run(args):
 # analyze
 
 
-def _store_transcripts(store_dir):
-    transcripts = []
-    for name in sorted(os.listdir(store_dir)):
-        if not name.endswith(".jsonl") or name == "embeddings.jsonl":
-            continue
-        transcripts.extend(harness.TranscriptStore(os.path.join(store_dir, name)))
-    return transcripts
-
-
-def _store_embeddings(store_dir):
-    """The (id -> row index, rows) pair of the store's embeddings.jsonl, or {} without one."""
-    emb_path = os.path.join(store_dir, "embeddings.jsonl")
-    if not os.path.exists(emb_path):
-        return {}
-    ids, rows = spectral.load_store_embeddings(emb_path)
-    index = dict(zip(ids, range(len(ids))))
-    if len(index) < len(ids):
-        # ids name no N, so every N of one output_dir writes the same ones
-        repeated = next(i for i, c in collections.Counter(ids).items() if c > 1)
-        print(f"warning: {emb_path} repeats embedding id {repeated!r}; "
-              "each repeated id keeps its last row", file=sys.stderr)
-    return index, rows
-
-
 def _batches(stores, mode):
-    """`stores`, (store_dir, transcripts) pairs, split into lists that no unit
+    """`stores`, (RunStore, transcripts) pairs, split into lists that no unit
     crosses: one store each in mode "per-question"; in mode "pooled", stores
     that share a config go together.  Each list keeps the stores in order,
     and the lists come in the order of their first stores."""
@@ -366,17 +277,6 @@ def _batches(stores, mode):
     return [[stores[i] for i in members] for _, members in sorted(batches, key=lambda b: b[1])]
 
 
-def _score(batch, scorer):
-    """The task table of the stores in `batch`, each transcript with its own
-    store's rows; the rows are let go when it returns."""
-    transcripts, embeddings = [], []
-    for store_dir, ts in batch:
-        emb = _store_embeddings(store_dir)
-        transcripts.extend(ts)
-        embeddings.extend([emb] * len(ts))
-    return scorer.score(transcripts, embeddings)
-
-
 def cmd_analyze(args):
     store_dirs = [args.store_dir] + (args.merge or [])
     # a store given twice would count each of its transcripts twice
@@ -385,7 +285,7 @@ def cmd_analyze(args):
         if r in real[:i]:
             return _fail(f"store directory {store_dirs[i]} repeats {store_dirs[real.index(r)]}")
     try:
-        stores = [(d, _store_transcripts(d)) for d in store_dirs]
+        stores = [(run, run.transcripts()) for run in map(RunStore, store_dirs)]
     except ValueError as exc:
         return _fail(str(exc))
     if not any(ts for _, ts in stores):
@@ -395,9 +295,11 @@ def cmd_analyze(args):
     # is loaded: only one batch's rows are held at a time
     table, scorer = [], analysis.TaskScorer(args.mode)
     try:
-        if any(ts and os.path.exists(os.path.join(d, "embeddings.jsonl")) for d, ts in stores):
+        if any(ts and run.has_rows() for run, ts in stores):
             for batch in _batches(stores, args.mode):
-                table += _score(batch, scorer)
+                # each transcript with its own store's rows, let go once scored
+                table += scorer.score([t for _, ts in batch for t in ts], [
+                    rows for run, ts in batch for rows in [run.rows()] * len(ts)])
         else:
             print("warning: no embeddings found; spectral columns omitted", file=sys.stderr)
             table = scorer.score([t for _, ts in stores for t in ts])

@@ -10,7 +10,7 @@ assembled into pools by diversity layer:
 
 Backends speak the OpenAI-compatible chat-completions / embeddings HTTP
 schema, or a deterministic in-process mock for tests and dry runs.
-Transcripts persist as append-only JSONL, one per line, schema-versioned.
+Transcripts persist as append-only JSONL; masinfo.store lays out a run's files.
 """
 
 import collections
@@ -830,61 +830,6 @@ def run_tasks(jobs, plan: DiversityPlan, backend, embedder=None, concurrency=4, 
 # persistence
 
 
-def _vector_json(vector):
-    """`json.dumps(vector).encode()`, byte for byte, about 6x faster.
-
-    `vector` is a list of finite floats and ints.  orjson prints the same
-    shortest digits as `float.__repr__` and differs only in layout: it writes
-    magnitudes in [1e-5, 1e-4) in fixed notation (`0.00001` for `1e-05`) and
-    exponents without sign or padding (`1.5e-7`, `1e16` for `1.5e-07`,
-    `1e+16`).  Only the tokens holding `e` or `0.0000` are re-rendered with
-    `repr`; a regex pass over every token is slower than `json.dumps`.
-    """
-    # imported here, so the toolkit commands never load it
-    import orjson
-
-    try:
-        raw = orjson.dumps(vector)
-    except orjson.JSONEncodeError:  # an int beyond 64 bits
-        return json.dumps(vector).encode()
-    spans = {}  # start -> end of each token to re-render
-    for needle in (b"e", b"0.0000"):
-        k = raw.find(needle)
-        while k != -1:
-            # raw[0] is "[", so a first token starts at 1
-            start = max(raw.rfind(b",", 0, k), 0) + 1
-            end = raw.find(b",", k)
-            if end == -1:
-                end = len(raw) - 1
-            spans[start] = end
-            k = raw.find(needle, end)
-    if spans:
-        parts, done = [], 0
-        for start in sorted(spans):
-            parts += [raw[done:start], repr(float(raw[start:spans[start]])).encode()]
-            done = spans[start]
-        parts.append(raw[done:])
-        raw = b"".join(parts)
-    return raw.replace(b",", b", ")
-
-
-def embedding_rows(row_ids, vectors):
-    """Yield `json.dumps({"id": row_id, "vector": vector}).encode() + b"\\n"`
-    for each pair, byte for byte.
-
-    The rows are made one at a time, so a caller that writes each as it comes
-    holds one row, not the whole list of them.  A vector object that repeats
-    (fetch_embeddings gives repeated texts one shared vector) is encoded once
-    and its bytes reused.
-    """
-    encoded = {}  # id(vector) -> (vector, its JSON); holding the vector keeps its id unique
-    for row_id, v in zip(row_ids, vectors):
-        hit = encoded.get(id(v))
-        if hit is None:
-            hit = encoded[id(v)] = (v, _vector_json(v))
-        yield b'{"id": %s, "vector": %s}\n' % (json.dumps(row_id).encode(), hit[1])
-
-
 class TranscriptStore:
     """Append-only JSONL store of transcripts, one per line.
 
@@ -923,9 +868,6 @@ class TranscriptStore:
                     raise ValueError(f"{self.path}: malformed transcript at line {lineno}: "
                                      f"{exc}") from exc
         return iter(transcripts)
-
-    def task_ids(self):
-        return {t.task_id for t in self}
 
 
 def load_tasks_jsonl(path):

@@ -5,17 +5,12 @@ matrix G, trace-normalize to rho = G / Tr(G), and take the entropy effective
 rank K* = 2**H(rho) with H(rho) = -sum(lambda_j * log2(lambda_j)).
 
 K* counts independent directions spanned by the outputs: 1 when all outputs
-are collinear, n when they are pairwise orthogonal.
+are collinear, n when they are pairwise orthogonal.  load_embeddings_jsonl
+reads the rows `kstar` takes; run directories are masinfo.store's.
 """
 
 import contextlib
-import hashlib
-import json
 import math
-import mmap
-import os
-import stat
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,186 +237,3 @@ def load_embeddings_jsonl(path, digest=None):
         raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")
     return ids, np.stack(rows)
 
-
-# Names the cache layout and the decoder that filled it.  Bump it whenever
-# the layout changes or load_embeddings_jsonl accepts, rejects or returns
-# anything differently, so that caches an older version wrote are read as
-# misses.  Format 5 pads the header so that the rows are 8-byte aligned.
-_CACHE_FORMAT = 5
-_HASH_CHUNK = 1 << 18
-# what reading a missing, torn or foreign cache raises
-_BAD_CACHE = (OSError, ValueError, TypeError)
-# A stat stamp proves a file unchanged only where its ctime is the inode's
-# change time, which no user-space call can set; on Windows it is the
-# creation time.
-_STAMPS = os.name == "posix"
-
-
-class _ContentKey:
-    """The sha256 and length of the bytes passed to update()."""
-
-    def __init__(self):
-        self.sha256 = hashlib.sha256()
-        self.size = 0
-
-    def update(self, data):
-        self.sha256.update(data)
-        self.size += len(data)
-
-
-def _file_sha256(fh):
-    """The sha256 hex digest of the rest of the binary file `fh`."""
-    digest = hashlib.sha256()
-    # one buffer for every chunk, not a new bytes object per read
-    buf = bytearray(_HASH_CHUNK)
-    view = memoryview(buf)
-    while size := fh.readinto(buf):
-        digest.update(view[:size])
-    return digest.hexdigest()
-
-
-def _stamp(st):
-    """The stat fields a write to the file changes: device, inode, size, mtime, ctime."""
-    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
-
-
-def _trusted(stamp, reference):
-    """Whether `stamp`, equal to its file's stat now, proves the file unchanged
-    since a time `reference` (ns) taken on its filesystem before the stamp;
-    never when there is no reference.
-
-    Its mtime and ctime must both be older than the reference: a write in
-    the same timestamp tick could otherwise leave the stamp unchanged (git's
-    "racy git" rule).
-    """
-    return _STAMPS and reference is not None and max(stamp[3:]) < reference
-
-
-def load_store_embeddings(path):
-    """load_embeddings_jsonl(path), through a binary copy of its rows beside it.
-
-    `<name>.cache` holds one JSON line `[format, size, sha256, stamp, width,
-    ids]`, padded with spaces to a multiple of 8 bytes, then the rows as raw
-    little-endian float64: _CACHE_FORMAT, the size and sha256 of the JSONL
-    bytes the rows were decoded from, the JSONL's _stamp while it held
-    still through that read (else null), the row width and the ids.  The
-    cache's own mtime is a reference time taken on the store's filesystem
-    before that read (_NewCache).
-
-    The rows are read back only while the format is the current one, the
-    JSONL still has that size, and the cache holds exactly len(ids) * width
-    floats, all finite; they are the cache's own pages, mapped read-only.
-    The cache is only ever replaced by a rename, which leaves rows already
-    mapped as they were.  They are trusted without hashing the JSONL when
-    its stat now equals the stamp and _trusted holds.  Failing that, they
-    are trusted when the JSONL's sha256 matches, and the cache is
-    rewritten with a fresh stamp if a later hit could trust it, so the next
-    hit needs no hash.  Otherwise the JSONL is decoded and the cache
-    rewritten.  The JSONL stays the only source of truth; a cache that
-    cannot be read counts as absent, and one that cannot be written is left
-    out.
-    """
-    cache = os.path.splitext(path)[0] + ".cache"
-    with open(path, "rb") as src:
-        st = os.fstat(src.fileno())
-        cached = _read_cache(cache, st.st_size)
-        if cached is not None:
-            sha256, stamp, ids, vectors, reference = cached
-            if stamp == _stamp(st) and _trusted(stamp, reference):
-                return ids, vectors
-        with _NewCache(cache) as new:
-            before = _stamp(os.fstat(src.fileno()))
-            if cached is not None and sha256 == _file_sha256(src):
-                # a JSONL stamped in the future, in this tick or where ctime is
-                # a creation time would be hashed again all the same
-                if not _trusted(before, new.reference):
-                    return ids, vectors
-                size = st.st_size
-            else:
-                # the stale rows go before the decode
-                cached = ids = vectors = None
-                src.seek(0)
-                key = _ContentKey()
-                ids, vectors = load_embeddings_jsonl(src, key)
-                size, sha256 = key.size, key.sha256.hexdigest()
-            # a stamp names the bytes read only if nothing wrote to them meanwhile
-            stamp = before if before == _stamp(os.fstat(src.fileno())) else None
-            new.write([_CACHE_FORMAT, size, sha256, stamp, vectors.shape[1], ids], vectors,
-                      stat.S_IMODE(st.st_mode))
-    return ids, vectors
-
-
-def _read_cache(cache, size):
-    """(sha256, stamp, ids, rows, mtime in ns) of `cache`, or None unless it is of
-    the current format, was decoded from `size` JSONL bytes and holds exactly
-    len(ids) * width finite floats; the rows are the file's pages, mapped read-only."""
-    try:
-        with open(cache, "rb") as fh:
-            fmt, cached_size, sha256, stamp, width, ids = json.loads(fh.readline())
-            offset, mtime = fh.tell(), os.fstat(fh.fileno()).st_mtime_ns
-            if (fmt == _CACHE_FORMAT and cached_size == size and isinstance(ids, list)
-                    and type(width) is int):
-                rows = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-                # exactly len(ids) * width floats, and nothing after them
-                if len(rows) - offset == len(ids) * width * 8:
-                    vectors = np.frombuffer(rows, "<f8", len(ids) * width, offset)
-                    vectors = vectors.reshape(len(ids), width)
-                    if np.isfinite(vectors).all():
-                        return sha256, stamp, ids, vectors, mtime
-    except _BAD_CACHE:
-        pass
-    return None
-
-
-class _NewCache:
-    """The next `cache`, begun before the JSONL is read.
-
-    Entering makes its temp file beside `cache`.  That file's mtime, taken
-    then on the store's own filesystem, is put back before the rename, so
-    the cache's mtime is the reference its stamp is checked against; no
-    clock is read, since a network filesystem's server stamps the file.  A
-    store that cannot be written gets no cache and no reference, write()
-    gives up on any OSError, and the temp file never outlives the `with`
-    block.
-    """
-
-    def __init__(self, cache):
-        self.cache, self.fd, self.tmp, self.reference = cache, None, None, None
-
-    def __enter__(self):
-        with contextlib.suppress(OSError):
-            # no .jsonl suffix: analyze reads every *.jsonl of a store as transcripts
-            self.fd, self.tmp = tempfile.mkstemp(prefix=f".{os.path.basename(self.cache)}.",
-                                                 suffix=".tmp",
-                                                 dir=os.path.dirname(self.cache) or ".")
-            st = os.fstat(self.fd)
-            self.atime, self.reference = st.st_atime_ns, st.st_mtime_ns
-        return self
-
-    def write(self, header, vectors, mode):
-        """Write `header` and `vectors` as the cache, with permission bits `mode`."""
-        if self.reference is None:
-            return
-        fd, self.fd = self.fd, None
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                # mkstemp makes 0600 files; whoever may read the rows may read the copy
-                os.chmod(self.tmp, mode)
-                # json escapes every control character, so the header is one
-                # line; spaces pad it to whole floats, so the mapped rows are aligned
-                line = json.dumps(header).encode()
-                fh.write(line + b" " * (-(len(line) + 1) % 8) + b"\n")
-                fh.write(np.ascontiguousarray(vectors, "<f8").data)
-            os.utime(self.tmp, ns=(self.atime, self.reference))
-            os.replace(self.tmp, self.cache)
-        except OSError:
-            pass
-
-    def __exit__(self, *exc):
-        if self.fd is not None:
-            os.close(self.fd)
-        if self.tmp is not None:
-            # gone after the rename; otherwise the write failed, was
-            # interrupted or never came
-            with contextlib.suppress(OSError):
-                os.unlink(self.tmp)

@@ -1,0 +1,344 @@
+"""A run directory: the files `masinfo run` writes and `masinfo analyze` reads.
+
+`<workflow>_<layer>_N<n>.jsonl` holds the transcripts of one agent count
+(harness.TranscriptStore), `embeddings.jsonl` one {"id", "vector"} row per
+call, named by Transcript.embedding_ids(), and `manifest.json` the config
+hash and the run's status; `embeddings.cache` is analyze's binary copy of the
+rows.  RunStore is the one owner of these files: `run` calls its begin(),
+append() for each task as it finishes, finish() and close(), and `analyze`
+its transcripts() and rows().
+"""
+
+import collections
+import contextlib
+import hashlib
+import json
+import mmap
+import os
+import stat
+import sys
+import tempfile
+import time
+
+import numpy as np
+
+from masinfo import spectral
+from masinfo.harness import TranscriptStore
+
+EMBEDDINGS, MANIFEST = "embeddings.jsonl", "manifest.json"
+
+
+class RunStore:
+    def __init__(self, output_dir):
+        self.output_dir = output_dir
+        self._stores, self._rows, self._manifest = {}, None, None
+
+    def _path(self, name):
+        return os.path.join(self.output_dir, name)
+
+    def begin(self, cfg, specs):
+        """Start or resume the run of config `cfg`; return its resume set,
+        {spec: ids of the tasks in its store}.  Equal specs share a store.
+
+        The stores are read first, so a malformed line stops the run before
+        any call.  ValueError refuses a manifest that is no JSON object or
+        names another config, and this config's files without a manifest,
+        whose config is unknown.  Then the manifest is written with status
+        "running", so a rerun after a crash still meets the config check."""
+        self._stores = {spec: TranscriptStore(self._path(
+            f"{cfg['workflow']}_{cfg['layer']}_N{spec.num_agents}.jsonl")) for spec in specs}
+        done = {spec: {t.task_id for t in store} for spec, store in self._stores.items()}
+        manifest = self._path(MANIFEST)
+        try:
+            with open(manifest, encoding="utf-8") as fh:
+                old = json.load(fh)
+            if not isinstance(old, dict):
+                raise ValueError
+        except FileNotFoundError:
+            old = None
+        except ValueError:  # torn, not JSON at all, or no object
+            raise ValueError(f"{manifest} is not a JSON object") from None
+        chash = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+        files = [s.path for s in self._stores.values()]
+        if old is None and any(map(os.path.exists, files + [self._path(EMBEDDINGS)])):
+            raise ValueError(f"{self.output_dir} holds transcripts or embeddings but no "
+                             f"{MANIFEST}; resume refused")
+        if old is not None and old.get("config_hash") != chash:
+            raise ValueError("output_dir holds a run with a different config; resume refused")
+        os.makedirs(self.output_dir, exist_ok=True)
+        self._manifest = {"schema": 1, "config_hash": chash, "started": time.time(),
+                          "files": [os.path.basename(f) for f in files],
+                          **{k: cfg[k] for k in ("seed", "workflow", "layer", "n_agents_list")}}
+        self._write_manifest("running")
+        return done
+
+    def _write_manifest(self, status):
+        # a manifest without status is done.  Written aside and renamed over
+        # the old one, so a crash mid-write leaves a whole manifest.
+        path = self._path(MANIFEST)
+        with open(path + ".tmp", "w", encoding="utf-8") as fh:
+            json.dump({**self._manifest, "status": status}, fh, indent=2, sort_keys=True)
+        os.replace(path + ".tmp", path)
+
+    def append(self, spec, transcript, vectors):
+        """Write a task's rows, if it has `vectors`, then its transcript.
+
+        A crash between the two leaves the task undone, and its rerun's rows
+        win.  Each row is written as it is made, so a task's rows are never
+        all held, and flushed once, after the last.  embeddings.jsonl is
+        opened on the first vectors, so a run without any writes no file.
+        """
+        if vectors:
+            if self._rows is None:
+                self._rows = open(self._path(EMBEDDINGS), "ab")
+            self._rows.writelines(embedding_rows(transcript.embedding_ids(), vectors))
+            self._rows.flush()
+        self._stores[spec].append(transcript)
+
+    def finish(self):
+        self._manifest["finished"] = time.time()
+        self._write_manifest("done")
+
+    def close(self):
+        for f in filter(None, [self._rows, *self._stores.values()]):
+            f.close()
+
+    def transcripts(self):
+        """Every transcript of the directory, store file by store file in name order."""
+        return [t for name in sorted(os.listdir(self.output_dir))
+                if name.endswith(".jsonl") and name != EMBEDDINGS
+                for t in TranscriptStore(self._path(name))]
+
+    def has_rows(self):
+        return os.path.exists(self._path(EMBEDDINGS))
+
+    def rows(self):
+        """The (id -> row index, rows) pair of embeddings.jsonl, through
+        load_store_embeddings, or {} without one.  A repeated id prints one
+        warning and keeps its last row."""
+        path = self._path(EMBEDDINGS)
+        if not os.path.exists(path):
+            return {}
+        ids, rows = load_store_embeddings(path)
+        index = dict(zip(ids, range(len(ids))))
+        if len(index) < len(ids):
+            # ids name no N, so every N of one output_dir writes the same ones
+            repeated = next(i for i, c in collections.Counter(ids).items() if c > 1)
+            print(f"warning: {path} repeats embedding id {repeated!r}; "
+                  "each repeated id keeps its last row", file=sys.stderr)
+        return index, rows
+
+
+def _vector_json(vector):
+    """`json.dumps(vector).encode()`, byte for byte, about 6x faster.
+
+    `vector` is a list of finite floats and ints.  orjson prints the same
+    shortest digits as `float.__repr__` and differs only in layout: it writes
+    magnitudes in [1e-5, 1e-4) in fixed notation (`0.00001` for `1e-05`) and
+    exponents without sign or padding (`1.5e-7`, `1e16` for `1.5e-07`,
+    `1e+16`).  Only the tokens holding `e` or `0.0000` are re-rendered with
+    `repr`; a regex pass over every token is slower than `json.dumps`.
+    """
+    # imported here, so the toolkit commands never load it
+    import orjson
+
+    try:
+        raw = orjson.dumps(vector)
+    except orjson.JSONEncodeError:  # an int beyond 64 bits
+        return json.dumps(vector).encode()
+    spans = {}  # start -> end of each token to re-render
+    for needle in (b"e", b"0.0000"):
+        k = raw.find(needle)
+        while k != -1:
+            # raw[0] is "[", so a first token starts at 1
+            start = max(raw.rfind(b",", 0, k), 0) + 1
+            end = raw.find(b",", k)
+            if end == -1:
+                end = len(raw) - 1
+            spans[start] = end
+            k = raw.find(needle, end)
+    if spans:
+        parts, done = [], 0
+        for start in sorted(spans):
+            parts += [raw[done:start], repr(float(raw[start:spans[start]])).encode()]
+            done = spans[start]
+        parts.append(raw[done:])
+        raw = b"".join(parts)
+    return raw.replace(b",", b", ")
+
+
+def embedding_rows(row_ids, vectors):
+    """Yield `json.dumps({"id": row_id, "vector": vector}).encode() + b"\\n"`
+    for each pair, byte for byte.
+
+    The rows are made one at a time, so a caller that writes each as it comes
+    holds one row, not the whole list of them.  A vector object that repeats
+    (fetch_embeddings gives repeated texts one shared vector) is encoded once
+    and its bytes reused.
+    """
+    encoded = {}  # id(vector) -> (vector, its JSON); holding the vector keeps its id unique
+    for row_id, v in zip(row_ids, vectors):
+        hit = encoded.get(id(v))
+        if hit is None:
+            hit = encoded[id(v)] = (v, _vector_json(v))
+        yield b'{"id": %s, "vector": %s}\n' % (json.dumps(row_id).encode(), hit[1])
+
+
+# Names the cache layout and the decoder that filled it.  Bump it whenever
+# the layout changes or load_embeddings_jsonl accepts, rejects or returns
+# anything differently, so that caches an older version wrote are read as
+# misses.  Format 5 pads the header so that the rows are 8-byte aligned.
+_CACHE_FORMAT = 5
+_HASH_CHUNK = 1 << 18
+# A stat stamp proves a file unchanged only where ctime is the inode's change
+# time, which no user-space call can set; on Windows it is the creation time.
+_STAMPS = os.name == "posix"
+
+
+def _file_sha256(fh):
+    """The sha256 hex digest of the rest of the binary file `fh`."""
+    digest = hashlib.sha256()
+    # one buffer for every chunk, not a new bytes object per read
+    buf = bytearray(_HASH_CHUNK)
+    view = memoryview(buf)
+    while size := fh.readinto(buf):
+        digest.update(view[:size])
+    return digest.hexdigest()
+
+
+def _stamp(st):
+    """The stat fields a write to the file changes: device, inode, size, mtime, ctime."""
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def _trusted(stamp, reference):
+    """Whether `stamp`, equal to its file's stat now, proves the file unchanged
+    since `reference` (ns), a time taken on its filesystem before the stamp.
+    Its mtime and ctime must both be older, since a write in the same tick
+    could leave the stamp unchanged (git's "racy git" rule); never without a
+    reference."""
+    return _STAMPS and reference is not None and max(stamp[3:]) < reference
+
+
+def load_store_embeddings(path):
+    """load_embeddings_jsonl(path), through a binary copy of its rows beside it.
+
+    `<name>.cache` holds one JSON line `[format, size, sha256, stamp, width,
+    ids]`, padded with spaces to a multiple of 8 bytes, then the rows as raw
+    little-endian float64: _CACHE_FORMAT, then the size, sha256 and, if it
+    held still through the read, _stamp of the JSONL bytes the rows were
+    decoded from.  Its own mtime is a reference time taken on the store's
+    filesystem before that read (_NewCache).
+
+    _read_cache's rows are the cache's own pages, mapped read-only; a cache
+    is only ever replaced by a rename, which leaves mapped rows as they were.
+    They are trusted without a hash when the JSONL's stat equals the stamp
+    and _trusted holds, else when its sha256 matches, and the cache is then
+    restamped if a later hit could trust it.  Otherwise the JSONL is decoded
+    and the cache rewritten.  The JSONL stays the only source of truth: an
+    unreadable cache counts as absent, and an unwritable one is left out.
+    """
+    cache = os.path.splitext(path)[0] + ".cache"
+    with open(path, "rb") as src:
+        st = os.fstat(src.fileno())
+        cached = _read_cache(cache, st.st_size)
+        if cached is not None:
+            sha256, stamp, ids, vectors, reference = cached
+            if stamp == _stamp(st) and _trusted(stamp, reference):
+                return ids, vectors
+        with _NewCache(cache) as new:
+            before = _stamp(os.fstat(src.fileno()))
+            if cached is not None and sha256 == _file_sha256(src):
+                # a JSONL stamped in the future, in this tick or where ctime is
+                # a creation time would be hashed again all the same
+                if not _trusted(before, new.reference):
+                    return ids, vectors
+                size = st.st_size
+            else:
+                # the stale rows go before the decode
+                cached = ids = vectors = None
+                src.seek(0)
+                key = hashlib.sha256()
+                ids, vectors = spectral.load_embeddings_jsonl(src, key)
+                # the decode read from the start to the end: tell() counts the bytes hashed
+                size, sha256 = src.tell(), key.hexdigest()
+            # a stamp names the bytes read only if nothing wrote to them meanwhile
+            stamp = before if before == _stamp(os.fstat(src.fileno())) else None
+            new.write([_CACHE_FORMAT, size, sha256, stamp, vectors.shape[1], ids], vectors,
+                      stat.S_IMODE(st.st_mode))
+    return ids, vectors
+
+
+def _read_cache(cache, size):
+    """(sha256, stamp, ids, rows, mtime in ns) of `cache`, or None unless it is of
+    the current format, was decoded from `size` JSONL bytes and holds exactly
+    len(ids) * width finite floats; the rows are the file's pages, mapped read-only."""
+    try:
+        with open(cache, "rb") as fh:
+            fmt, cached_size, sha256, stamp, width, ids = json.loads(fh.readline())
+            offset, mtime = fh.tell(), os.fstat(fh.fileno()).st_mtime_ns
+            if (fmt == _CACHE_FORMAT and cached_size == size and isinstance(ids, list)
+                    and type(width) is int):
+                rows = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+                # exactly len(ids) * width floats, and nothing after them
+                if len(rows) - offset == len(ids) * width * 8:
+                    vectors = np.frombuffer(rows, "<f8", len(ids) * width, offset)
+                    vectors = vectors.reshape(len(ids), width)
+                    if np.isfinite(vectors).all():
+                        return sha256, stamp, ids, vectors, mtime
+    except (OSError, ValueError, TypeError):  # a missing, torn or foreign cache
+        pass
+    return None
+
+
+class _NewCache:
+    """The next `cache`, begun before the JSONL is read.
+
+    Entering makes its temp file beside `cache`, whose mtime, taken then on
+    the store's own filesystem, is put back before the rename: the cache's
+    mtime is the reference its stamp is checked against, and no clock is
+    read, since a network filesystem's server stamps the file.  A store that
+    cannot be written gets no cache and no reference, write() gives up on
+    any OSError, and the temp file never outlives the `with` block.
+    """
+
+    def __init__(self, cache):
+        self.cache, self.fd, self.tmp, self.reference = cache, None, None, None
+
+    def __enter__(self):
+        with contextlib.suppress(OSError):
+            # no .jsonl suffix: analyze reads every *.jsonl of a store as transcripts
+            self.fd, self.tmp = tempfile.mkstemp(prefix=f".{os.path.basename(self.cache)}.",
+                                                 suffix=".tmp",
+                                                 dir=os.path.dirname(self.cache) or ".")
+            st = os.fstat(self.fd)
+            self.atime, self.reference = st.st_atime_ns, st.st_mtime_ns
+        return self
+
+    def write(self, header, vectors, mode):
+        """Write `header` and `vectors` as the cache, with permission bits `mode`."""
+        if self.reference is None:
+            return
+        fd, self.fd = self.fd, None
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                # mkstemp makes 0600 files; whoever may read the rows may read the copy
+                os.chmod(self.tmp, mode)
+                # json escapes every control character, so the header is one
+                # line; spaces pad it to whole floats, so the mapped rows are aligned
+                line = json.dumps(header).encode()
+                fh.write(line + b" " * (-(len(line) + 1) % 8) + b"\n")
+                fh.write(np.ascontiguousarray(vectors, "<f8").data)
+            os.utime(self.tmp, ns=(self.atime, self.reference))
+            os.replace(self.tmp, self.cache)
+        except OSError:
+            pass
+
+    def __exit__(self, *exc):
+        if self.fd is not None:
+            os.close(self.fd)
+        if self.tmp is not None:
+            # gone after the rename; otherwise the write failed, was
+            # interrupted or never came
+            with contextlib.suppress(OSError):
+                os.unlink(self.tmp)

@@ -15,6 +15,7 @@ import pytest
 
 import masinfo
 from masinfo import analysis, cli, harness, spectral
+from masinfo import store as store_module
 from masinfo.cli import main
 from masinfo.harness import (
     BackendError,
@@ -588,6 +589,40 @@ class TestRun:
         assert store_bytes(store) == before
         assert (store / "manifest.json").read_text() == manifest
 
+    def test_store_without_manifest_exits_2_before_any_call(self, tmp_path, capsys):
+        # without its manifest a store's config is unknown: a run of any config
+        # would otherwise adopt its transcripts and rows as its own
+        cfg_path, cfg = base_config(tmp_path, layer="L4", model_pool=["m1", "m2"],
+                                    n_agents_list=[2], seed=7)
+        assert main(["run", str(cfg_path)]) == 0
+        store = tmp_path / "store"
+        (store / "manifest.json").unlink()
+        before = store_bytes(store)
+        cfg_path.write_text(json.dumps({**cfg, "seed": 8}))
+        code, out = run_cli("run", str(cfg_path), capsys=capsys)
+        assert code == 2
+        assert out.err == (f"error: {store} holds transcripts or embeddings but no "
+                           "manifest.json; resume refused\n")
+        assert store_bytes(store) == before
+        assert sorted(os.listdir(store)) == ["embeddings.jsonl", "vote_L4_N2.jsonl"]
+
+    def test_empty_output_dir_starts_a_run(self, tmp_path):
+        cfg_path, _ = base_config(tmp_path, n_agents_list=[2])
+        (tmp_path / "store").mkdir()
+        assert main(["run", str(cfg_path)]) == 0
+        assert sorted(os.listdir(tmp_path / "store")) == ["embeddings.jsonl", "manifest.json",
+                                                          "vote_L1_N2.jsonl"]
+
+    def test_repeated_n_lists_its_store_file_once(self, tmp_path):
+        once, _ = base_config(tmp_path / "once", n_agents_list=[2, 4])
+        twice, _ = base_config(tmp_path / "twice", n_agents_list=[2, 2, 4])
+        assert main(["run", str(once)]) == 0
+        assert main(["run", str(twice)]) == 0
+        manifest = json.loads((tmp_path / "twice" / "store" / "manifest.json").read_text())
+        assert manifest["files"] == ["vote_L1_N2.jsonl", "vote_L1_N4.jsonl"]
+        assert manifest["n_agents_list"] == [2, 2, 4]
+        assert store_bytes(tmp_path / "twice" / "store") == store_bytes(tmp_path / "once" / "store")
+
     def test_vote_with_rounds_exits_2(self, tmp_path, capsys):
         cfg_path, _ = base_config(tmp_path, rounds=3)
         code, out = run_cli("run", str(cfg_path), capsys=capsys)
@@ -1013,7 +1048,8 @@ class TestEmbeddingFailures:
 
         cfg_path.write_text(json.dumps(cfg))
         assert main(["run", str(cfg_path)]) == 0
-        assert TranscriptStore(store / "vote_L1_N2.jsonl").task_ids() == {"t0", "t1", "t2"}
+        done = {t.task_id for t in TranscriptStore(store / "vote_L1_N2.jsonl")}
+        assert done == {"t0", "t1", "t2"}
         manifest = json.loads((store / "manifest.json").read_text())
         assert manifest["status"] == "done"
 
@@ -1037,7 +1073,7 @@ class TestEmbeddingFailures:
         monkeypatch.setattr(TranscriptStore, "append", append)
 
         # t1's vectors are written, its transcript is not: t1 is not done
-        assert TranscriptStore(store / "vote_L1_N2.jsonl").task_ids() == {"t0"}
+        assert {t.task_id for t in TranscriptStore(store / "vote_L1_N2.jsonl")} == {"t0"}
         rows = [json.loads(l)["id"] for l in (store / "embeddings.jsonl").read_text().splitlines()]
         assert rows == ["t0:0", "t0:1", "t1:0", "t1:1"]
 
@@ -1137,7 +1173,7 @@ class TestAnalyze:
     def held_rows(monkeypatch):
         """For each load_store_embeddings call, the stores whose rows are alive
         when it returns; a finalizer on each returned array marks it freed."""
-        load, live, held = spectral.load_store_embeddings, set(), []
+        load, live, held = store_module.load_store_embeddings, set(), []
 
         def tracked(path):
             ids, rows = load(path)
@@ -1147,7 +1183,7 @@ class TestAnalyze:
             held.append(sorted(live))
             return ids, rows
 
-        monkeypatch.setattr(spectral, "load_store_embeddings", tracked)
+        monkeypatch.setattr(store_module, "load_store_embeddings", tracked)
         return held
 
     @pytest.mark.parametrize("cache", ["cold", "warm"])
@@ -1171,20 +1207,31 @@ class TestAnalyze:
                      "--output", str(tmp_path / "out")]) == 0
         assert held == [[b], sorted([b, c]), [a]]
 
-    def test_pooled_group_across_two_stores_reports_as_all_at_once(self, tmp_path):
-        # vote/L1/N4 is in both stores: its one pooled unit stacks the rows of both
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    @pytest.mark.parametrize("mode", ["per-question", "pooled"])
+    def test_pooled_group_across_two_stores_reports_as_all_at_once(self, tmp_path, monkeypatch,
+                                                                    mode, cache):
+        # vote/L1/N4 is in both stores: its one pooled unit stacks the rows of both.
+        # The reference reads the stores without masinfo.store, so the store
+        # layer, cold or warm, must not change a report
         s1 = self.run_store(tmp_path / "r1", seed=11)
         s2 = self.run_store(tmp_path / "r2", seed=12, n_agents_list=[4, 8])
         out = tmp_path / "out"
-        assert main(["analyze", str(s1), "--merge", str(s2), "--mode", "pooled", "--seed", "5",
-                     "--output", str(out)]) == 0
+        argv = ["analyze", str(s1), "--merge", str(s2), "--mode", mode, "--seed", "5",
+                "--output", str(out)]
+        if cache == "warm":
+            assert main(argv[:-1] + [str(tmp_path / "first")]) == 0
+        with monkeypatch.context() as m:
+            if cache == "warm":
+                m.setattr(spectral, "load_embeddings_jsonl", None)  # a hit decodes nothing
+            assert main(argv) == 0
         transcripts, lookups = [], []
         for store in (s1, s2):
             ts = [t for f in sorted(store.glob("vote_*.jsonl")) for t in TranscriptStore(f)]
             ids, rows = spectral.load_embeddings_jsonl(store / "embeddings.jsonl")
             transcripts += ts
             lookups += [(dict(zip(ids, range(len(ids)))), rows)] * len(ts)
-        summaries = analysis.summarize_runs(transcripts, lookups, mode="pooled")
+        summaries = analysis.summarize_runs(transcripts, lookups, mode=mode)
         assert [(s.n_agents, s.task_count) for s in summaries] == [(2, 3), (4, 6), (8, 3)]
         files, _ = analysis.report_bundle(summaries, seed=5)
         assert {p.name: p.read_text() for p in out.iterdir()} == files
@@ -1286,7 +1333,7 @@ class TestAnalyze:
         rebuilt = self.analyze(store, tmp_path / "rebuilt")
         assert cache.exists()
         # the reference: every store decoded from its JSONL, no cache
-        monkeypatch.setattr(spectral, "load_store_embeddings", spectral.load_embeddings_jsonl)
+        monkeypatch.setattr(store_module, "load_store_embeddings", spectral.load_embeddings_jsonl)
         assert cold == warm == copied == rebuilt == self.analyze(store, tmp_path / "jsonl")
 
     def test_edit_with_its_mtime_put_back_reports_as_a_cold_analyze(self, tmp_path):
@@ -1311,7 +1358,7 @@ class TestAnalyze:
         def read_only(*args, **kwargs):
             raise PermissionError(13, "Permission denied")
 
-        monkeypatch.setattr(spectral.tempfile, "mkstemp", read_only)
+        monkeypatch.setattr(store_module.tempfile, "mkstemp", read_only)
         capsys.readouterr()
         assert self.analyze(store, tmp_path / "ro") == want
         assert sorted(os.listdir(store)) == before
@@ -1342,7 +1389,7 @@ class TestAnalyze:
         cold = self.analyze(store, tmp_path / "cold")
         warm = self.analyze(store, tmp_path / "warm")
         assert leftover.read_bytes() == old
-        monkeypatch.setattr(spectral, "load_store_embeddings", spectral.load_embeddings_jsonl)
+        monkeypatch.setattr(store_module, "load_store_embeddings", spectral.load_embeddings_jsonl)
         assert cold == warm == self.analyze(store, tmp_path / "jsonl")
 
     def test_resumed_run_beside_the_cache_writes_the_same_store(self, tmp_path):

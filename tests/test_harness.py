@@ -32,7 +32,6 @@ from masinfo.harness import (
     WorkflowSpec,
     answer_matches,
     build_layer_pool,
-    embedding_rows,
     extract_answer,
     fetch_embeddings,
     load_tasks_jsonl,
@@ -40,6 +39,7 @@ from masinfo.harness import (
     run_workflow,
 )
 from masinfo.spectral import EmbeddingSet
+from masinfo.store import embedding_rows
 
 
 class ScriptedChatBackend:
@@ -533,12 +533,6 @@ class TestTranscriptStore:
         d["calls"].append({})
         assert t.calls[0]["raw_output"] != "changed"
         assert len(t.calls) == 6
-
-    def test_task_ids(self, tmp_path, pool):
-        with contextlib.closing(TranscriptStore(tmp_path / "s.jsonl")) as store:
-            store.append(run_workflow(TASK_MC, WorkflowSpec("vote", 2), make_plan(),
-                                      MockChatBackend(seed=0), pool))
-        assert store.task_ids() == {"t1"}
 
 
 class TestTaskLoading:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from masinfo import spectral
+from masinfo import store as store_module
 from masinfo.harness import DimensionMismatch, fetch_embeddings
 from masinfo.spectral import (
     EmbeddingSet,
@@ -20,10 +21,10 @@ from masinfo.spectral import (
     k_star,
     k_star_conditioned,
     load_embeddings_jsonl,
-    load_store_embeddings,
     mean_pairwise_cosine,
     normalize_embeddings,
 )
+from masinfo.store import load_store_embeddings
 
 
 def random_unit_rows(rng, n, d):
@@ -492,9 +493,9 @@ def write_cache(cache, path, rows=None, **header):
     replaced."""
     ids, vectors = load_embeddings_jsonl(path)
     data = path.read_bytes()
-    fields = {"format": spectral._CACHE_FORMAT, "size": len(data),
+    fields = {"format": store_module._CACHE_FORMAT, "size": len(data),
               "sha256": hashlib.sha256(data).hexdigest(),
-              "stamp": spectral._stamp(os.stat(path)), "width": vectors.shape[1],
+              "stamp": store_module._stamp(os.stat(path)), "width": vectors.shape[1],
               "ids": ids, **header}
     rows = vectors.astype("<f8").tobytes() if rows is None else rows
     cache.write_bytes(json.dumps([fields[f] for f in HEADER]).encode() + b"\n" + rows)
@@ -536,6 +537,9 @@ class FailingWriter(io.BufferedWriter):
         raise self.exc
 
 
+CHUNK = store_module._HASH_CHUNK
+
+
 class TestStoreCache:
     @pytest.fixture
     def store(self, tmp_path):
@@ -553,17 +557,17 @@ class TestStoreCache:
     def no_hash(self, monkeypatch):
         def fail(fh):
             raise AssertionError("JSONL hashed on a trusted hit")
-        monkeypatch.setattr(spectral, "_file_sha256", fail)
+        monkeypatch.setattr(store_module, "_file_sha256", fail)
 
     def count_hashes(self, monkeypatch):
         calls = []
-        digest = spectral._file_sha256
+        digest = store_module._file_sha256
 
         def counted(fh):
             calls.append(fh.name)
             return digest(fh)
 
-        monkeypatch.setattr(spectral, "_file_sha256", counted)
+        monkeypatch.setattr(store_module, "_file_sha256", counted)
         return calls
 
     def assert_same(self, got, want):
@@ -576,9 +580,9 @@ class TestStoreCache:
         want = load_embeddings_jsonl(path)
         self.assert_same(load_store_embeddings(path), want)  # miss, writes the cache
         header, rows = read_cache(store / "emb.cache")
-        assert header == {"format": spectral._CACHE_FORMAT, "size": path.stat().st_size,
+        assert header == {"format": store_module._CACHE_FORMAT, "size": path.stat().st_size,
                           "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
-                          "stamp": spectral._stamp(path.stat()), "width": 5, "ids": want[0]}
+                          "stamp": store_module._stamp(path.stat()), "width": 5, "ids": want[0]}
         assert np.array_equal(rows.view(np.uint64), want[1].ravel().view(np.uint64))
         self.no_decode(monkeypatch)
         hit = load_store_embeddings(path)
@@ -591,13 +595,12 @@ class TestStoreCache:
         load_embeddings_jsonl(store / "emb.jsonl", digest)
         assert digest.hexdigest() == hashlib.sha256((store / "emb.jsonl").read_bytes()).hexdigest()
 
-    @pytest.mark.parametrize("size", [0, 1, spectral._HASH_CHUNK - 1, spectral._HASH_CHUNK,
-                                      spectral._HASH_CHUNK + 1, 3 * spectral._HASH_CHUNK + 5])
+    @pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
     def test_file_sha256_is_the_digest_of_every_byte(self, tmp_path, size):
         data = np.random.default_rng(size).bytes(size)
         (tmp_path / "f").write_bytes(data)
         with open(tmp_path / "f", "rb") as fh:
-            assert spectral._file_sha256(fh) == hashlib.sha256(data).hexdigest()
+            assert store_module._file_sha256(fh) == hashlib.sha256(data).hexdigest()
 
     def test_appended_row_makes_the_cache_stale(self, store):
         path = store / "emb.jsonl"
@@ -616,7 +619,7 @@ class TestStoreCache:
         def fail(fh):
             raise AssertionError("hashed a file whose size rules the cache out")
 
-        monkeypatch.setattr(spectral, "_file_sha256", fail)
+        monkeypatch.setattr(store_module, "_file_sha256", fail)
         self.assert_same(load_store_embeddings(path), load_embeddings_jsonl(path))
         assert read_cache(store / "emb.cache")[0]["size"] == path.stat().st_size
 
@@ -700,7 +703,7 @@ class TestStoreCache:
         self.no_decode(monkeypatch)
         self.assert_same(load_store_embeddings(path), want)
         assert hashed == [str(path)]
-        assert read_cache(cache)[0]["stamp"] == spectral._stamp(path.stat())
+        assert read_cache(cache)[0]["stamp"] == store_module._stamp(path.stat())
         assert cache.stat().st_mtime_ns > path.stat().st_ctime_ns
         self.assert_same(load_store_embeddings(path), want)
         assert hashed == [str(path)]
@@ -717,7 +720,7 @@ class TestStoreCache:
         self.assert_same(load_store_embeddings(path), load_embeddings_jsonl(store / "emb.jsonl"))
         assert hashed == [str(path)]
         header = read_cache(cache)[0]
-        assert header["stamp"] == spectral._stamp(path.stat())
+        assert header["stamp"] == store_module._stamp(path.stat())
         assert header["stamp"] != read_cache(store / "emb.cache")[0]["stamp"]
         assert sorted(os.listdir(copy)) == ["emb.cache", "emb.jsonl"]
 
@@ -729,7 +732,7 @@ class TestStoreCache:
         path, cache = store / "emb.jsonl", store / "emb.cache"
         want = load_embeddings_jsonl(path)
         if why == "no-stamps":
-            monkeypatch.setattr(spectral, "_STAMPS", False)
+            monkeypatch.setattr(store_module, "_STAMPS", False)
             load_store_embeddings(path)
             trust(cache, path)
         else:
@@ -757,10 +760,10 @@ class TestStoreCache:
             raise OSError(28, "No space left on device")
 
         if where == "write":
-            monkeypatch.setattr(spectral.os, "fdopen",
+            monkeypatch.setattr(store_module.os, "fdopen",
                                 lambda fd, mode: FailingWriter(io.FileIO(fd, "w")))
         else:
-            monkeypatch.setattr(spectral.os, "replace", disk_full)
+            monkeypatch.setattr(store_module.os, "replace", disk_full)
         self.no_decode(monkeypatch)
         self.assert_same(load_store_embeddings(path), want)
         assert sorted(os.listdir(store)) == ["emb.cache", "emb.jsonl"]
@@ -789,7 +792,7 @@ class TestStoreCache:
             with open(cache, "wb") as fh:
                 np.savez(fh, vectors=want[1])
         elif damage == "other-format":  # right key and rows, but an older decoder's
-            write_cache(cache, path, format=spectral._CACHE_FORMAT - 1)
+            write_cache(cache, path, format=store_module._CACHE_FORMAT - 1)
         elif damage == "trailing":  # right key and rows, then a byte more
             cache.write_bytes(data + b"\x00")
         elif damage == "wide":  # one id over 45 floats, as reshape(len(ids), -1) would read
@@ -810,8 +813,8 @@ class TestStoreCache:
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id": "a", "vector": [1.0, 0.0]}\n{"id": "b", "vector": [true, false]}\n')
         data = path.read_bytes()
-        header = [spectral._CACHE_FORMAT - 1, len(data), hashlib.sha256(data).hexdigest(),
-                  spectral._stamp(path.stat()), 2, ["a", "b"]]
+        header = [store_module._CACHE_FORMAT - 1, len(data), hashlib.sha256(data).hexdigest(),
+                  store_module._stamp(path.stat()), 2, ["a", "b"]]
         (tmp_path / "emb.cache").write_bytes(
             json.dumps(header).encode() + b"\n" + np.array([[1.0, 0.0], [1.0, 0.0]]).tobytes())
         trust(tmp_path / "emb.cache", path)
@@ -824,11 +827,11 @@ class TestStoreCache:
             raise OSError(28, "No space left on device")
 
         if where == "write":
-            monkeypatch.setattr(spectral.os, "fdopen",
+            monkeypatch.setattr(store_module.os, "fdopen",
                                 lambda fd, mode: FailingWriter(io.FileIO(fd, "w")))
         else:
-            monkeypatch.setattr({"mkstemp": spectral.tempfile, "replace": spectral.os}[where],
-                                where, disk_full)
+            owner = {"mkstemp": store_module.tempfile, "replace": store_module.os}[where]
+            monkeypatch.setattr(owner, where, disk_full)
         path = store / "emb.jsonl"
         self.assert_same(load_store_embeddings(path), load_embeddings_jsonl(path))
         assert sorted(os.listdir(store)) == ["emb.jsonl"]
@@ -837,7 +840,7 @@ class TestStoreCache:
         class Interrupted(FailingWriter):
             exc = KeyboardInterrupt()
 
-        monkeypatch.setattr(spectral.os, "fdopen",
+        monkeypatch.setattr(store_module.os, "fdopen",
                             lambda fd, mode: Interrupted(io.FileIO(fd, "w")))
         with pytest.raises(KeyboardInterrupt):
             load_store_embeddings(store / "emb.jsonl")
@@ -849,10 +852,10 @@ class TestStoreCache:
         write_rows(path, [f"q{i}:0" for i in range(200)],
                    np.random.default_rng(6).standard_normal((200, 256)))
         ids, rows = load_embeddings_jsonl(path)
-        with spectral._NewCache(str(tmp_path / "emb.cache")) as new:
+        with store_module._NewCache(str(tmp_path / "emb.cache")) as new:
             tracemalloc.start()
             try:
-                new.write([spectral._CACHE_FORMAT, 1, "0" * 64, None, rows.shape[1], ids], rows,
+                new.write([store_module._CACHE_FORMAT, 1, "0" * 64, None, rows.shape[1], ids], rows,
                           0o644)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -895,8 +898,8 @@ class TestStoreCache:
                    np.random.default_rng(6).standard_normal((200, 256)))
         load_store_embeddings(path)
         with open(path, "rb") as fh:
-            digest = spectral._file_sha256(fh)
-        monkeypatch.setattr(spectral, "_file_sha256", lambda path: digest)  # its chunks aside
+            digest = store_module._file_sha256(fh)
+        monkeypatch.setattr(store_module, "_file_sha256", lambda path: digest)  # its chunks aside
         tracemalloc.start()
         try:
             ids, rows = load_store_embeddings(path)
