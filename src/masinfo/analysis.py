@@ -28,6 +28,7 @@ from masinfo.spectral import (
     _spectrum,
     _unit_gram,
 )
+from masinfo.store import release_pages
 
 
 class MissingEmbeddings(KeyError):
@@ -88,7 +89,8 @@ def _unit_columns(unit, buf):
     """(K*, K*_c, K*_w, mean cosine) of every call of `unit`, (transcript, table) pairs.
 
     The unit's rows are copied, member by member, to the start of the flat
-    float64 buffer `buf`, which must hold them, and normalized there once.
+    float64 buffer `buf`, which must hold them, and normalized there once;
+    then each table's mapped pages are let go (store.release_pages).
     Their one Gram gives K* and, through its principal submatrices, K*_c and
     K*_w: the values of k_star and k_star_conditioned on the EmbeddingSet of
     the same rows.  No cosine below 2 rows.
@@ -112,6 +114,9 @@ def _unit_columns(unit, buf):
         end = start + len(pos)
         np.take(rows, pos, axis=0, out=z[start:end], mode="clip")
         start = end
+    # copied out: a cache hit's rows need not stay resident while the next unit is read
+    for rows in {id(rows): rows for _, rows, _ in picks}.values():
+        release_pages(rows)
     try:
         _normalize_rows(z)
     except ZeroNormVector as exc:

@@ -148,6 +148,9 @@ def _check_names(value, name):
 def _load_config(path):
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
+    # `in` on a JSON string would test for substrings
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
     for key in ("dataset_path", "workflow", "layer", "n_agents_list", "model_pool",
                 "seed", "output_dir", "backend"):
         if key not in cfg:
@@ -162,6 +165,10 @@ def _load_config(path):
         if cfg.get(key) is not None:
             _check_count(cfg[key], key)
     _check_names(cfg["model_pool"], "model_pool")
+    # every transcript carries it, and analyze sorts merged stores' configs by it
+    if "dataset_name" in cfg and not (isinstance(cfg["dataset_name"], str)
+                                      and cfg["dataset_name"]):
+        raise ValueError(f"dataset_name must be a nonempty string, got {cfg['dataset_name']!r}")
     if "persona_pool" in cfg:
         _check_names(cfg["persona_pool"], "persona_pool")
     specs = [harness.WorkflowSpec(cfg["workflow"], n, cfg.get("rounds"))
@@ -277,6 +284,28 @@ def _batches(stores, mode):
     return [[stores[i] for i in members] for _, members in sorted(batches, key=lambda b: b[1])]
 
 
+def _score_stores(store_dirs, mode):
+    """The task table of the stores `store_dirs`, merged.  Their transcripts
+    and the scorer's unit buffer go when it returns, so the reports are built
+    without them."""
+    stores = [(run, run.transcripts()) for run in map(RunStore, store_dirs)]
+    if not any(ts for _, ts in stores):
+        raise ValueError("store contains no transcripts")
+    scorer = analysis.TaskScorer(mode)
+    if not any(ts and run.has_rows() for run, ts in stores):
+        print("warning: no embeddings found; spectral columns omitted", file=sys.stderr)
+        return scorer.score([t for _, ts in stores for t in ts])
+    # ids repeat across stores, so each transcript keeps its own store's rows,
+    # and each batch of stores is scored and its rows let go before the next
+    # is loaded: only one batch's rows are held at a time
+    table = []
+    for batch in _batches(stores, mode):
+        # each transcript with its own store's rows, let go once scored
+        table += scorer.score([t for _, ts in batch for t in ts], [
+            rows for run, ts in batch for rows in [run.rows()] * len(ts)])
+    return table
+
+
 def cmd_analyze(args):
     store_dirs = [args.store_dir] + (args.merge or [])
     # a store given twice would count each of its transcripts twice
@@ -285,24 +314,7 @@ def cmd_analyze(args):
         if r in real[:i]:
             return _fail(f"store directory {store_dirs[i]} repeats {store_dirs[real.index(r)]}")
     try:
-        stores = [(run, run.transcripts()) for run in map(RunStore, store_dirs)]
-    except ValueError as exc:
-        return _fail(str(exc))
-    if not any(ts for _, ts in stores):
-        return _fail("store contains no transcripts")
-    # ids repeat across stores, so each transcript keeps its own store's rows,
-    # and each batch of stores is scored and its rows let go before the next
-    # is loaded: only one batch's rows are held at a time
-    table, scorer = [], analysis.TaskScorer(args.mode)
-    try:
-        if any(ts and run.has_rows() for run, ts in stores):
-            for batch in _batches(stores, args.mode):
-                # each transcript with its own store's rows, let go once scored
-                table += scorer.score([t for _, ts in batch for t in ts], [
-                    rows for run, ts in batch for rows in [run.rows()] * len(ts)])
-        else:
-            print("warning: no embeddings found; spectral columns omitted", file=sys.stderr)
-            table = scorer.score([t for _, ts in stores for t in ts])
+        table = _score_stores(store_dirs, args.mode)
     except (analysis.MissingEmbeddings, ValueError) as exc:
         return _fail(str(exc))
     summaries = analysis.summarize_table(table, args.mode)

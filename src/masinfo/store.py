@@ -230,8 +230,10 @@ def load_store_embeddings(path):
     decoded from.  Its own mtime is a reference time taken on the store's
     filesystem before that read (_NewCache).
 
-    _read_cache's rows are the cache's own pages, mapped read-only; a cache
-    is only ever replaced by a rename, which leaves mapped rows as they were.
+    _read_cache's rows are the cache's own pages, mapped read-only and left
+    unread, so a caller that copies rows out and then calls release_pages
+    keeps only the pages it is reading resident; a cache is only ever
+    replaced by a rename, which leaves mapped rows as they were.
     They are trusted without a hash when the JSONL's stat equals the stamp
     and _trusted holds, else when its sha256 matches, and the cache is then
     restamped if a later hit could trust it.  Otherwise the JSONL is decoded
@@ -266,13 +268,16 @@ def load_store_embeddings(path):
             stamp = before if before == _stamp(os.fstat(src.fileno())) else None
             new.write([_CACHE_FORMAT, size, sha256, stamp, vectors.shape[1], ids], vectors,
                       stat.S_IMODE(st.st_mode))
+            # a restamped hit's rows were read through the mapping to be written
+            release_pages(vectors)
     return ids, vectors
 
 
 def _read_cache(cache, size):
     """(sha256, stamp, ids, rows, mtime in ns) of `cache`, or None unless it is of
     the current format, was decoded from `size` JSONL bytes and holds exactly
-    len(ids) * width finite floats; the rows are the file's pages, mapped read-only."""
+    len(ids) * width finite floats; the rows are the file's pages, mapped
+    read-only and not yet read through the mapping."""
     try:
         with open(cache, "rb") as fh:
             fmt, cached_size, sha256, stamp, width, ids = json.loads(fh.readline())
@@ -281,14 +286,43 @@ def _read_cache(cache, size):
                     and type(width) is int):
                 rows = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
                 # exactly len(ids) * width floats, and nothing after them
-                if len(rows) - offset == len(ids) * width * 8:
-                    vectors = np.frombuffer(rows, "<f8", len(ids) * width, offset)
-                    vectors = vectors.reshape(len(ids), width)
-                    if np.isfinite(vectors).all():
-                        return sha256, stamp, ids, vectors, mtime
+                count = len(ids) * width
+                if len(rows) - offset == count * 8 and _all_finite(fh, count):
+                    vectors = np.frombuffer(rows, "<f8", count, offset)
+                    return sha256, stamp, ids, vectors.reshape(len(ids), width), mtime
     except (OSError, ValueError, TypeError):  # a missing, torn or foreign cache
         pass
     return None
+
+
+def _all_finite(fh, count):
+    """Whether the next `count` little-endian float64s of the binary file `fh`
+    are all finite.  They are read through one buffer of at most _HASH_CHUNK
+    bytes, not through the mapping of the same bytes, so a hit leaves the
+    mapped rows unread and none of their pages resident."""
+    buf = np.empty(max(min(count, _HASH_CHUNK // 8), 1), "<f8")
+    while count:
+        chunk = buf[:count]
+        if fh.readinto(chunk) != chunk.nbytes or not np.isfinite(chunk).all():
+            return False
+        count -= len(chunk)
+    return True
+
+
+def release_pages(rows):
+    """Drop the resident pages of the cache mapping that the array `rows`
+    views, once its rows have been copied out.  The kernel reads a dropped
+    page back from the file on the next access, so the rows stay as they
+    are.  A no-op for an array that views no mapping, as decoded rows, and
+    where mmap offers no MADV_DONTNEED."""
+    # numpy 2 puts a memoryview between the array and the mapping; 1.24 may not
+    base = rows
+    while isinstance(base, (np.ndarray, memoryview)):
+        base = base.base if isinstance(base, np.ndarray) else base.obj
+    if isinstance(base, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED"):
+        # advice only: Linux refuses it on locked pages (mlockall), which then stay
+        with contextlib.suppress(OSError):
+            base.madvise(mmap.MADV_DONTNEED)
 
 
 class _NewCache:

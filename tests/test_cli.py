@@ -715,6 +715,36 @@ class TestConfigValidation:
         assert "must be an integer >= 1" in out.err
         assert not (tmp_path / "store").exists()
 
+    @pytest.mark.parametrize("text", ["null", "5", "[]", '"dataset_path output_dir"'],
+                             ids=["null", "number", "list", "string"])
+    def test_config_not_an_object_exits_2(self, tmp_path, capsys, text):
+        # `in` on a string tests substrings, so this one held every "required field"
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code, out = run_cli("run", str(path), capsys=capsys)
+        assert code == 2
+        assert out.err == "error: config must be a JSON object\n"
+
+    @pytest.mark.parametrize("name", [5, "", None, ["bench"]],
+                             ids=["number", "empty", "null", "list"])
+    def test_dataset_name_not_a_nonempty_string_exits_2_before_output_dir(self, tmp_path,
+                                                                          capsys, name):
+        cfg_path, _ = base_config(tmp_path, dataset_name=name)
+        code, out = run_cli("run", str(cfg_path), capsys=capsys)
+        assert code == 2
+        assert f"dataset_name must be a nonempty string, got {name!r}" in out.err
+        assert not (tmp_path / "store").exists()
+
+    def test_store_with_a_number_for_dataset_still_analyzes_alone(self, tmp_path):
+        # as an older run wrote it from "dataset_name": 5
+        cfg_path, _ = base_config(tmp_path, dataset_name="bench")
+        assert main(["run", str(cfg_path)]) == 0
+        for f in (tmp_path / "store").glob("vote_*.jsonl"):
+            f.write_text(f.read_text().replace('"dataset": "bench"', '"dataset": 5'))
+        assert main(["analyze", str(tmp_path / "store"), "--output", str(tmp_path / "out")]) == 0
+        rows = json.loads((tmp_path / "out" / "summaries.json").read_text())
+        assert {r["dataset"] for r in rows} == {5}
+
     @pytest.mark.parametrize("overrides", [
         {"layer": "L2", "persona_pool": ["skeptic"]},
         {"layer": "L3", "model_pool": ["m1"]},
