@@ -165,21 +165,25 @@ def _load_config(path):
         if cfg.get(key) is not None:
             _check_count(cfg[key], key)
     _check_names(cfg["model_pool"], "model_pool")
-    # every transcript carries it, and analyze sorts merged stores' configs by it
-    if "dataset_name" in cfg and not (isinstance(cfg["dataset_name"], str)
-                                      and cfg["dataset_name"]):
-        raise ValueError(f"dataset_name must be a nonempty string, got {cfg['dataset_name']!r}")
+    # os.path would take a number for a file descriptor; every transcript
+    # carries dataset_name, and analyze sorts merged stores' configs by it
+    for key in ("dataset_path", "output_dir", "dataset_name"):
+        if key in cfg and not (isinstance(cfg[key], str) and cfg[key]):
+            raise ValueError(f"{key} must be a nonempty string, got {cfg[key]!r}")
+    catalog_path = cfg.get("persona_catalog_path")
+    if catalog_path is not None and not isinstance(catalog_path, str):
+        raise ValueError(f"persona_catalog_path must be a string, got {catalog_path!r}")
     if "persona_pool" in cfg:
         _check_names(cfg["persona_pool"], "persona_pool")
     specs = [harness.WorkflowSpec(cfg["workflow"], n, cfg.get("rounds"))
              for n in cfg["n_agents_list"]]
     if not os.path.exists(cfg["dataset_path"]):
         raise ValueError(f"dataset not found: {cfg['dataset_path']}")
-    if cfg.get("persona_catalog_path") and not os.path.exists(cfg["persona_catalog_path"]):
-        raise ValueError(f"persona catalog not found: {cfg['persona_catalog_path']}")
+    if catalog_path and not os.path.exists(catalog_path):
+        raise ValueError(f"persona catalog not found: {catalog_path}")
     catalog = dict(harness.DEFAULT_PERSONAS)
-    if cfg.get("persona_catalog_path"):
-        catalog = harness.load_persona_catalog(cfg["persona_catalog_path"])
+    if catalog_path:
+        catalog = harness.load_persona_catalog(catalog_path)
     plan = harness.DiversityPlan(
         layer=cfg["layer"],
         model_pool=tuple(cfg["model_pool"]),

@@ -199,24 +199,21 @@ def is_finite_number_list(v):
         return False
 
 
-def load_embeddings_jsonl(path, digest=None):
+def load_embeddings_jsonl(path):
     """Read one {"id": str, "vector": [...]} object per line; returns (ids, raw rows).
 
     Each vector must pass is_finite_number_list: `null`, `NaN`, `Infinity`,
     a literal that overflows a double (`1e400`), a boolean, a string or a
     nested list is rejected.  Raises ValueError naming the offending line
     number on malformed input.  `path` may also be a binary file open for
-    reading, which is read from where it stands and left open.  An object
-    passed as `digest` has its `update` called with every byte read, so it
-    names exactly the bytes the rows came from.
+    reading, which is read from where it stands and left open.
     """
     # imported here, so processes that never read embeddings do not load it
     import orjson
 
     ids, rows = [], []
     with contextlib.nullcontext(path) if hasattr(path, "read") else open(path, "rb") as fh:
-        lines = fh if digest is None else (digest.update(line) or line for line in fh)
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue

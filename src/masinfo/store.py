@@ -4,9 +4,11 @@
 (harness.TranscriptStore), `embeddings.jsonl` one {"id", "vector"} row per
 call, named by Transcript.embedding_ids(), and `manifest.json` the config
 hash and the run's status; `embeddings.cache` is analyze's binary copy of the
-rows.  RunStore is the one owner of these files: `run` calls its begin(),
-append() for each task as it finishes, finish() and close(), and `analyze`
-its transcripts() and rows().
+rows, keyed by the JSONL's stat stamp alone and written only when that stamp
+can be trusted (load_store_embeddings).  RunStore is the one owner of these
+files: `run` calls its begin(), append() for each task as it finishes,
+finish() and close(), and `analyze` its transcripts(), which reads no other
+file of the directory, such as a dataset kept there, and rows().
 """
 
 import collections
@@ -15,6 +17,7 @@ import hashlib
 import json
 import mmap
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -26,6 +29,13 @@ from masinfo import spectral
 from masinfo.harness import TranscriptStore
 
 EMBEDDINGS, MANIFEST = "embeddings.jsonl", "manifest.json"
+# The store file of one agent count, `<workflow>_<layer>_N<n>.jsonl`: begin()
+# names each by _store_file, and transcripts() reads no file it does not match.
+_STORE_FILE = re.compile(r"[a-z]+_L[0-9]+_N[0-9]+\.jsonl")
+
+
+def _store_file(workflow, layer, num_agents):
+    return f"{workflow}_{layer}_N{num_agents}.jsonl"
 
 
 class RunStore:
@@ -46,7 +56,7 @@ class RunStore:
         whose config is unknown.  Then the manifest is written with status
         "running", so a rerun after a crash still meets the config check."""
         self._stores = {spec: TranscriptStore(self._path(
-            f"{cfg['workflow']}_{cfg['layer']}_N{spec.num_agents}.jsonl")) for spec in specs}
+            _store_file(cfg["workflow"], cfg["layer"], spec.num_agents))) for spec in specs}
         done = {spec: {t.task_id for t in store} for spec, store in self._stores.items()}
         manifest = self._path(MANIFEST)
         try:
@@ -104,10 +114,10 @@ class RunStore:
             f.close()
 
     def transcripts(self):
-        """Every transcript of the directory, store file by store file in name order."""
+        """Every transcript of the directory, store file by store file in name
+        order; other files, as a dataset kept there, are not read."""
         return [t for name in sorted(os.listdir(self.output_dir))
-                if name.endswith(".jsonl") and name != EMBEDDINGS
-                for t in TranscriptStore(self._path(name))]
+                if _STORE_FILE.fullmatch(name) for t in TranscriptStore(self._path(name))]
 
     def has_rows(self):
         return os.path.exists(self._path(EMBEDDINGS))
@@ -187,23 +197,12 @@ def embedding_rows(row_ids, vectors):
 # Names the cache layout and the decoder that filled it.  Bump it whenever
 # the layout changes or load_embeddings_jsonl accepts, rejects or returns
 # anything differently, so that caches an older version wrote are read as
-# misses.  Format 5 pads the header so that the rows are 8-byte aligned.
-_CACHE_FORMAT = 5
-_HASH_CHUNK = 1 << 18
+# misses.  Format 6 keys the rows by the JSONL's stat stamp alone.
+_CACHE_FORMAT = 6
+_READ_CHUNK = 1 << 18
 # A stat stamp proves a file unchanged only where ctime is the inode's change
 # time, which no user-space call can set; on Windows it is the creation time.
 _STAMPS = os.name == "posix"
-
-
-def _file_sha256(fh):
-    """The sha256 hex digest of the rest of the binary file `fh`."""
-    digest = hashlib.sha256()
-    # one buffer for every chunk, not a new bytes object per read
-    buf = bytearray(_HASH_CHUNK)
-    view = memoryview(buf)
-    while size := fh.readinto(buf):
-        digest.update(view[:size])
-    return digest.hexdigest()
 
 
 def _stamp(st):
@@ -211,85 +210,62 @@ def _stamp(st):
     return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
 
 
-def _trusted(stamp, reference):
-    """Whether `stamp`, equal to its file's stat now, proves the file unchanged
-    since `reference` (ns), a time taken on its filesystem before the stamp.
-    Its mtime and ctime must both be older, since a write in the same tick
-    could leave the stamp unchanged (git's "racy git" rule); never without a
-    reference."""
-    return _STAMPS and reference is not None and max(stamp[3:]) < reference
-
-
 def load_store_embeddings(path):
     """load_embeddings_jsonl(path), through a binary copy of its rows beside it.
 
-    `<name>.cache` holds one JSON line `[format, size, sha256, stamp, width,
-    ids]`, padded with spaces to a multiple of 8 bytes, then the rows as raw
-    little-endian float64: _CACHE_FORMAT, then the size, sha256 and, if it
-    held still through the read, _stamp of the JSONL bytes the rows were
-    decoded from.  Its own mtime is a reference time taken on the store's
-    filesystem before that read (_NewCache).
+    `<name>.cache` holds one JSON line `[format, stamp, width, ids]`, padded
+    with spaces to a multiple of 8 bytes, then the rows as raw little-endian
+    float64: _CACHE_FORMAT and the _stamp of the JSONL the rows were decoded
+    from.  A cache whose stamp equals the JSONL's stat now is a hit.
+
+    Whether a stamp can be trusted is decided once, when the cache is
+    written: a miss decodes the JSONL and writes the cache only where _STAMPS
+    holds, the JSONL's stamp held still through the decode, and its mtime and
+    ctime are older than the mtime of the cache's temp file, made before the
+    read on the store's own filesystem (_NewCache), since a write in the same
+    tick could leave the stamp unchanged (git's "racy git" rule).  Otherwise
+    no cache is written, and the next call decodes again.
 
     _read_cache's rows are the cache's own pages, mapped read-only and left
     unread, so a caller that copies rows out and then calls release_pages
     keeps only the pages it is reading resident; a cache is only ever
-    replaced by a rename, which leaves mapped rows as they were.
-    They are trusted without a hash when the JSONL's stat equals the stamp
-    and _trusted holds, else when its sha256 matches, and the cache is then
-    restamped if a later hit could trust it.  Otherwise the JSONL is decoded
-    and the cache rewritten.  The JSONL stays the only source of truth: an
-    unreadable cache counts as absent, and an unwritable one is left out.
+    replaced by a rename, which leaves mapped rows as they were.  The JSONL
+    stays the only source of truth: an unreadable cache counts as absent,
+    and an unwritable one is left out.
     """
     cache = os.path.splitext(path)[0] + ".cache"
     with open(path, "rb") as src:
         st = os.fstat(src.fileno())
-        cached = _read_cache(cache, st.st_size)
+        stamp = _stamp(st)
+        cached = _read_cache(cache, stamp)
         if cached is not None:
-            sha256, stamp, ids, vectors, reference = cached
-            if stamp == _stamp(st) and _trusted(stamp, reference):
-                return ids, vectors
+            return cached
         with _NewCache(cache) as new:
-            before = _stamp(os.fstat(src.fileno()))
-            if cached is not None and sha256 == _file_sha256(src):
-                # a JSONL stamped in the future, in this tick or where ctime is
-                # a creation time would be hashed again all the same
-                if not _trusted(before, new.reference):
-                    return ids, vectors
-                size = st.st_size
-            else:
-                # the stale rows go before the decode
-                cached = ids = vectors = None
-                src.seek(0)
-                key = hashlib.sha256()
-                ids, vectors = spectral.load_embeddings_jsonl(src, key)
-                # the decode read from the start to the end: tell() counts the bytes hashed
-                size, sha256 = src.tell(), key.hexdigest()
-            # a stamp names the bytes read only if nothing wrote to them meanwhile
-            stamp = before if before == _stamp(os.fstat(src.fileno())) else None
-            new.write([_CACHE_FORMAT, size, sha256, stamp, vectors.shape[1], ids], vectors,
-                      stat.S_IMODE(st.st_mode))
-            # a restamped hit's rows were read through the mapping to be written
-            release_pages(vectors)
+            ids, vectors = spectral.load_embeddings_jsonl(src)
+            if (_STAMPS and new.reference is not None and max(stamp[3:]) < new.reference
+                    and stamp == _stamp(os.fstat(src.fileno()))):
+                new.write([_CACHE_FORMAT, stamp, vectors.shape[1], ids], vectors,
+                          stat.S_IMODE(st.st_mode))
     return ids, vectors
 
 
-def _read_cache(cache, size):
-    """(sha256, stamp, ids, rows, mtime in ns) of `cache`, or None unless it is of
-    the current format, was decoded from `size` JSONL bytes and holds exactly
-    len(ids) * width finite floats; the rows are the file's pages, mapped
-    read-only and not yet read through the mapping."""
+def _read_cache(cache, stamp):
+    """(ids, rows) of `cache`, or None unless it is of the current format, was
+    decoded from the JSONL of stat stamp `stamp` and holds exactly len(ids) *
+    width finite floats; the rows are the file's pages, mapped read-only and
+    not yet read through the mapping."""
     try:
         with open(cache, "rb") as fh:
-            fmt, cached_size, sha256, stamp, width, ids = json.loads(fh.readline())
-            offset, mtime = fh.tell(), os.fstat(fh.fileno()).st_mtime_ns
-            if (fmt == _CACHE_FORMAT and cached_size == size and isinstance(ids, list)
+            fmt, cached_stamp, width, ids = json.loads(fh.readline())
+            offset = fh.tell()
+            if (fmt == _CACHE_FORMAT and cached_stamp == stamp and isinstance(ids, list)
                     and type(width) is int):
                 rows = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
                 # exactly len(ids) * width floats, and nothing after them
                 count = len(ids) * width
                 if len(rows) - offset == count * 8 and _all_finite(fh, count):
                     vectors = np.frombuffer(rows, "<f8", count, offset)
-                    return sha256, stamp, ids, vectors.reshape(len(ids), width), mtime
+                    return ids, vectors.reshape(len(ids), width)
     except (OSError, ValueError, TypeError):  # a missing, torn or foreign cache
         pass
     return None
@@ -297,10 +273,10 @@ def _read_cache(cache, size):
 
 def _all_finite(fh, count):
     """Whether the next `count` little-endian float64s of the binary file `fh`
-    are all finite.  They are read through one buffer of at most _HASH_CHUNK
+    are all finite.  They are read through one buffer of at most _READ_CHUNK
     bytes, not through the mapping of the same bytes, so a hit leaves the
     mapped rows unread and none of their pages resident."""
-    buf = np.empty(max(min(count, _HASH_CHUNK // 8), 1), "<f8")
+    buf = np.empty(max(min(count, _READ_CHUNK // 8), 1), "<f8")
     while count:
         chunk = buf[:count]
         if fh.readinto(chunk) != chunk.nbytes or not np.isfinite(chunk).all():
@@ -328,12 +304,12 @@ def release_pages(rows):
 class _NewCache:
     """The next `cache`, begun before the JSONL is read.
 
-    Entering makes its temp file beside `cache`, whose mtime, taken then on
-    the store's own filesystem, is put back before the rename: the cache's
-    mtime is the reference its stamp is checked against, and no clock is
-    read, since a network filesystem's server stamps the file.  A store that
-    cannot be written gets no cache and no reference, write() gives up on
-    any OSError, and the temp file never outlives the `with` block.
+    Entering makes its temp file beside `cache`; its mtime, taken then on the
+    store's own filesystem, is the reference a stamp must be older than, and
+    no clock is read, since a network filesystem's server stamps the file.
+    A store that cannot be written gets no temp file and no reference,
+    write() gives up on any OSError, and the temp file never outlives the
+    `with` block.
     """
 
     def __init__(self, cache):
@@ -341,18 +317,14 @@ class _NewCache:
 
     def __enter__(self):
         with contextlib.suppress(OSError):
-            # no .jsonl suffix: analyze reads every *.jsonl of a store as transcripts
             self.fd, self.tmp = tempfile.mkstemp(prefix=f".{os.path.basename(self.cache)}.",
                                                  suffix=".tmp",
                                                  dir=os.path.dirname(self.cache) or ".")
-            st = os.fstat(self.fd)
-            self.atime, self.reference = st.st_atime_ns, st.st_mtime_ns
+            self.reference = os.fstat(self.fd).st_mtime_ns
         return self
 
     def write(self, header, vectors, mode):
         """Write `header` and `vectors` as the cache, with permission bits `mode`."""
-        if self.reference is None:
-            return
         fd, self.fd = self.fd, None
         try:
             with os.fdopen(fd, "wb") as fh:
@@ -363,7 +335,6 @@ class _NewCache:
                 line = json.dumps(header).encode()
                 fh.write(line + b" " * (-(len(line) + 1) % 8) + b"\n")
                 fh.write(np.ascontiguousarray(vectors, "<f8").data)
-            os.utime(self.tmp, ns=(self.atime, self.reference))
             os.replace(self.tmp, self.cache)
         except OSError:
             pass

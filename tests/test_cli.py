@@ -24,7 +24,7 @@ from masinfo.harness import (
     TranscriptStore,
 )
 from masinfo.info_theory import bsc_views_joint, usable_evidence
-from test_spectral import after_a_tick, change_a_digit, trust
+from test_spectral import after_a_tick, change_a_digit
 
 
 def write_jsonl(path, rows):
@@ -371,6 +371,7 @@ def test_warm_analyze_leaves_out_orjson(tmp_path):
     cfg_path, _ = base_config(tmp_path)
     assert main(["run", str(cfg_path)]) == 0
     store = tmp_path / "store"
+    after_a_tick(store / "embeddings.jsonl")  # so that the cold analyze writes the cache
     assert main(["analyze", str(store), "--output", str(tmp_path / "cold")]) == 0
     src = os.path.dirname(os.path.dirname(masinfo.__file__))
     script = (
@@ -397,27 +398,39 @@ def test_offline_commands_leave_out_the_network_stack(tmp_path):
     store = tmp_path / "store"
     network = ("http.client", "ssl", "urllib.request", "email.utils", "concurrent.futures")
     src = os.path.dirname(os.path.dirname(masinfo.__file__))
+
+    def loaded(commands):
+        script = (
+            "import os, sys\n"
+            "from masinfo import coverage\n"
+            "from masinfo.cli import main\n"
+            "coverage._usable_cpus = lambda: 2\n"
+            f"{commands}"
+            f"print([m for m in {network!r} if m in sys.modules])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
     # 6,000 trials of 16 bits are 3 chunks, which simulate splits between
     # threads on any host
-    script = (
-        "import os, sys\n"
-        "from masinfo import coverage\n"
-        "from masinfo.cli import main\n"
-        "coverage._usable_cpus = lambda: 2\n"
+    assert loaded(
         "assert main(['simulate', '--alpha', '0.2', '--trials', '6000', '--output', os.devnull]) == 0\n"
         f"assert main(['bounds', {str(joint)!r}, '--output', os.devnull]) == 0\n"
         f"assert main(['fit-alpha', {str(curve)!r}, '--output', os.devnull]) == 0\n"
         f"assert main(['run', {str(cfg_path)!r}]) == 0\n"
         f"assert main(['kstar', {str(store / 'embeddings.jsonl')!r}, '--output', os.devnull]) == 0\n"
+    ) == "[]"
+    # a second process, after a tick, so that the cold analyze writes the cache
+    # and the warm one maps it
+    after_a_tick(store / "embeddings.jsonl")
+    assert loaded(
         f"assert main(['analyze', {str(store)!r}, '--output', {str(tmp_path / 'cold')!r}]) == 0\n"
         f"assert os.path.exists({str(store / 'embeddings.cache')!r})\n"
         f"assert main(['analyze', {str(store)!r}, '--output', {str(tmp_path / 'warm')!r}]) == 0\n"
-        f"print([m for m in {network!r} if m in sys.modules])\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    ) == "[]"
 
 
 # a locale whose encoding is ASCII, with Python's UTF-8 mode and locale
@@ -734,6 +747,32 @@ class TestConfigValidation:
         assert code == 2
         assert f"dataset_name must be a nonempty string, got {name!r}" in out.err
         assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("dataset_path", 0, "a nonempty string"),  # os.path takes it for stdin's descriptor
+        ("dataset_path", "", "a nonempty string"),
+        ("dataset_path", None, "a nonempty string"),
+        ("output_dir", 5, "a nonempty string"),
+        ("output_dir", ["store"], "a nonempty string"),
+        ("output_dir", "", "a nonempty string"),
+        ("persona_catalog_path", 1, "a string"),  # stdout's descriptor
+        ("persona_catalog_path", ["personas.json"], "a string"),
+    ], ids=["dataset-fd", "dataset-empty", "dataset-null", "output-number", "output-list",
+            "output-empty", "catalog-fd", "catalog-list"])
+    def test_path_field_not_a_string_exits_2_before_output_dir(self, tmp_path, monkeypatch,
+                                                              capsys, key, value, message):
+        cfg_path, _ = base_config(tmp_path, **{key: value})
+        monkeypatch.chdir(tmp_path)  # where an output_dir of 5 would be made
+        before = sorted(os.listdir(tmp_path))
+        code, out = run_cli("run", str(cfg_path), capsys=capsys)
+        assert code == 2
+        assert out.err == f"error: {key} must be {message}, got {value!r}\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("value", [None, ""], ids=["null", "empty"])
+    def test_absent_persona_catalog_path_runs(self, tmp_path, value):
+        cfg_path, _ = base_config(tmp_path, n_agents_list=[2], persona_catalog_path=value)
+        assert main(["run", str(cfg_path)]) == 0
 
     def test_store_with_a_number_for_dataset_still_analyzes_alone(self, tmp_path):
         # as an older run wrote it from "dataset_name": 5
@@ -1250,6 +1289,8 @@ class TestAnalyze:
         argv = ["analyze", str(s1), "--merge", str(s2), "--mode", mode, "--seed", "5",
                 "--output", str(out)]
         if cache == "warm":
+            for store in (s1, s2):  # so that the first analyze writes the caches
+                after_a_tick(store / "embeddings.jsonl")
             assert main(argv[:-1] + [str(tmp_path / "first")]) == 0
         with monkeypatch.context() as m:
             if cache == "warm":
@@ -1349,29 +1390,34 @@ class TestAnalyze:
     def test_reports_identical_cold_warm_and_without_cache(self, tmp_path, monkeypatch):
         store = self.run_store(tmp_path)
         cache = store / "embeddings.cache"
+        after_a_tick(store / "embeddings.jsonl")  # so that the cold analyze writes the cache
         cold = self.analyze(store, tmp_path / "cold")
         assert cache.exists()
         with monkeypatch.context() as m:
             m.setattr(spectral, "load_embeddings_jsonl", None)  # a hit decodes nothing
             warm = self.analyze(store, tmp_path / "warm")
-        # a copy's JSONL has a new inode, so its stamp fails and the hash proves the hit
+        # a copy's JSONL has a new inode, so its stamp fails: the first analyze
+        # decodes and rewrites the copy's cache, and the next one hits
         shutil.copytree(store, tmp_path / "copy")
+        after_a_tick(tmp_path / "copy" / "embeddings.jsonl")
+        copied = self.analyze(tmp_path / "copy", tmp_path / "copied")
         with monkeypatch.context() as m:
             m.setattr(spectral, "load_embeddings_jsonl", None)
-            copied = self.analyze(tmp_path / "copy", tmp_path / "copied")
+            copied_warm = self.analyze(tmp_path / "copy", tmp_path / "copied_warm")
         cache.unlink()
         rebuilt = self.analyze(store, tmp_path / "rebuilt")
         assert cache.exists()
         # the reference: every store decoded from its JSONL, no cache
         monkeypatch.setattr(store_module, "load_store_embeddings", spectral.load_embeddings_jsonl)
-        assert cold == warm == copied == rebuilt == self.analyze(store, tmp_path / "jsonl")
+        assert cold == warm == copied == copied_warm == rebuilt == \
+            self.analyze(store, tmp_path / "jsonl")
 
     def test_edit_with_its_mtime_put_back_reports_as_a_cold_analyze(self, tmp_path):
         store = self.run_store(tmp_path)
         emb, cache = store / "embeddings.jsonl", store / "embeddings.cache"
+        after_a_tick(emb)  # so that the warm cache is written, and the edit moves the ctime
         warm = self.analyze(store, tmp_path / "warm")
-        trust(cache, emb)
-        after_a_tick(emb)
+        assert cache.exists()
         before = change_a_digit(emb)
         os.utime(emb, ns=(before.st_atime_ns, before.st_mtime_ns))
         edited = self.analyze(store, tmp_path / "edited")
@@ -1381,6 +1427,7 @@ class TestAnalyze:
 
     def test_unwritable_cache_changes_nothing(self, tmp_path, monkeypatch, capsys):
         store = self.run_store(tmp_path)
+        after_a_tick(store / "embeddings.jsonl")
         want = self.analyze(store, tmp_path / "ref")
         (store / "embeddings.cache").unlink()
         before = sorted(os.listdir(store))
@@ -1396,6 +1443,7 @@ class TestAnalyze:
 
     def test_store_files_untouched(self, tmp_path):
         store = self.run_store(tmp_path)
+        after_a_tick(store / "embeddings.jsonl")  # so that the cold analyze writes the cache
         before = {name: (store / name).read_bytes() for name in os.listdir(store)}
         self.analyze(store, tmp_path / "cold")
         self.analyze(store, tmp_path / "warm")
@@ -1427,6 +1475,7 @@ class TestAnalyze:
         cfg_path, _ = base_config(tmp_path / "resumed", n_tasks=2, n_agents_list=[2])
         assert main(["run", str(cfg_path)]) == 0
         store = tmp_path / "resumed" / "store"
+        after_a_tick(store / "embeddings.jsonl")
         self.analyze(store, tmp_path / "early")
         assert (store / "embeddings.cache").exists()
         make_dataset(tmp_path / "resumed", 3)  # the config is unchanged, so t2 resumes
@@ -1434,6 +1483,14 @@ class TestAnalyze:
         assert store_bytes(store) == store_bytes(ref)
         # the stale cache is rewritten, not read
         assert self.analyze(store, tmp_path / "late") == self.analyze(ref, tmp_path / "ref_reports")
+
+    def test_dataset_kept_in_the_store_is_not_read_as_transcripts(self, tmp_path):
+        # analyze reads only the store files run names, <workflow>_<layer>_N<n>.jsonl
+        cfg_path, _ = base_config(tmp_path / "o", output_dir=str(tmp_path / "o"))
+        assert (tmp_path / "o" / "tasks.jsonl").exists()
+        assert main(["run", str(cfg_path)]) == 0
+        want = self.analyze(self.run_store(tmp_path / "ref"), tmp_path / "ref_reports")
+        assert self.analyze(tmp_path / "o", tmp_path / "reports") == want
 
     def test_pooled_mode_recorded(self, tmp_path):
         store = self.run_store(tmp_path, n_agents_list=[2])

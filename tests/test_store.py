@@ -11,7 +11,7 @@ from masinfo.analysis import TaskScorer
 from masinfo.harness import MockChatBackend, WorkflowSpec, run_workflow
 from masinfo.store import RunStore, load_store_embeddings
 from test_harness import TASK_MC, make_plan
-from test_spectral import after_a_tick, make_racy, trust, write_cache, write_rows
+from test_spectral import after_a_tick, write_cache, write_rows
 
 CONFIG = {"workflow": "vote", "layer": "L1", "n_agents_list": [2], "seed": 0}
 
@@ -50,13 +50,13 @@ class TestCacheFiniteCheck:
                              ids=["finite", "first-chunk", "middle-chunk", "last-chunk"])
     def test_every_chunk_is_checked(self, tmp_path, monkeypatch, index, value):
         # 45 floats through a buffer of 8: chunks 0-7, 8-15, ..., 40-44
-        monkeypatch.setattr(store_module, "_HASH_CHUNK", 64)
+        monkeypatch.setattr(store_module, "_READ_CHUNK", 64)
         path, cache = tmp_path / "emb.jsonl", tmp_path / "emb.cache"
         write_rows(path, [f"q{i}:0" for i in range(9)],
                    np.random.default_rng(8).standard_normal((9, 5)))
+        after_a_tick(path)  # so that the first call writes the cache
         want = spectral.load_embeddings_jsonl(path)
         load_store_embeddings(path)
-        trust(cache, path)
         data = cache.read_bytes()
         rows = want[1].ravel().copy()
         if index is not None:
@@ -85,22 +85,16 @@ class TestResidentRows:
                 t = run_workflow({**TASK_MC, "id": f"t{i}"}, spec, make_plan(),
                                  MockChatBackend(seed=0), pool)
                 run.append(spec, t, rng.standard_normal((len(t.calls), 1024)).tolist())
+        after_a_tick(tmp_path / "embeddings.jsonl")
         RunStore(tmp_path).rows()  # cold: decodes the rows and writes the cache
-        trust(tmp_path / "embeddings.cache", tmp_path / "embeddings.jsonl")
         return tmp_path
 
     @linux
-    @pytest.mark.parametrize("hit", ["trusted", "restamped"])
-    def test_warm_rows_are_mapped_but_not_resident(self, store, hit):
+    def test_warm_rows_are_mapped_but_not_resident(self, store):
         cache, path = store / "embeddings.cache", store / "embeddings.jsonl"
         inode = cache.stat().st_ino
-        if hit == "restamped":  # hashed, and the cache rewritten from the mapped rows
-            make_racy(cache, path)
-            after_a_tick(path)
         _, rows = load_store_embeddings(path)
-        assert (cache.stat().st_ino != inode) == (hit == "restamped")
-        if hit == "restamped":  # the rows map the cache that the rename replaced
-            cache = f"{cache} (deleted)"
+        assert cache.stat().st_ino == inode
         assert mapped_rss_kb(cache) == 0
         assert np.isfinite(rows).all()  # read through the mapping, they are resident
         assert mapped_rss_kb(cache) > 0
