@@ -8,7 +8,7 @@ seeded, so transcripts are byte-identical across re-runs.
 import json
 from concurrent.futures import ThreadPoolExecutor
 
-from masinfo.analysis import summarize_runs
+from masinfo.analysis import TaskScorer, summarize_table
 from masinfo.harness import (
     DiversityPlan,
     MockChatBackend,
@@ -53,7 +53,7 @@ def main(pool):
     texts = [c["raw_output"] or "" for c in vote.calls]
     vectors = fetch_embeddings(texts, MockEmbeddingBackend(dim=8, seed=3))
     embeddings = dict(zip(vote.embedding_ids(), vectors))
-    (summary,) = summarize_runs([vote], embeddings)
+    (summary,) = summarize_table(TaskScorer().score([vote], embeddings))
     print(f"  {summary.config_label}: accuracy {summary.accuracy:.2f}, "
           f"K* {summary.k_star:.3f}")
 

@@ -10,7 +10,6 @@ from masinfo.spectral import (
     EmbeddingSet,
     SpectralSummary,
     RedundancyScore,
-    normalize_embeddings,
     k_star,
     k_star_conditioned,
     mean_pairwise_cosine,
@@ -42,7 +41,6 @@ __all__ = [
     "EmbeddingSet",
     "SpectralSummary",
     "RedundancyScore",
-    "normalize_embeddings",
     "k_star",
     "k_star_conditioned",
     "mean_pairwise_cosine",

@@ -1,13 +1,13 @@
 """Measurement tables from transcript stores.
 
-`task_table` turns persisted Vote/Debate transcripts plus embeddings into one
-row per unit (a task, or a pooled group) with its correct count and its K*,
+`TaskScorer.score` turns persisted Vote/Debate transcripts plus embeddings into
+one row per unit (a task, or a pooled group) with its correct count and its K*,
 K*_c/K*_w and mean cosine; `summarize_table` aggregates those rows into
-per-config summaries, and `summarize_runs` does both.  `report_bundle`
-renders them as the `analyze` report files: the summaries, accuracy per N and
-its marginal gains, agents-to-match tables, the correct/wrong-dominant
-boundary, the (K*, accuracy) points, a permutation test of Pearson r(K*,
-accuracy), and the R^2 that K* adds to N and the layer.
+per-config summaries.  The two, in that order, are the one way to score.
+`report_bundle` renders the summaries as the `analyze` report files: the
+summaries, accuracy per N and its marginal gains, agents-to-match tables, the
+correct/wrong-dominant boundary, the (K*, accuracy) points, a permutation test
+of Pearson r(K*, accuracy), and the R^2 that K* adds to N and the layer.
 """
 
 import csv
@@ -129,9 +129,9 @@ def _unit_columns(unit, buf):
 
 @dataclass(frozen=True)
 class TaskRow:
-    """One unit of task_table: its config (dataset, layer, workflow, N), its
-    task (None for a pooled group), how many of its task_count transcripts
-    are correct, and its spectral columns (None without embeddings)."""
+    """One unit of TaskScorer.score: its config (dataset, layer, workflow, N), its task
+    (None for a pooled group), how many of its task_count transcripts are correct,
+    and its spectral columns (None without embeddings)."""
 
     config: tuple
     task_id: str | None
@@ -144,7 +144,7 @@ class TaskRow:
 
 
 class TaskScorer:
-    """task_table, call after call, with one buffer for the rows of every unit.
+    """TaskRows of transcripts, call after call, with one buffer for the rows of every unit.
 
     The buffer grows to the largest unit met so far and is kept, so a caller
     that scores its stores batch by batch allocates it once.  The rows of
@@ -159,7 +159,20 @@ class TaskScorer:
         self._buf = np.empty(0)
 
     def score(self, transcripts, embeddings=None):
-        """task_table(transcripts, embeddings, self.mode)."""
+        """One TaskRow per unit, config by config in sorted order, and within a
+        config in the order of `transcripts`.
+
+        A unit is one valid transcript in mode "per-question", and in mode "pooled"
+        the whole group of valid transcripts of one config, whose call embeddings
+        are stacked into one set.  `embeddings` maps "<task_id>:<call_index>" to a
+        raw vector, or is a pair (index, rows) whose `index` maps each id to its row
+        of the 2-D array `rows`; when None, the spectral columns are None.  Ids are
+        unique only within one store, so for transcripts merged from several stores
+        pass a list aligned with `transcripts`, holding the mapping or pair of each
+        one's store (an empty mapping for a store without embeddings, whose
+        transcripts raise MissingEmbeddings); each distinct mapping becomes a pair
+        once.  The table holds no rows of `embeddings`.
+        """
         if isinstance(embeddings, list):
             pairs = zip(transcripts, embeddings, strict=True)
         else:
@@ -191,32 +204,13 @@ class TaskScorer:
         return table
 
 
-def task_table(transcripts, embeddings=None, mode="per-question"):
-    """One TaskRow per unit, config by config in sorted order, and within a
-    config in the order of `transcripts`.
-
-    A unit is one valid transcript in mode "per-question" and the whole
-    group of valid transcripts of one config in mode "pooled", which stacks
-    all call embeddings of the group into one set.  `embeddings` maps
-    "<task_id>:<call_index>" to a raw vector, or is a pair (index, rows):
-    `index` maps each id to its row of the 2-D array `rows`.  When None, the
-    spectral columns are None.  Ids are only unique within one store, so for
-    transcripts merged from several stores pass a list instead, aligned with
-    `transcripts`, holding the mapping or pair of the store each transcript
-    came from (an empty mapping for a store without embeddings, whose
-    transcripts raise MissingEmbeddings); each distinct mapping is turned
-    into a pair once.  The table holds no rows of `embeddings`.
-    """
-    return TaskScorer(mode).score(transcripts, embeddings)
-
-
 def summarize_table(table, mode="per-question"):
-    """One RunSummary per config of the task_table rows `table`, in sorted order.
+    """One RunSummary per config of the TaskScorer.score rows `table`, sorted.
 
     Accuracy is the group's correct transcripts over its transcripts; each
     spectral column is the mean over the group's units, in table order, of
     the unit's value where it has one.  A pooled group must be whole in one
-    row, so the rows of several task_table calls may be joined only when no
+    row, so the rows of several score calls may be joined only when no
     pooled group spans two of them.
     """
     groups = {}
@@ -231,17 +225,6 @@ def summarize_table(table, mode="per-question"):
         summaries.append(
             RunSummary(dataset, layer, workflow, n, acc, ks, ks_c, ks_w, cos, count, mode))
     return summaries
-
-
-def summarize_runs(transcripts, embeddings=None, mode="per-question"):
-    """One RunSummary per (dataset, layer, workflow, N) group:
-    summarize_table(task_table(transcripts, embeddings, mode), mode).
-
-    `embeddings` is as task_table takes it; when None, the spectral columns
-    are None and only accuracy is reported.  The spectral columns are the
-    mean over the group's units of each unit's columns.
-    """
-    return summarize_table(task_table(transcripts, embeddings, mode), mode)
 
 
 def marginal_gains(series):

@@ -47,7 +47,7 @@ def cmd_kstar(args):
     try:
         ids, raw = spectral.load_embeddings_jsonl(args.embeddings)
         try:
-            emb = spectral.normalize_embeddings(raw)
+            emb = spectral.EmbeddingSet(raw)
         except spectral.ZeroNormVector as exc:
             raise ValueError(f"embedding {ids[exc.index]} at line "
                              f"{_nonblank_line(args.embeddings, exc.index)} has norm < "

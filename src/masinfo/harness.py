@@ -189,11 +189,6 @@ class WorkflowSpec:
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
 
-    @property
-    def call_budget(self):
-        # n = N * R
-        return self.num_agents * self.rounds
-
 
 # ---------------------------------------------------------------------------
 # answer extraction
@@ -645,9 +640,20 @@ class Transcript:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        d.pop("schema", None)
-        return cls(**d, schema=SCHEMA_VERSION)
+        """The transcript of a store line's object `d`.  ValueError names the
+        first field run_workflow writes that is missing or not of its JSON
+        type, n_agents or rounds below 1, a calls list that is not
+        n_agents * rounds long, or a schema other than 1."""
+        t = cls(**d)
+        _check_types(vars(t), _TRANSCRIPT_TYPES)
+        if t.schema != SCHEMA_VERSION:
+            raise ValueError(f"schema {t.schema} is not {SCHEMA_VERSION}")
+        if min(t.n_agents, t.rounds) < 1 or len(t.calls) != t.n_agents * t.rounds:
+            raise ValueError(f"calls must hold n_agents * rounds calls, both >= 1: got "
+                             f"{t.n_agents} * {t.rounds} and {len(t.calls)} calls")
+        for i, c in enumerate(t.calls):
+            _check_types(c, _CALL_TYPES, f"call {i} ")
+        return t
 
     @property
     def call_budget(self):
@@ -656,6 +662,30 @@ class Transcript:
     def embedding_ids(self):
         """Ids of this transcript's call vectors in `embeddings.jsonl`, in call order."""
         return [f"{self.task_id}:{c['call_index']}" for c in self.calls]
+
+
+# Each field run_workflow writes: the type()s it takes (a JSON true is no int),
+# in words.  Not gold_answer, the task's own; an older run wrote dataset 5.
+_STR, _OPT_STR = ({str}, "a string"), ({str, type(None)}, "a string or null")
+_INT, _BOOL = ({int}, "an integer"), ({bool}, "a boolean")
+_TRANSCRIPT_TYPES = {"task_id": _STR, "question": _STR, "workflow": _STR, "layer": _STR,
+                     "n_agents": _INT, "rounds": _INT, "calls": ({list}, "a list"),
+                     "final_answer": _OPT_STR, "tie": _BOOL, "invalid": _BOOL, "timestamp": _STR,
+                     "dataset": ({str, int, float}, "a string or a number"), "schema": _INT}
+_CALL_TYPES = {"call_index": _INT, "agent_type_label": _STR, "round": _INT,
+               "raw_output": _OPT_STR, "extracted_answer": _OPT_STR, "latency_ms": _INT,
+               "error": _OPT_STR}
+
+
+def _check_types(obj, types, where=""):
+    """Raise ValueError unless `obj` is a dict holding each field of `types` as a type it takes."""
+    if type(obj) is not dict:
+        raise ValueError(f"{where}must be an object, got {repr(obj)[:80]}")
+    for key, (allowed, name) in types.items():
+        if key not in obj:
+            raise ValueError(f"{where}has no {key!r} field")
+        if type(obj[key]) not in allowed:
+            raise ValueError(f"{where}{key} must be {name}, got {repr(obj[key])[:80]}")
 
 
 def _task_format(task):

@@ -334,14 +334,6 @@ def redundancy_identity_check(joint: DiscreteJoint, i: int):
     return lhs, rhs, lhs - rhs, coupling
 
 
-def random_joint(rng, alphabet_sizes, names=None) -> DiscreteJoint:
-    """Seeded random joint: uniform draws normalized to sum 1 (Dirichlet(1))."""
-    shape = tuple(int(a) for a in alphabet_sizes)
-    p = rng.random(shape) + 1e-12
-    p /= p.sum()
-    return DiscreteJoint(tuple(names or _default_names(len(shape))), p)
-
-
 def conditionally_independent_joint(p_xy, channels, names=None) -> DiscreteJoint:
     """Joint where each call Z_i ~ channels[i][x, y, z] independently given (X, Y).
 

@@ -89,11 +89,6 @@ class RedundancyScore:
     pair_count: int
 
 
-def normalize_embeddings(raw):
-    """EmbeddingSet(raw): each raw vector scaled to unit Euclidean norm, in row order."""
-    return EmbeddingSet(raw)
-
-
 def symmetric_eigenvalues(matrix):
     """Eigenvalues of a square symmetric array, descending (LAPACK eigvalsh)."""
     a = np.asarray(matrix, dtype=float)

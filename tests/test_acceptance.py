@@ -32,11 +32,11 @@ from masinfo.harness import DiversityPlan, MockChatBackend, WorkflowSpec, run_wo
 from masinfo.info_theory import (
     DiscreteJoint,
     conditional_mutual_information,
-    random_joint,
     redundancy_identity_check,
     usable_evidence,
 )
-from masinfo.spectral import EmbeddingSet, k_star, normalize_embeddings, symmetric_eigenvalues
+from masinfo.spectral import EmbeddingSet, k_star, symmetric_eigenvalues
+from joints import random_joint
 
 
 @pytest.fixture
@@ -62,7 +62,7 @@ def test_criterion_01_effective_rank_properties(announce):
         n = int(rng.integers(1, 17))
         d = int(rng.integers(1, 65))
         rows = rng.standard_normal((n, d))
-        emb = normalize_embeddings(rows)
+        emb = EmbeddingSet(rows)
         value = k_star(emb).k_star
         check(announce, 1.0 - 1e-9 <= value <= n + 1e-9, f"K* out of [1, n]: {value} (n={n})")
         perm = rng.permutation(n)
@@ -70,10 +70,10 @@ def test_criterion_01_effective_rank_properties(announce):
         check(announce, abs(k_star(permuted).k_star - value) < 1e-9,
               "permutation changed K*")
     for n in (1, 3, 8, 16):
-        collinear = normalize_embeddings(np.tile(rng.standard_normal(8), (n, 1)))
+        collinear = EmbeddingSet(np.tile(rng.standard_normal(8), (n, 1)))
         check(announce, abs(k_star(collinear).k_star - 1.0) < 1e-6, "collinear K* != 1")
     for n in (2, 5, 16):
-        ortho = normalize_embeddings(np.eye(n))
+        ortho = EmbeddingSet(np.eye(n))
         check(announce, abs(k_star(ortho).k_star - n) < 1e-6, "orthonormal K* != n")
     elapsed = time.monotonic() - start
     check(announce, elapsed < 10.0, f"runtime {elapsed:.1f}s exceeds 10s")

@@ -20,9 +20,7 @@ from masinfo.analysis import (
     permutation_test,
     report_bundle,
     spearman_rho,
-    summarize_runs,
     summarize_table,
-    task_table,
     _ranks,
     _shuffled_r,
 )
@@ -35,10 +33,10 @@ from masinfo.harness import (
     run_workflow,
 )
 from masinfo.spectral import (
+    EmbeddingSet,
     k_star,
     k_star_conditioned,
     mean_pairwise_cosine,
-    normalize_embeddings,
 )
 
 
@@ -83,13 +81,18 @@ def embeddings_for(task_id, vectors):
     return {f"{task_id}:{i}": list(v) for i, v in enumerate(vectors)}
 
 
+def summarize(transcripts, embeddings=None, mode="per-question"):
+    """The run summaries as analyze scores them: TaskScorer.score, then summarize_table."""
+    return summarize_table(TaskScorer(mode).score(transcripts, embeddings), mode)
+
+
 class TestSummarize:
     def test_empty_is_empty(self):
-        assert summarize_runs([]) == []
+        assert summarize([]) == []
 
     def test_accuracy_only_without_embeddings(self):
         ts = [make_transcript("t1", ["A", "A"]), make_transcript("t2", ["B", "B"])]
-        (s,) = summarize_runs(ts)
+        (s,) = summarize(ts)
         assert s.accuracy == 0.5
         assert s.k_star is None and s.mean_cosine is None
         assert s.task_count == 2
@@ -97,7 +100,7 @@ class TestSummarize:
     def test_orthogonal_all_correct(self):
         ts = [make_transcript("t1", ["A", "A"])]
         emb = embeddings_for("t1", np.eye(2))
-        (s,) = summarize_runs(ts, emb)
+        (s,) = summarize(ts, emb)
         assert s.accuracy == 1.0
         assert abs(s.k_star - 2.0) < 1e-6
         assert abs(s.k_star_c - 2.0) < 1e-6
@@ -108,47 +111,47 @@ class TestSummarize:
         rng = np.random.default_rng(0)
         vectors = rng.standard_normal((4, 6))
         ts = [make_transcript("t1", ["A", "A", "B", "B"])]
-        (s,) = summarize_runs(ts, embeddings_for("t1", vectors))
-        oracle = k_star(normalize_embeddings(vectors)).k_star
+        (s,) = summarize(ts, embeddings_for("t1", vectors))
+        oracle = k_star(EmbeddingSet(vectors)).k_star
         assert abs(s.k_star - oracle) < 1e-9
 
     def test_per_question_averages(self):
         ts = [make_transcript("t1", ["A", "A"]), make_transcript("t2", ["A", "A"])]
         emb = {**embeddings_for("t1", np.eye(2)),
                **embeddings_for("t2", [[1.0, 0.0], [1.0, 0.0]])}
-        (s,) = summarize_runs(ts, emb, mode="per-question")
+        (s,) = summarize(ts, emb, mode="per-question")
         assert abs(s.k_star - 1.5) < 1e-6  # mean of 2.0 and 1.0
 
     def test_pooled_stacks_groups(self):
         ts = [make_transcript("t1", ["A", "A"]), make_transcript("t2", ["A", "A"])]
         emb = {**embeddings_for("t1", np.eye(2)),
                **embeddings_for("t2", np.eye(2))}
-        (s,) = summarize_runs(ts, emb, mode="pooled")
+        (s,) = summarize(ts, emb, mode="pooled")
         # four vectors spanning two orthogonal directions, each doubled
-        oracle = k_star(normalize_embeddings(np.vstack([np.eye(2), np.eye(2)]))).k_star
+        oracle = k_star(EmbeddingSet(np.vstack([np.eye(2), np.eye(2)]))).k_star
         assert abs(s.k_star - oracle) < 1e-9
         assert s.mode == "pooled"
 
     def test_invalid_transcripts_skipped(self):
         ts = [make_transcript("t1", ["A", "A"]),
               make_transcript("t2", [None, None], invalid=True)]
-        (s,) = summarize_runs(ts)
+        (s,) = summarize(ts)
         assert s.task_count == 1
 
     def test_missing_embeddings_named(self):
         ts = [make_transcript("t1", ["A", "A"])]
         with pytest.raises(MissingEmbeddings) as exc:
-            summarize_runs(ts, {"t1:0": [1.0, 0.0]})
+            summarize(ts, {"t1:0": [1.0, 0.0]})
         assert exc.value.task_id == "t1"
 
     def test_groups_split_by_config(self):
         ts = [make_transcript("t1", ["A", "A"], layer="L1"),
               make_transcript("t1", ["A", "A"], layer="L2")]
-        assert len(summarize_runs(ts)) == 2
+        assert len(summarize(ts)) == 2
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
-            summarize_runs([], mode="median")
+            summarize([], mode="median")
 
     @pytest.mark.parametrize("mode", ["per-question", "pooled"])
     def test_per_transcript_lookups(self, mode):
@@ -157,7 +160,7 @@ class TestSummarize:
               make_transcript("t1", ["A", "A"], layer="L2")]
         lookups = [embeddings_for("t1", np.eye(2)),
                    embeddings_for("t1", [[1.0, 0.0], [1.0, 0.0]])]
-        s1, s2 = summarize_runs(ts, lookups, mode=mode)
+        s1, s2 = summarize(ts, lookups, mode=mode)
         assert (s1.layer, s2.layer) == ("L1", "L2")
         assert abs(s1.k_star - 2.0) < 1e-6
         assert abs(s2.k_star - 1.0) < 1e-6
@@ -167,13 +170,13 @@ class TestSummarize:
               make_transcript("t2", ["A", "A"], layer="L2")]
         lookups = [{**embeddings_for("t1", np.eye(2)), **embeddings_for("t2", np.eye(2))}, {}]
         with pytest.raises(MissingEmbeddings) as exc:
-            summarize_runs(ts, lookups)
+            summarize(ts, lookups)
         assert exc.value.task_id == "t2"
 
     def test_per_transcript_lookups_must_align(self):
         ts = [make_transcript("t1", ["A", "A"])]
         with pytest.raises(ValueError):
-            summarize_runs(ts, [embeddings_for("t1", np.eye(2))] * 2)
+            summarize(ts, [embeddings_for("t1", np.eye(2))] * 2)
 
 
 def one_path_group(rng):
@@ -203,12 +206,12 @@ def columns_of(emb, mask):
 
 
 class TestOnePath:
-    """summarize_runs against the spectral functions, bit for bit."""
+    """The run summaries against the spectral functions, bit for bit."""
 
     def test_per_question_is_the_mean_of_each_transcripts_columns(self):
         ts, lookup, raws, masks = one_path_group(np.random.default_rng(31))
-        (s,) = summarize_runs(ts, lookup, mode="per-question")
-        per_task = [columns_of(normalize_embeddings(r), m) for r, m in zip(raws, masks)]
+        (s,) = summarize(ts, lookup, mode="per-question")
+        per_task = [columns_of(EmbeddingSet(r), m) for r, m in zip(raws, masks)]
         expected = [float(np.mean([v for v in col if v is not None]))
                     for col in zip(*per_task)]
         assert [s.k_star, s.k_star_c, s.k_star_w, s.mean_cosine] == expected
@@ -217,8 +220,8 @@ class TestOnePath:
         # normalizing each transcript's rows and then the stack again moves
         # some of these columns in their last bits
         ts, lookup, raws, masks = one_path_group(np.random.default_rng(32))
-        (s,) = summarize_runs(ts, lookup, mode="pooled")
-        expected = columns_of(normalize_embeddings(np.vstack(raws)), sum(masks, []))
+        (s,) = summarize(ts, lookup, mode="pooled")
+        expected = columns_of(EmbeddingSet(np.vstack(raws)), sum(masks, []))
         assert (s.k_star, s.k_star_c, s.k_star_w, s.mean_cosine) == expected
 
     @pytest.mark.parametrize("mode", ["per-question", "pooled"])
@@ -226,13 +229,13 @@ class TestOnePath:
         ts = [make_transcript("t1", ["A", "A"]), make_transcript("t2", ["A", "A"])]
         emb = {**embeddings_for("t1", np.eye(2)), **embeddings_for("t2", [[1.0, 0.0], [0.0, 0.0]])}
         with pytest.raises(ValueError, match=r"^embedding t2:1 has norm < 1e-12$"):
-            summarize_runs(ts, emb, mode=mode)
+            summarize(ts, emb, mode=mode)
 
     def expected(self, raws, masks, mode):
-        """The columns of the EmbeddingSets of `raws`, as summarize_runs reports them."""
+        """The columns of the EmbeddingSets of `raws`, as summarize reports them."""
         if mode == "pooled":
-            return columns_of(normalize_embeddings(np.vstack(raws)), sum(masks, []))
-        per_task = [columns_of(normalize_embeddings(r), m) for r, m in zip(raws, masks)]
+            return columns_of(EmbeddingSet(np.vstack(raws)), sum(masks, []))
+        per_task = [columns_of(EmbeddingSet(r), m) for r, m in zip(raws, masks)]
         return tuple(float(np.mean([v for v in col if v is not None])) for col in zip(*per_task))
 
     @staticmethod
@@ -257,7 +260,7 @@ class TestOnePath:
         else:  # the calls of t0 and t1 alternate in the store
             order = np.arange(total)
             order[:8] = [0, 2, 4, 6, 1, 3, 5, 7]
-        (s,) = summarize_runs(ts, self.table(ts, raws, order), mode=mode)
+        (s,) = summarize(ts, self.table(ts, raws, order), mode=mode)
         assert (s.k_star, s.k_star_c, s.k_star_w, s.mean_cosine) == self.expected(raws, masks, mode)
 
     def test_pooled_group_across_two_stores(self):
@@ -265,12 +268,12 @@ class TestOnePath:
         first = self.table(ts[:2], raws[:2], np.arange(sum(map(len, raws[:2])))[::-1])
         second = self.table(ts[2:], raws[2:], np.arange(sum(map(len, raws[2:]))))
         lookups = [first] * 2 + [second] * 3
-        (s,) = summarize_runs(ts, lookups, mode="pooled")
+        (s,) = summarize(ts, lookups, mode="pooled")
         assert (s.k_star, s.k_star_c, s.k_star_w, s.mean_cosine) == self.expected(raws, masks,
                                                                                   "pooled")
         # the same group with the second store as a mapping of ids to vectors
         mapping = {i: list(r) for i, r in zip(second[0], second[1])}
-        (m,) = summarize_runs(ts, [first] * 2 + [mapping] * 3, mode="pooled")
+        (m,) = summarize(ts, [first] * 2 + [mapping] * 3, mode="pooled")
         assert m == s
 
     @pytest.mark.parametrize("mode", ["per-question", "pooled"])
@@ -278,47 +281,47 @@ class TestOnePath:
         ts, lookup, raws, masks = one_path_group(np.random.default_rng(36))
         raws[1][2] = [1e308, -1e308, 5e307, 0.0, 1.0, -1e200, 1e308]
         lookup.update(embeddings_for("t1", raws[1]))
-        (s,) = summarize_runs(ts, lookup, mode=mode)
+        (s,) = summarize(ts, lookup, mode=mode)
         assert (s.k_star, s.k_star_c, s.k_star_w, s.mean_cosine) == self.expected(raws, masks, mode)
 
     @pytest.mark.parametrize("mode", ["per-question", "pooled"])
     def test_zero_norm_row_no_unit_uses_is_no_error(self, mode):
         ts, lookup, raws, masks = one_path_group(np.random.default_rng(37))
         lookup["t9:0"] = [0.0] * 7
-        (s,) = summarize_runs(ts, lookup, mode=mode)
+        (s,) = summarize(ts, lookup, mode=mode)
         assert (s.k_star, s.k_star_c, s.k_star_w, s.mean_cosine) == self.expected(raws, masks, mode)
 
     def test_pooled_group_of_two_widths_is_refused(self):
         ts = [make_transcript("t1", ["A", "A"]), make_transcript("t1", ["A", "A"])]
         lookups = [embeddings_for("t1", np.eye(2)), embeddings_for("t1", np.eye(3)[:2])]
         with pytest.raises(ValueError, match=r"^embeddings of task t1 have width 3, not the 2 "):
-            summarize_runs(ts, lookups, mode="pooled")
+            summarize(ts, lookups, mode="pooled")
 
 
 class TestTaskTable:
-    """task_table's rows are the units summarize_runs averages."""
+    """TaskScorer.score's rows are the units summarize_table averages."""
 
     def test_one_row_per_unit(self):
         ts, lookup, raws, masks = one_path_group(np.random.default_rng(38))
         ts.insert(2, make_transcript("t9", ["A", "A"], n=4, invalid=True))
         valid = [t for t in ts if not t.invalid]
-        rows = task_table(ts, lookup)
+        rows = TaskScorer().score(ts, lookup)
         assert [(r.config, r.task_id, r.correct, r.task_count) for r in rows] == [
             (("d1", "L1", "vote", 4), t.task_id, answer_matches(t.final_answer, "A"), 1)
             for t in valid]
         for r, raw, mask in zip(rows, raws, masks):
             assert (r.k_star, r.k_star_c, r.k_star_w, r.mean_cosine) == columns_of(
-                normalize_embeddings(raw), mask)
-        (pooled,) = task_table(ts, lookup, mode="pooled")
+                EmbeddingSet(raw), mask)
+        (pooled,) = TaskScorer("pooled").score(ts, lookup)
         assert (pooled.task_id, pooled.correct, pooled.task_count) == (
             None, sum(r.correct for r in rows), len(valid))
         assert (pooled.k_star, pooled.k_star_c, pooled.k_star_w, pooled.mean_cosine) == (
-            columns_of(normalize_embeddings(np.vstack(raws)), sum(masks, [])))
+            columns_of(EmbeddingSet(np.vstack(raws)), sum(masks, [])))
 
     def test_without_embeddings_only_counts(self):
         ts = [make_transcript("t1", ["A", "B", "A"]), make_transcript("t2", ["B", "B"], n=3)]
         assert [(r.task_id, r.correct, r.task_count, r.k_star, r.mean_cosine)
-                for r in task_table(ts)] == [("t1", 1, 1, None, None), ("t2", 0, 1, None, None)]
+                for r in TaskScorer().score(ts)] == [("t1", 1, 1, None, None), ("t2", 0, 1, None, None)]
 
     @pytest.mark.parametrize("mode", ["per-question", "pooled"])
     def test_tables_scored_store_by_store_summarize_as_all_at_once(self, mode):
@@ -337,7 +340,7 @@ class TestTaskTable:
         table = []
         for store in stores:
             table += scorer.score([ts[i] for i in store], [lookups[i] for i in store])
-        assert summarize_table(table, mode) == summarize_runs(ts, lookups, mode=mode)
+        assert summarize_table(table, mode) == summarize(ts, lookups, mode=mode)
 
 
 class TestNumericGold:
@@ -363,7 +366,7 @@ class TestNumericGold:
         lookup = {}
         for t in ts:
             lookup.update(zip(t.embedding_ids(), embedder.embed([c["raw_output"] for c in t.calls])))
-        (s,) = summarize_runs(ts, lookup)
+        (s,) = summarize(ts, lookup)
         assert s.accuracy == 1.0
         # every call counts as correct, so no call lands on the wrong side
         assert s.k_star_c is not None and s.k_star_w is None
@@ -554,7 +557,7 @@ class TestAgentsToMatch:
 class TestBoundary:
     def make_summary(self, c, w, layer="L4"):
         ts = [make_transcript("t1", ["A", "A"], layer=layer)]
-        (s,) = summarize_runs(ts)
+        (s,) = summarize(ts)
         return type(s)(
             dataset="d1", layer=layer, workflow="vote", n_agents=2,
             accuracy=1.0, k_star=1.5, k_star_c=c, k_star_w=w,

