@@ -664,8 +664,9 @@ class Transcript:
         return [f"{self.task_id}:{c['call_index']}" for c in self.calls]
 
 
-# Each field run_workflow writes: the type()s it takes (a JSON true is no int),
-# in words.  Not gold_answer, the task's own; an older run wrote dataset 5.
+# The fields run_workflow writes, each with the type()s it takes (so a JSON
+# true is no int) and their name in errors.  gold_answer, the task's own, is
+# not among them; dataset takes a number, as older runs wrote one.
 _STR, _OPT_STR = ({str}, "a string"), ({str, type(None)}, "a string or null")
 _INT, _BOOL = ({int}, "an integer"), ({bool}, "a boolean")
 _TRANSCRIPT_TYPES = {"task_id": _STR, "question": _STR, "workflow": _STR, "layer": _STR,

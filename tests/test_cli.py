@@ -581,10 +581,10 @@ class TestRun:
         cfg_path, _ = base_config(tmp_path, n_agents_list=[2])
         assert main(["run", str(cfg_path)]) == 0
         store = tmp_path / "store"
-        t = json.loads((store / "vote_L1_N2.jsonl").read_text().splitlines()[1])
-        t["layer"] = None
         lines = (store / "vote_L1_N2.jsonl").read_text().splitlines()
-        (store / "vote_L1_N2.jsonl").write_text("\n".join([lines[0], json.dumps(t)]) + "\n")
+        t = json.loads(lines[1])
+        t["layer"] = None
+        (store / "vote_L1_N2.jsonl").write_text(lines[0] + "\n" + json.dumps(t) + "\n")
         before = store_bytes(store)
         code, out = run_cli("run", str(cfg_path), capsys=capsys)
         assert code == 2
@@ -593,8 +593,8 @@ class TestRun:
 
     @pytest.mark.parametrize("workflow", ["vote", "debate"])
     def test_store_lines_read_back_as_written(self, tmp_path, workflow):
-        cfg_path, _ = base_config(tmp_path, workflow=workflow, rounds=None if workflow == "vote"
-                                  else 2)
+        rounds = 2 if workflow == "debate" else None
+        cfg_path, _ = base_config(tmp_path, workflow=workflow, rounds=rounds)
         assert main(["run", str(cfg_path)]) == 0
         for f in (tmp_path / "store").glob(f"{workflow}_*.jsonl"):
             lines = f.read_text().splitlines()
