@@ -9,14 +9,8 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 
 from masinfo.analysis import TaskScorer, summarize_table
-from masinfo.harness import (
-    DiversityPlan,
-    MockChatBackend,
-    MockEmbeddingBackend,
-    WorkflowSpec,
-    fetch_embeddings,
-    run_workflow,
-)
+from masinfo.backends import MockChatBackend, MockEmbeddingBackend
+from masinfo.harness import DiversityPlan, WorkflowSpec, fetch_embeddings, run_workflow
 
 TASK = {
     "id": "demo-1",

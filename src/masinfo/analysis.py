@@ -143,6 +143,12 @@ class TaskRow:
     mean_cosine: float | None
 
 
+def _config_order(item):
+    """Sort key of a (config, ...) item: a dataset that older runs wrote as a
+    number sorts before every string one, and each kind in its own order."""
+    return isinstance(item[0][0], str), item[0]
+
+
 class TaskScorer:
     """TaskRows of transcripts, call after call, with one buffer for the rows of every unit.
 
@@ -195,7 +201,7 @@ class TaskScorer:
             if self._buf.size < size:
                 self._buf = np.empty(size)
         table = []
-        for key, config_units in sorted(units.items()):
+        for key, config_units in sorted(units.items(), key=_config_order):
             for u in config_units:
                 columns = _unit_columns(u, self._buf) if tables else (None,) * 4
                 correct = sum(answer_matches(t.final_answer, t.gold_answer) for t, _ in u)
@@ -217,7 +223,7 @@ def summarize_table(table, mode="per-question"):
     for row in table:
         groups.setdefault(row.config, []).append(row)
     summaries = []
-    for (dataset, layer, workflow, n), rows in sorted(groups.items()):
+    for (dataset, layer, workflow, n), rows in sorted(groups.items(), key=_config_order):
         count = sum(r.task_count for r in rows)
         acc = sum(r.correct for r in rows) / count
         ks, ks_c, ks_w, cos = (_mean_or_none([getattr(r, c) for r in rows])
@@ -458,7 +464,7 @@ def report_bundle(summaries, seed=0):
     for s in summaries:
         series.setdefault((s.dataset, s.workflow, s.layer), []).append((s.n_agents, s.accuracy))
     acc_rows, gain_rows = [], []
-    for key, pts in sorted(series.items()):
+    for key, pts in sorted(series.items(), key=_config_order):
         pts.sort()
         acc_rows += [[*key, n, a] for n, a in pts]
         if len(pts) >= 2:

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from masinfo import analysis, coverage, harness, info_theory, spectral
+from masinfo import analysis, backends, coverage, harness, info_theory, spectral
 from masinfo.store import RunStore
 
 EXIT_OK = 0
@@ -197,42 +197,13 @@ def _load_config(path):
     return cfg, specs, plan
 
 
-def _build_backends(cfg):
-    b = cfg["backend"]
-    if not isinstance(b, dict):
-        raise ValueError(f"backend must be a JSON object, got {b!r}")
-    for key in ("chat_url", "embed_url", "embed_model", "api_key_env"):
-        if key in b and not isinstance(b[key], str):
-            raise ValueError(f"backend {key} must be a string, got {b[key]!r}")
-    kind = b.get("kind", "mock")
-    if kind == "mock":
-        dim = b.get("dim", 8)
-        _check_count(dim, "backend dim")
-        chat = harness.MockChatBackend(seed=cfg["seed"])
-        embed = harness.MockEmbeddingBackend(dim=dim, seed=cfg["seed"])
-        return chat, embed
-    if kind == "openai":
-        if not b.get("chat_url"):
-            raise ValueError("backend kind 'openai' needs a chat_url")
-        # secrets come only from the environment variable named in config
-        api_key = os.environ.get(b.get("api_key_env", ""), None)
-        chat = harness.OpenAIChatBackend(b["chat_url"], api_key=api_key)
-        embed = None
-        if b.get("embed_url"):
-            embed = harness.OpenAIEmbeddingBackend(
-                b["embed_url"], b.get("embed_model", ""), api_key=api_key
-            )
-        return chat, embed
-    raise ValueError(f"unknown backend kind {kind!r}")
-
-
 def cmd_run(args):
     # everything that can reject the input runs before output_dir exists;
     # the backends open no connection until their first request
     try:
         cfg, specs, plan = _load_config(args.config)
         tasks = harness.load_tasks_jsonl(cfg["dataset_path"])
-        chat, embed = _build_backends(cfg)
+        chat, embed = backends.build(cfg["backend"], cfg["seed"])
         run = RunStore(cfg["output_dir"])
         done = run.begin(cfg, specs)
     except ValueError as exc:

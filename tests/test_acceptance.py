@@ -20,6 +20,7 @@ from masinfo.analysis import (
     permutation_test,
     spearman_rho,
 )
+from masinfo.backends import MockChatBackend
 from masinfo.coverage import (
     CoverageParams,
     analytic_bounds,
@@ -28,7 +29,7 @@ from masinfo.coverage import (
     marginal_gain,
     simulate_coverage,
 )
-from masinfo.harness import DiversityPlan, MockChatBackend, WorkflowSpec, run_workflow
+from masinfo.harness import DiversityPlan, WorkflowSpec, run_workflow
 from masinfo.info_theory import (
     DiscreteJoint,
     conditional_mutual_information,

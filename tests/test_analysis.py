@@ -24,9 +24,9 @@ from masinfo.analysis import (
     _ranks,
     _shuffled_r,
 )
+from masinfo.backends import MockEmbeddingBackend
 from masinfo.harness import (
     DiversityPlan,
-    MockEmbeddingBackend,
     Transcript,
     WorkflowSpec,
     answer_matches,

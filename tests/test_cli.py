@@ -14,15 +14,11 @@ import numpy as np
 import pytest
 
 import masinfo
-from masinfo import analysis, cli, harness, spectral
+from masinfo import analysis, backends, harness, spectral
 from masinfo import store as store_module
+from masinfo.backends import MockChatBackend, MockEmbeddingBackend
 from masinfo.cli import main
-from masinfo.harness import (
-    BackendError,
-    MockChatBackend,
-    MockEmbeddingBackend,
-    TranscriptStore,
-)
+from masinfo.harness import BackendError, TranscriptStore
 from masinfo.info_theory import bsc_views_joint, usable_evidence
 from test_spectral import after_a_tick, change_a_digit
 
@@ -807,6 +803,26 @@ class TestConfigValidation:
         rows = json.loads((tmp_path / "out" / "summaries.json").read_text())
         assert {r["dataset"] for r in rows} == {5}
 
+    def test_store_with_a_number_for_dataset_merges_with_a_string_one(self, tmp_path):
+        # numbers sort before strings, so each config reports as its store alone
+        for name, dataset in (("num", "bench"), ("str", "other")):
+            cfg_path, _ = base_config(tmp_path / name, n_tasks=2, dataset_name=dataset)
+            assert main(["run", str(cfg_path)]) == 0
+        for f in (tmp_path / "num" / "store").glob("vote_*.jsonl"):
+            f.write_text(f.read_text().replace('"dataset": "bench"', '"dataset": 5'))
+
+        def summaries(*stores):
+            out = tmp_path / "-".join(stores)
+            argv = [str(tmp_path / stores[0] / "store"), "--output", str(out)]
+            if stores[1:]:
+                argv += ["--merge", str(tmp_path / stores[1] / "store")]
+            assert main(["analyze", *argv]) == 0
+            return json.loads((out / "summaries.json").read_text())
+
+        alone = summaries("num") + summaries("str")
+        assert [r["dataset"] for r in alone] == [5, 5, "other", "other"]
+        assert summaries("num", "str") == summaries("str", "num") == alone
+
     @pytest.mark.parametrize("overrides", [
         {"layer": "L2", "persona_pool": ["skeptic"]},
         {"layer": "L3", "model_pool": ["m1"]},
@@ -984,7 +1000,7 @@ class TestPipeline:
     def test_requests_in_flight_within_limit(self, tmp_path, monkeypatch):
         chat = InflightChat(seed=11)
         embed = InflightEmbed(chat, dim=4, seed=11)
-        monkeypatch.setattr(cli, "_build_backends", lambda cfg: (chat, embed))
+        monkeypatch.setattr(backends, "build", lambda spec, seed: (chat, embed))
         cfg_path, _ = base_config(tmp_path, n_tasks=6, workflow="debate", rounds=2,
                                   n_agents_list=[2, 4], concurrency_limit=2)
         assert main(["run", str(cfg_path)]) == 0
@@ -994,7 +1010,7 @@ class TestPipeline:
     def test_tasks_overlap(self, tmp_path, monkeypatch):
         chat = InflightChat(seed=11, meet=2)
         monkeypatch.setattr(
-            cli, "_build_backends", lambda cfg: (chat, MockEmbeddingBackend(dim=4, seed=11)))
+            backends, "build", lambda spec, seed: (chat, MockEmbeddingBackend(dim=4, seed=11)))
         cfg_path, _ = base_config(tmp_path, n_tasks=4, n_agents_list=[1], concurrency_limit=2)
         assert main(["run", str(cfg_path)]) == 0
         assert chat.peak == 2
@@ -1023,9 +1039,8 @@ class TestPipeline:
             assert main(["run", str(cfg_path)]) == 0
             return without_clock(store_bytes(tmp_path / name / "store"))
 
-        monkeypatch.setattr(cli, "_build_backends", lambda cfg: (
-            ThreadedMockChat(seed=cfg["seed"]),
-            ThreadedMockEmbed(dim=cfg["backend"]["dim"], seed=cfg["seed"])))
+        monkeypatch.setattr(backends, "build", lambda spec, seed: (
+            ThreadedMockChat(seed=seed), ThreadedMockEmbed(dim=spec["dim"], seed=seed)))
         threaded = [run(f"c{limit}", limit) for limit in (1, 4)]
         monkeypatch.undo()
         inline = run("inline", 4)
@@ -1034,7 +1049,7 @@ class TestPipeline:
 
     def test_in_process_backends_run_on_the_calling_thread(self, tmp_path, monkeypatch):
         chat, embed = RecordingChat(seed=11), RecordingEmbed(dim=4, seed=11)
-        monkeypatch.setattr(cli, "_build_backends", lambda cfg: (chat, embed))
+        monkeypatch.setattr(backends, "build", lambda spec, seed: (chat, embed))
         cfg_path, _ = base_config(tmp_path, workflow="debate", rounds=2, n_agents_list=[2, 4],
                                   concurrency_limit=4)
         threads = threading.active_count()
@@ -1072,7 +1087,7 @@ class TestEmbeddingFailures:
     @pytest.mark.parametrize("failure", ["backend", "dimensions"])
     def test_warns_per_task_and_keeps_running(self, tmp_path, capsys, monkeypatch, failure):
         monkeypatch.setattr(
-            cli, "_build_backends", lambda cfg: (self.distinct_chat(), FailingEmbed(failure)))
+            backends, "build", lambda spec, seed: (self.distinct_chat(), FailingEmbed(failure)))
         cfg_path, _ = base_config(tmp_path, n_agents_list=[2], concurrency_limit=1)
         code, out = run_cli("run", str(cfg_path), capsys=capsys)
         assert code == 0
@@ -1088,7 +1103,7 @@ class TestEmbeddingFailures:
 
     def test_non_numeric_vectors_write_no_row(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "_build_backends", lambda cfg: (MockChatBackend(seed=11), FailingEmbed("null")))
+            backends, "build", lambda spec, seed: (MockChatBackend(seed=11), FailingEmbed("null")))
         cfg_path, _ = base_config(tmp_path, n_agents_list=[2])
         code, out = run_cli("run", str(cfg_path), capsys=capsys)
         assert code == 0
@@ -1101,7 +1116,7 @@ class TestEmbeddingFailures:
 
     def test_zero_norm_vectors_write_no_row(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "_build_backends", lambda cfg: (self.distinct_chat(), FailingEmbed("zero")))
+            backends, "build", lambda spec, seed: (self.distinct_chat(), FailingEmbed("zero")))
         cfg_path, _ = base_config(tmp_path, n_agents_list=[2], concurrency_limit=1)
         code, out = run_cli("run", str(cfg_path), capsys=capsys)
         assert code == 0

@@ -15,6 +15,14 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from masinfo.backends import (
+    MockChatBackend,
+    MockEmbeddingBackend,
+    OpenAIChatBackend,
+    OpenAIEmbeddingBackend,
+    TransientBackendError,
+)
+from masinfo.cli import main
 from masinfo.harness import (
     AgentConfig,
     BackendError,
@@ -22,12 +30,7 @@ from masinfo.harness import (
     DimensionMismatch,
     DiversityPlan,
     InsufficientPool,
-    MockChatBackend,
-    MockEmbeddingBackend,
-    OpenAIChatBackend,
-    OpenAIEmbeddingBackend,
     Transcript,
-    TransientBackendError,
     TranscriptStore,
     WorkflowSpec,
     answer_matches,
@@ -589,6 +592,7 @@ class _Handler(BaseHTTPRequestHandler):
     fail_status = 500
     retry_after = None  # the Retry-After header of each failure, when set
     garbage_first = 0  # requests answered 200 with a body that is not JSON
+    odd = None  # (marker, content): a chat whose request holds marker gets content
     hits = 0
 
     def log_message(self, *args):
@@ -616,11 +620,10 @@ class _Handler(BaseHTTPRequestHandler):
         payload = json.loads(self.rfile.read(length))
         if self.path.endswith("/chat/completions"):
             letter = "B" if "pick second" in json.dumps(payload) else "A"
-            body = {
-                "choices": [
-                    {"message": {"role": "assistant", "content": f"the answer is ({letter})"}}
-                ]
-            }
+            message = {"role": "assistant", "content": f"the answer is ({letter})"}
+            if cls.odd is not None and cls.odd[0] in json.dumps(payload):
+                message["content"] = cls.odd[1]
+            body = {"choices": [{"message": message}]}
         elif self.path.endswith("/embeddings"):
             body = {
                 "data": [
@@ -652,7 +655,7 @@ def http_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     serve(server)
     _Handler.fail_first, _Handler.fail_status, _Handler.hits = 0, 500, 0
-    _Handler.garbage_first, _Handler.retry_after = 0, None
+    _Handler.garbage_first, _Handler.retry_after, _Handler.odd = 0, None, None
     yield f"http://127.0.0.1:{server.server_port}/v1"
     server.shutdown()
     server.server_close()
@@ -764,6 +767,30 @@ class TestHTTPBackends:
         with pytest.raises(TransientBackendError, match="malformed JSON"):
             backend.chat([{"role": "user", "content": "hi"}], "m", Decoding())
         assert _Handler.hits == 3
+
+    @pytest.mark.parametrize("content", [["part"], 5, {"text": "(A)"}, None],
+                             ids=["list", "number", "object", "null"])
+    def test_chat_content_not_a_string_fails_the_call_not_the_run(self, http_server, tmp_path,
+                                                                  content):
+        # a null is a refusal or a tool call: no answer text, as a list of parts is none
+        _Handler.odd = ("odd one", content)
+        dataset = tmp_path / "tasks.jsonl"
+        dataset.write_text("".join(json.dumps({**TASK_MC, "id": i, "question": q}) + "\n"
+                                   for i, q in (("odd", "The odd one?"), ("plain", "Which?"))))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "dataset_path": str(dataset), "workflow": "vote", "layer": "L1",
+            "n_agents_list": [2], "model_pool": ["m1"], "seed": 0,
+            "output_dir": str(tmp_path / "store"),
+            "backend": {"kind": "openai", "chat_url": http_server}}))
+        assert main(["run", str(cfg)]) == 0
+        odd, plain = TranscriptStore(tmp_path / "store" / "vote_L1_N2.jsonl")
+        assert (odd.task_id, plain.task_id) == ("odd", "plain")
+        assert odd.invalid and not plain.invalid
+        for c in odd.calls:
+            assert c["error"].startswith("malformed chat response: ")
+            assert c["raw_output"] is None and c["extracted_answer"] is None
+        assert [c["error"] for c in plain.calls] == [None, None]
 
     def test_embeddings_order_preserved(self, http_server):
         backend = OpenAIEmbeddingBackend(http_server, "emb-model", backoff=0.01)

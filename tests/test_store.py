@@ -8,7 +8,8 @@ import pytest
 from masinfo import spectral
 from masinfo import store as store_module
 from masinfo.analysis import TaskScorer
-from masinfo.harness import MockChatBackend, WorkflowSpec, run_workflow
+from masinfo.backends import MockChatBackend
+from masinfo.harness import WorkflowSpec, run_workflow
 from masinfo.store import RunStore, load_store_embeddings
 from test_harness import TASK_MC, make_plan
 from test_spectral import after_a_tick, write_cache, write_rows
