@@ -1,8 +1,10 @@
 """Chat and embedding backends, and `build`, which makes them from a config.
 
-Kind "mock" is deterministic and in-process, for tests and dry runs; kind
-"openai" speaks the OpenAI-compatible HTTP schema through one retrying
-JSONClient.  This module imports masinfo.harness, never the reverse.
+Kind "mock" is deterministic and in-process, for tests and dry runs, and its
+embedder keeps each text's vector for its lifetime, one run; kind "openai"
+speaks the OpenAI-compatible HTTP schema through one retrying JSONClient and
+keeps nothing between requests.  This module imports masinfo.harness, never
+the reverse.
 """
 
 import hashlib
@@ -77,38 +79,52 @@ class MockChatBackend:
         return f"I think the answer is ({letter})."
 
 
+def _is_count(value):
+    # bool is an int subclass; `true` is no count
+    return not isinstance(value, bool) and isinstance(value, int) and value >= 1
+
+
 class MockEmbeddingBackend:
     """Deterministic unit-vector embeddings hashed from the text; `deterministic`
-    (in-process and reproducible) as MockChatBackend is."""
+    (in-process and reproducible) as MockChatBackend is.
+
+    A text's vector is drawn once and kept for the backend's lifetime, one
+    `run`, since a mock run's outputs repeat across its transcripts; each
+    call returns fresh lists, which the caller may change.
+    """
 
     deterministic = True
 
     def __init__(self, dim=8, seed=0, max_batch=None):
-        # bool is an int subclass; `true` is no width
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        if not _is_count(dim):
             raise ValueError(f"backend dim must be an integer >= 1, got {dim!r}")
+        if max_batch is not None and not _is_count(max_batch):
+            raise ValueError(f"backend max_batch must be None or an integer >= 1, "
+                             f"got {max_batch!r}")
         self.dim = dim
         self.seed = seed
         self.max_batch = max_batch
+        self._vectors = {}  # text -> its vector
 
     def embed(self, texts):
         if self.max_batch is not None and len(texts) > self.max_batch:
             raise BackendError(f"batch of {len(texts)} exceeds limit {self.max_batch}")
-        # Each text draws what Generator(Philox(key=k)) draws.  Re-keying one
-        # bit generator through its state setter skips the OS entropy that
-        # every Philox construction reads and `key=` then discards; the
-        # generator is per call, so concurrent calls share no state.
-        bitgen = np.random.Philox(key=0)
-        rng = np.random.Generator(bitgen)
-        fresh = bitgen.state
-        vectors = []
-        for t in texts:
-            digest = hashlib.sha256(f"{self.seed}|{t}".encode()).digest()
-            fresh["state"]["key"][0] = int.from_bytes(digest[:8], "big")
-            bitgen.state = fresh
-            v = rng.standard_normal(self.dim)
-            vectors.append((v / np.linalg.norm(v)).tolist())
-        return vectors
+        new = [t for t in dict.fromkeys(texts) if t not in self._vectors]
+        if new:
+            # Each text draws what Generator(Philox(key=k)) draws.  Re-keying
+            # one bit generator through its state setter skips the OS entropy
+            # that every Philox construction reads and `key=` then discards;
+            # the generator is per call, so concurrent calls share no state.
+            bitgen = np.random.Philox(key=0)
+            rng = np.random.Generator(bitgen)
+            fresh = bitgen.state
+            for t in new:
+                digest = hashlib.sha256(f"{self.seed}|{t}".encode()).digest()
+                fresh["state"]["key"][0] = int.from_bytes(digest[:8], "big")
+                bitgen.state = fresh
+                v = rng.standard_normal(self.dim)
+                self._vectors[t] = (v / np.linalg.norm(v)).tolist()
+        return [self._vectors[t].copy() for t in texts]
 
 
 _DELAY_SECONDS = re.compile(r"[0-9]+")  # Retry-After's delay-seconds form (RFC 9110)
@@ -281,10 +297,12 @@ class OpenAIChatBackend(_OpenAIBackend):
         try:
             content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
-            raise BackendError(f"malformed chat response: {data}") from exc
+            # cut as JSONClient cuts a rejected body: a failed call's error is
+            # written to its transcript
+            raise BackendError(f"malformed chat response: {str(data)[:200]}") from exc
         # a null (a refusal or a tool call) or a list of parts is no answer text
         if not isinstance(content, str):
-            raise BackendError(f"malformed chat response: {data}")
+            raise BackendError(f"malformed chat response: {str(data)[:200]}")
         return content
 
 
@@ -310,7 +328,7 @@ class OpenAIEmbeddingBackend(_OpenAIBackend):
             indices = [r["index"] for r in data["data"]]
             vectors = [r["embedding"] for r in data["data"]]
         except (KeyError, TypeError) as exc:
-            raise BackendError(f"malformed embedding response: {data}") from exc
+            raise BackendError(f"malformed embedding response: {str(data)[:200]}") from exc
         # a bool is no index, though it is an int subclass
         if (any(type(i) is not int for i in indices)
                 or sorted(indices) != list(range(len(texts)))):

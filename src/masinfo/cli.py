@@ -192,8 +192,7 @@ def _load_config(path):
     )
     # build every pool now, so a config no pool fits fails before output_dir exists
     for spec in specs:
-        for agent in plan.configs(spec.num_agents):
-            plan.persona_text(agent.persona_id)
+        plan.agents(spec.num_agents)
     return cfg, specs, plan
 
 

@@ -8,6 +8,10 @@ assembled into pools by diversity layer:
   L3  models round-robin, default prompt
   L4  models and personas both varied
 
+A DiversityPlan builds the agents of each N once, each with its type label,
+system messages, model and decoding, and shares them with every transcript
+of that N; each round sends every agent one user message.
+
 Transcripts persist as append-only JSONL; masinfo.store lays out a run's
 files, and masinfo.backends makes the chat and embedding backends.
 """
@@ -46,10 +50,6 @@ DEFAULT_PERSONAS = {
 class BackendError(RuntimeError):
     """A backend request failed, and retrying it will not help unless the
     error is a masinfo.backends.TransientBackendError."""
-
-    def __init__(self, message, call_index=None):
-        self.call_index = call_index
-        super().__init__(message)
 
 
 class DimensionMismatch(ValueError):
@@ -131,16 +131,34 @@ def build_layer_pool(layer, models, personas, n_agents):
     return pool
 
 
+# One agent of a pool as its calls need it: its type label, the system
+# messages that open each of its calls (a tuple), its model and its decoding.
+Agent = collections.namedtuple("Agent", "label system model decoding")
+
+
 @dataclass(frozen=True)
 class DiversityPlan:
     layer: str
     model_pool: tuple
     persona_pool: tuple = ()
     persona_catalog: dict = field(default_factory=lambda: dict(DEFAULT_PERSONAS))
+    # agents()'s pools by N; the frozen plan fills the dict, not a field
+    _agents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def configs(self, n_agents):
-        return build_layer_pool(self.layer, list(self.model_pool), list(self.persona_pool),
-                                n_agents)
+    def agents(self, n_agents):
+        """The Agent entries of build_layer_pool's n configs, built on the first
+        call for n and shared by every later one.  InsufficientPool names a
+        pool too small for the layer or a persona missing from the catalog."""
+        pool = self._agents.get(n_agents)
+        if pool is None:
+            pool = []
+            for cfg in build_layer_pool(self.layer, list(self.model_pool),
+                                        list(self.persona_pool), n_agents):
+                persona = self.persona_text(cfg.persona_id)
+                system = ({"role": "system", "content": persona},) if persona else ()
+                pool.append(Agent(cfg.type_label, system, cfg.model_id, cfg.decoding))
+            pool = self._agents[n_agents] = tuple(pool)
+        return pool
 
     def persona_text(self, persona_id):
         if persona_id is None:
@@ -399,28 +417,21 @@ def _timestamp(backend):
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _issue_round(configs, prompts, plan, backend, pool):
-    """Run one round of calls on `pool`; results ordered by agent index."""
+def _issue_round(agents, prompt, backend, pool):
+    """Run one round of calls on `pool`, each agent's system messages then
+    `prompt`; (raw, error, latency_ms) ordered by agent index."""
+    user = {"role": "user", "content": prompt}
+    timed = not getattr(backend, "deterministic", False)
 
-    def one(i):
-        cfg = configs[i]
-        messages = []
-        persona = plan.persona_text(cfg.persona_id)
-        if persona:
-            messages.append({"role": "system", "content": persona})
-        messages.append({"role": "user", "content": prompts[i]})
+    def one(agent):
         t0 = time.monotonic()
         try:
-            raw = backend.chat(messages, cfg.model_id, cfg.decoding)
-            err = None
+            raw, err = backend.chat([*agent.system, user], agent.model, agent.decoding), None
         except Exception as exc:  # recorded, never raised: calls may fail independently
             raw, err = None, str(exc)
-        latency = 0 if getattr(backend, "deterministic", False) else int(
-            (time.monotonic() - t0) * 1000
-        )
-        return raw, err, latency
+        return raw, err, int((time.monotonic() - t0) * 1000) if timed else 0
 
-    return list(pool.map(one, range(len(configs))))
+    return list(pool.map(one, agents))
 
 
 def run_workflow(task, spec: WorkflowSpec, plan: DiversityPlan, backend, pool, dataset=""):
@@ -434,38 +445,36 @@ def run_workflow(task, spec: WorkflowSpec, plan: DiversityPlan, backend, pool, d
     previous-round output; rounds are strict barriers.  The final answer is
     the majority over last-round extracted answers.  A transcript with more
     than half its calls failed is marked invalid and carries no final answer.
+    Each distinct output is parsed once per transcript: clone agents and
+    converged rounds repeat theirs.
     """
     n_agents, rounds = spec.num_agents, spec.rounds
-    configs = plan.configs(n_agents)
-    labels = [cfg.type_label for cfg in configs]
+    agents = plan.agents(n_agents)
     fmt = _task_format(task)
     base_prompt = _question_text(task)
 
     calls, failures = [], 0
+    answers = {}  # raw output -> its extracted answer, for this transcript only
     last_round_answers = []
-    prev_outputs = None
+    prompt = base_prompt
     for r in range(1, rounds + 1):
-        if prev_outputs is None:
-            prompts = [base_prompt] * n_agents
-        else:
-            block = "\n".join(
-                f"Agent {j + 1}: {out}" for j, out in enumerate(prev_outputs) if out is not None
-            )
-            prompts = [
-                base_prompt
-                + "\n\nOther agents answered:\n"
-                + block
-                + "\n\nReconsider and state your final answer."
-            ] * n_agents
-        results = _issue_round(configs, prompts, plan, backend, pool)
-        prev_outputs = [raw for raw, _, _ in results]
+        if r > 1:
+            block = "\n".join(f"Agent {j + 1}: {raw}"
+                              for j, (raw, _, _) in enumerate(results) if raw is not None)
+            prompt = (base_prompt + "\n\nOther agents answered:\n" + block
+                      + "\n\nReconsider and state your final answer.")
+        results = _issue_round(agents, prompt, backend, pool)
         round_answers = []
         for i, (raw, err, latency) in enumerate(results):
-            ans = extract_answer(raw, fmt) if err is None else None
+            ans = None
+            if err is None:
+                if raw not in answers:
+                    answers[raw] = extract_answer(raw, fmt)
+                ans = answers[raw]
             calls.append(
                 {
                     "call_index": (r - 1) * n_agents + i,
-                    "agent_type_label": labels[i],
+                    "agent_type_label": agents[i].label,
                     "round": r,
                     "raw_output": raw,
                     "extracted_answer": ans,
@@ -560,7 +569,8 @@ class TranscriptStore:
     def append(self, transcript: Transcript):
         if self._fh is None:
             self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.write(json.dumps(transcript.to_dict(), sort_keys=True) + "\n")
+        # a dataclass instance's vars are its fields: to_dict less its copy of every call
+        self._fh.write(json.dumps(vars(transcript), sort_keys=True) + "\n")
         self._fh.flush()
 
     def close(self):

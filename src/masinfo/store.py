@@ -179,7 +179,7 @@ def _vector_json(vector):
 
 def embedding_rows(row_ids, vectors):
     """Yield `json.dumps({"id": row_id, "vector": vector}).encode() + b"\\n"`
-    for each pair, byte for byte.
+    for each pair of a string id and its vector, byte for byte.
 
     The rows are made one at a time, so a caller that writes each as it comes
     holds one row, not the whole list of them.  A vector object that repeats
@@ -187,11 +187,12 @@ def embedding_rows(row_ids, vectors):
     and its bytes reused.
     """
     encoded = {}  # id(vector) -> (vector, its JSON); holding the vector keeps its id unique
+    quote = json.encoder.encode_basestring_ascii  # what json.dumps runs for a str
     for row_id, v in zip(row_ids, vectors):
         hit = encoded.get(id(v))
         if hit is None:
             hit = encoded[id(v)] = (v, _vector_json(v))
-        yield b'{"id": %s, "vector": %s}\n' % (json.dumps(row_id).encode(), hit[1])
+        yield b'{"id": %s, "vector": %s}\n' % (quote(row_id).encode(), hit[1])
 
 
 # Names the cache layout and the decoder that filled it.  Bump it whenever

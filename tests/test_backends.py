@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -108,6 +109,14 @@ def test_api_key_comes_from_the_named_environment_variable(key_server, monkeypat
 def test_mock_embedder_refuses_a_bad_dim_when_made(dim):
     with pytest.raises(ValueError, match=f"backend dim must be an integer >= 1, got {dim!r}"):
         MockEmbeddingBackend(dim=dim)
+
+
+@pytest.mark.parametrize("max_batch", [0, -1, True, 2.5, "4"],
+                         ids=["zero", "negative", "bool", "float", "string"])
+def test_mock_embedder_refuses_a_bad_max_batch_when_made(max_batch):
+    with pytest.raises(ValueError, match=re.escape(
+            f"backend max_batch must be None or an integer >= 1, got {max_batch!r}")):
+        MockEmbeddingBackend(max_batch=max_batch)
 
 
 def test_harness_does_not_import_backends():

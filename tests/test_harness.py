@@ -1,4 +1,5 @@
 import base64
+import collections
 import contextlib
 import dataclasses
 import email.utils
@@ -15,6 +16,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from masinfo import backends, harness
 from masinfo.backends import (
     MockChatBackend,
     MockEmbeddingBackend,
@@ -24,6 +26,7 @@ from masinfo.backends import (
 )
 from masinfo.cli import main
 from masinfo.harness import (
+    DEFAULT_PERSONAS,
     AgentConfig,
     BackendError,
     Decoding,
@@ -39,6 +42,7 @@ from masinfo.harness import (
     fetch_embeddings,
     load_tasks_jsonl,
     majority_answer,
+    run_tasks,
     run_workflow,
 )
 from masinfo.spectral import EmbeddingSet
@@ -139,6 +143,21 @@ class TestLayerPools:
             pool = build_layer_pool(layer, models, personas, n)
             counts.append(len({c.type_label for c in pool}))
         assert counts == sorted(counts)
+
+    def test_plan_agents_built_once_per_n_and_outside_eq_and_repr(self):
+        plan = make_plan("L4", ["m1", "m2"], ["mathematician", "logician", "engineer"])
+        fresh = make_plan("L4", ["m1", "m2"], ["mathematician", "logician", "engineer"])
+        agents = plan.agents(5)
+        assert plan.agents(5) is agents
+        assert plan == fresh and repr(plan) == repr(fresh)
+        configs = build_layer_pool("L4", ["m1", "m2"], ["mathematician", "logician", "engineer"],
+                                   5)
+        assert [(a.label, a.model, a.decoding) for a in agents] == [
+            (c.type_label, c.model_id, c.decoding) for c in configs]
+        assert [a.system for a in agents] == [
+            ({"role": "system", "content": DEFAULT_PERSONAS[c.persona_id]},)
+            for c in configs]
+        assert make_plan().agents(2)[0].system == ()
 
 
 class TestWorkflowSpec:
@@ -447,6 +466,55 @@ class TestEmbeddings:
             ref = np.random.Generator(np.random.Philox(key=key)).standard_normal(dim)
             assert v == (ref / np.linalg.norm(ref)).tolist()
 
+    def test_mock_vector_of_a_repeated_text_is_a_fresh_philox_draw_and_the_callers_own(self):
+        backend = MockEmbeddingBackend(dim=16, seed=7)
+        digest = hashlib.sha256(b"7|again").digest()
+        ref = np.random.Generator(np.random.Philox(
+            key=int.from_bytes(digest[:8], "big"))).standard_normal(16)
+        expected = (ref / np.linalg.norm(ref)).tolist()
+        first = backend.embed(["again", "other"])[0]
+        first[0] = 99.0
+        first.append(1.0)
+        second, third = backend.embed(["again", "again"])
+        assert second == third == expected
+        assert second is not third
+        second.clear()
+        assert backend.embed(["again"]) == [expected]
+
+
+class TestWorkOncePerRun:
+    def test_mock_debate_derives_each_vector_once_and_parses_each_output_once_a_transcript(
+            self, monkeypatch):
+        parsed, hashed = [], collections.Counter()
+
+        def extract(raw, fmt="mc"):
+            parsed.append(raw)
+            return extract_answer(raw, fmt)
+
+        def sha256(data):
+            hashed[data] += 1
+            return hashlib.sha256(data)
+
+        # run_workflow parses through harness.extract_answer, the mock chat through its own
+        # import, which stays; no key the mock chat hashes is "3|<an output>"
+        monkeypatch.setattr(harness, "extract_answer", extract)
+        monkeypatch.setattr(backends, "hashlib", types.SimpleNamespace(sha256=sha256))
+        plan = make_plan("L4", ["m1", "m2", "m3"], ["mathematician", "logician", "engineer"])
+        tasks = [{**TASK_MC, "id": f"t{k}", "question": f"Which {k}?"} for k in range(4)]
+        jobs = [(WorkflowSpec("debate", n, rounds=3), task) for n in (2, 5, 8) for task in tasks]
+        texts, calls = set(), 0
+        for _, t, vectors, error in run_tasks(jobs, plan, MockChatBackend(seed=3),
+                                              MockEmbeddingBackend(dim=8, seed=3)):
+            outputs = [c["raw_output"] for c in t.calls]
+            assert error is None and len(vectors) == len(outputs)
+            assert sorted(parsed) == sorted(set(outputs))
+            parsed.clear()
+            texts.update(outputs)
+            calls += len(outputs)
+        assert len(texts) < len(jobs) < calls  # outputs repeat within and across transcripts
+        keys = {f"3|{text}".encode() for text in texts}
+        assert {k: hashed[k] for k in keys} == dict.fromkeys(keys, 1)
+
 
 class TestEmbeddingRow:
     """Each row of embedding_rows against its definition, json.dumps, byte for byte."""
@@ -498,7 +566,8 @@ class TestEmbeddingRow:
         self.assert_rows_match(rows.ravel().tolist(), width=dim)
 
     def test_ids_escaped_as_json_dumps_does(self):
-        for row_id in ["t0:0", "é:1", 'q"1\\:0', "\u2028"]:
+        for row_id in ["t0:0", "é:1", 'q"1\\:0', "\u2028", "問題:2", "\U0001f600:3",
+                       "line\nbreak:4", "nul\x00:5", "\x1f\x7f\t\r\b\f:6", "\ud800:7", ""]:
             self.assert_rows_match([0.25, 1e-05, -2.5e-07], width=3, row_id=row_id)
 
 
@@ -791,6 +860,29 @@ class TestHTTPBackends:
             assert c["error"].startswith("malformed chat response: ")
             assert c["raw_output"] is None and c["extracted_answer"] is None
         assert [c["error"] for c in plain.calls] == [None, None]
+
+    def test_huge_malformed_chat_reply_is_cut_to_200_characters(self, http_server):
+        content = ["x" * 12000]
+        _Handler.odd = ("odd one", content)
+        backend = OpenAIChatBackend(http_server, backoff=0)
+        try:
+            with pytest.raises(BackendError) as info:
+                backend.chat([{"role": "user", "content": "odd one"}], "m", Decoding())
+        finally:
+            backend.close()
+        reply = {"choices": [{"message": {"role": "assistant", "content": content}}]}
+        assert str(info.value) == "malformed chat response: " + str(reply)[:200]
+
+    def test_huge_malformed_embedding_reply_is_cut_to_200_characters(self):
+        backend = OpenAIEmbeddingBackend("http://127.0.0.1:9", "emb-model")
+        reply = {"data": [{"embedding": [0.5] * 3000}]}  # no index
+        backend.client.post = lambda path, body: reply
+        try:
+            with pytest.raises(BackendError) as info:
+                backend.embed(["a"])
+        finally:
+            backend.close()
+        assert str(info.value) == "malformed embedding response: " + str(reply)[:200]
 
     def test_embeddings_order_preserved(self, http_server):
         backend = OpenAIEmbeddingBackend(http_server, "emb-model", backoff=0.01)
