@@ -8,6 +8,8 @@ seeded, so transcripts are byte-identical across re-runs.
 import json
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 from masinfo.analysis import TaskScorer, summarize_table
 from masinfo.backends import MockChatBackend, MockEmbeddingBackend
 from masinfo.harness import DiversityPlan, WorkflowSpec, fetch_embeddings, run_workflow
@@ -45,9 +47,10 @@ def main(pool):
 
     print("\n== transcripts embed and summarize ==")
     texts = [c["raw_output"] or "" for c in vote.calls]
-    vectors = fetch_embeddings(texts, MockEmbeddingBackend(dim=8, seed=3))
-    embeddings = dict(zip(vote.embedding_ids(), vectors))
-    (summary,) = summarize_table(TaskScorer().score([vote], embeddings))
+    rows = np.array(fetch_embeddings(texts, MockEmbeddingBackend(dim=8, seed=3)))
+    # one store of one transcript, whose calls are the rows in order
+    store = ([vote], lambda t: (rows, range(len(rows))))
+    (summary,) = summarize_table(TaskScorer().score([store]))
     print(f"  {summary.config_label}: accuracy {summary.accuracy:.2f}, "
           f"K* {summary.k_star:.3f}")
 

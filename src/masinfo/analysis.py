@@ -1,13 +1,14 @@
 """Measurement tables from transcript stores.
 
-`TaskScorer.score` turns persisted Vote/Debate transcripts plus embeddings into
-one row per unit (a task, or a pooled group) with its correct count and its K*,
-K*_c/K*_w and mean cosine; `summarize_table` aggregates those rows into
-per-config summaries.  The two, in that order, are the one way to score.
-`report_bundle` renders the summaries as the `analyze` report files: the
-summaries, accuracy per N and its marginal gains, agents-to-match tables, the
-correct/wrong-dominant boundary, the (K*, accuracy) points, a permutation test
-of Pearson r(K*, accuracy), and the R^2 that K* adds to N and the layer.
+`TaskScorer.score` turns each store's persisted Vote/Debate transcripts, with
+the lookup of their call rows that masinfo.store makes, into one row per unit
+(a task, or a pooled group) with its correct count and its K*, K*_c/K*_w and
+mean cosine; `summarize_table` aggregates those rows into per-config
+summaries.  The two, in that order, are the one way to score.  `report_bundle`
+renders the summaries as the `analyze` report files: the summaries, accuracy
+per N and its marginal gains, agents-to-match tables, the correct/wrong-dominant
+boundary, the (K*, accuracy) points, a permutation test of Pearson
+r(K*, accuracy), and the R^2 that K* adds to N and the layer.
 """
 
 import csv
@@ -77,56 +78,6 @@ def _mean_or_none(values):
     return float(np.mean(values)) if values else None
 
 
-def _table(lookup):
-    """(id -> row index, rows) of `lookup`: such a pair as given, or a mapping
-    of ids to raw vectors turned into one."""
-    if isinstance(lookup, tuple):
-        return lookup
-    return dict(zip(lookup, range(len(lookup)))), np.array([*lookup.values()], dtype=float)
-
-
-def _unit_columns(unit, buf):
-    """(K*, K*_c, K*_w, mean cosine) of every call of `unit`, (transcript, table) pairs.
-
-    The unit's rows are copied, member by member, to the start of the flat
-    float64 buffer `buf`, which must hold them, and normalized there once;
-    then each table's mapped pages are let go (store.release_pages).
-    Their one Gram gives K* and, through its principal submatrices, K*_c and
-    K*_w: the values of k_star and k_star_conditioned on the EmbeddingSet of
-    the same rows.  No cosine below 2 rows.
-    """
-    ids, picks, mask = [], [], []
-    for t, (index, rows) in unit:
-        t_ids = t.embedding_ids()
-        try:
-            picks.append((t, rows, [index[i] for i in t_ids]))
-        except KeyError:
-            raise MissingEmbeddings(t.task_id) from None
-        ids += t_ids
-        mask += [answer_matches(c["extracted_answer"], t.gold_answer) for c in t.calls]
-    d = picks[0][1].shape[1]
-    z = buf[:len(ids) * d].reshape(len(ids), d)
-    start = 0
-    for t, rows, pos in picks:
-        if rows.shape[1] != d:
-            raise ValueError(f"embeddings of task {t.task_id} have width {rows.shape[1]}, "
-                             f"not the {d} of the rest of their group")
-        end = start + len(pos)
-        np.take(rows, pos, axis=0, out=z[start:end], mode="clip")
-        start = end
-    # copied out: a cache hit's rows need not stay resident while the next unit is read
-    for rows in {id(rows): rows for _, rows, _ in picks}.values():
-        release_pages(rows)
-    try:
-        _normalize_rows(z)
-    except ZeroNormVector as exc:
-        raise ValueError(f"embedding {ids[exc.index]} has norm < {ZERO_NORM_TOL}") from None
-    g = _unit_gram(z)
-    c, w = _sides(g, np.array(mask, dtype=bool))
-    cos = _mean_cosine(z) if len(z) >= 2 else None
-    return _spectrum(g).k_star, c, w, cos
-
-
 @dataclass(frozen=True)
 class TaskRow:
     """One unit of TaskScorer.score: its config (dataset, layer, workflow, N), its task
@@ -164,50 +115,81 @@ class TaskScorer:
         self.mode = mode
         self._buf = np.empty(0)
 
-    def score(self, transcripts, embeddings=None):
+    def score(self, stores):
         """One TaskRow per unit, config by config in sorted order, and within a
-        config in the order of `transcripts`.
+        config in the order of `stores` and of their transcripts.
 
-        A unit is one valid transcript in mode "per-question", and in mode "pooled"
-        the whole group of valid transcripts of one config, whose call embeddings
-        are stacked into one set.  `embeddings` maps "<task_id>:<call_index>" to a
-        raw vector, or is a pair (index, rows) whose `index` maps each id to its row
-        of the 2-D array `rows`; when None, the spectral columns are None.  Ids are
-        unique only within one store, so for transcripts merged from several stores
-        pass a list aligned with `transcripts`, holding the mapping or pair of each
-        one's store (an empty mapping for a store without embeddings, whose
-        transcripts raise MissingEmbeddings); each distinct mapping becomes a pair
-        once.  The table holds no rows of `embeddings`.
+        `stores` holds one (transcripts, rows_of) pair per store: rows_of(t) is
+        (rows, positions), a 2-D array of raw vectors and the index in it of
+        each of `t`'s calls in call order, as store.RunStore.rows() makes it.
+        A KeyError from it, or a None beside real lookups, raises
+        MissingEmbeddings; when every rows_of is None the spectral columns are
+        None.  A unit is one valid transcript in mode "per-question", and in
+        mode "pooled" the whole group of valid transcripts of one config, whose
+        call rows are stacked into one set.  The table holds no rows.
         """
-        if isinstance(embeddings, list):
-            pairs = zip(transcripts, embeddings, strict=True)
-        else:
-            pairs = ((t, embeddings) for t in transcripts)
-        tables, groups = {}, {}
-        for t, lookup in pairs:
-            if t.invalid:
-                continue
-            if embeddings is not None and id(lookup) not in tables:
-                tables[id(lookup)] = _table(lookup)
-            groups.setdefault((t.dataset, t.layer, t.workflow, t.n_agents), []).append(
-                (t, tables.get(id(lookup))))
-
+        spectral = any(rows_of is not None for _, rows_of in stores)
+        groups = {}
+        for transcripts, rows_of in stores:
+            for t in transcripts:
+                if not t.invalid:
+                    groups.setdefault((t.dataset, t.layer, t.workflow, t.n_agents), []).append(
+                        (t, rows_of))
         per_question = self.mode == "per-question"
-        units = {key: [[m] for m in members] if per_question else [members]
-                 for key, members in groups.items()}
-        if tables:
-            calls = max(sum(len(t.calls) for t, _ in u) for us in units.values() for u in us)
-            size = calls * max(rows.shape[-1] for _, rows in tables.values())
-            if self._buf.size < size:
-                self._buf = np.empty(size)
         table = []
-        for key, config_units in sorted(units.items(), key=_config_order):
-            for u in config_units:
-                columns = _unit_columns(u, self._buf) if tables else (None,) * 4
+        for key, members in sorted(groups.items(), key=_config_order):
+            for u in [[m] for m in members] if per_question else [members]:
+                columns = self._columns(u) if spectral else (None,) * 4
                 correct = sum(answer_matches(t.final_answer, t.gold_answer) for t, _ in u)
                 task_id = u[0][0].task_id if per_question else None
                 table.append(TaskRow(key, task_id, correct, len(u), *columns))
         return table
+
+    def _columns(self, unit):
+        """(K*, K*_c, K*_w, mean cosine) of every call of `unit`, (transcript, rows_of) pairs.
+
+        The unit's rows are copied, member by member, to the start of the
+        buffer, grown first if they do not fit, and normalized there once;
+        each member's rows are let go (store.release_pages) once copied.
+        Their one Gram gives K* and, through its principal submatrices, K*_c
+        and K*_w: the values of k_star and k_star_conditioned on the
+        EmbeddingSet of the same rows.  No cosine below 2 rows.
+        """
+        picks, mask = [], []
+        for t, rows_of in unit:
+            if rows_of is None:
+                raise MissingEmbeddings(t.task_id)
+            try:
+                picks.append((t, *rows_of(t)))
+            except KeyError:
+                raise MissingEmbeddings(t.task_id) from None
+            mask += [answer_matches(c["extracted_answer"], t.gold_answer) for c in t.calls]
+        d = picks[0][1].shape[1]
+        n = sum(len(pos) for _, _, pos in picks)
+        if self._buf.size < n * d:
+            self._buf = np.empty(n * d)
+        z = self._buf[:n * d].reshape(n, d)
+        start = 0
+        for k, (t, rows, pos) in enumerate(picks):
+            if rows.shape[1] != d:
+                raise ValueError(f"embeddings of task {t.task_id} have width {rows.shape[1]}, "
+                                 f"not the {d} of the rest of their group")
+            end = start + len(pos)
+            np.take(rows, pos, axis=0, out=z[start:end], mode="clip")
+            start = end
+            # copied out: a cache hit's rows need not stay resident while the
+            # next unit is read; a store's members come one after another
+            if k + 1 == len(picks) or picks[k + 1][1] is not rows:
+                release_pages(rows)
+        try:
+            _normalize_rows(z)
+        except ZeroNormVector as exc:
+            ids = [i for t, _, _ in picks for i in t.embedding_ids()]
+            raise ValueError(f"embedding {ids[exc.index]} has norm < {ZERO_NORM_TOL}") from None
+        g = _unit_gram(z)
+        c, w = _sides(g, np.array(mask, dtype=bool))
+        cos = _mean_cosine(z) if n >= 2 else None
+        return _spectrum(g).k_star, c, w, cos
 
 
 def summarize_table(table, mode="per-question"):

@@ -259,24 +259,22 @@ def _batches(stores, mode):
 
 
 def _score_stores(store_dirs, mode):
-    """The task table of the stores `store_dirs`, merged.  Their transcripts
-    and the scorer's unit buffer go when it returns, so the reports are built
-    without them."""
+    """The task table of the stores `store_dirs`, merged.  Each store's
+    transcripts are scored with its own RunStore.rows() lookup, since ids
+    repeat across stores, and each batch of stores is scored and its rows let
+    go before the next is loaded: only one batch's rows are held at a time.
+    Their transcripts and the scorer's unit buffer go when it returns, so the
+    reports are built without them."""
     stores = [(run, run.transcripts()) for run in map(RunStore, store_dirs)]
     if not any(ts for _, ts in stores):
         raise ValueError("store contains no transcripts")
-    scorer = analysis.TaskScorer(mode)
-    if not any(ts and run.has_rows() for run, ts in stores):
+    spectral = any(ts and run.has_rows() for run, ts in stores)
+    if not spectral:
         print("warning: no embeddings found; spectral columns omitted", file=sys.stderr)
-        return scorer.score([t for _, ts in stores for t in ts])
-    # ids repeat across stores, so each transcript keeps its own store's rows,
-    # and each batch of stores is scored and its rows let go before the next
-    # is loaded: only one batch's rows are held at a time
+    scorer = analysis.TaskScorer(mode)
     table = []
     for batch in _batches(stores, mode):
-        # each transcript with its own store's rows, let go once scored
-        table += scorer.score([t for _, ts in batch for t in ts], [
-            rows for run, ts in batch for rows in [run.rows()] * len(ts)])
+        table += scorer.score([(ts, run.rows() if spectral else None) for run, ts in batch])
     return table
 
 

@@ -267,9 +267,9 @@ def max_step_info(joint: DiscreteJoint, call) -> float:
 def usable_evidence(joint: DiscreteJoint, n_calls=None) -> BudgetReport:
     """Chain-rule decomposition I_MAS(n) = sum_i I(Z_i; Y | X, Z_<i).
 
-    Also reports H(Y|X) and the parallel/sequential ceilings with each call
-    treated as its own type (I_b from isolation, I_b^max as the sup over
-    earlier-call histories).
+    Also reports H(Y|X) and the parallel/sequential ceilings of the
+    TypeProfile that makes each call its own type of count 1 (I_b from
+    isolation, I_b^max as the sup over earlier-call histories).
     """
     calls = call_names(joint)
     if not calls:
@@ -284,14 +284,15 @@ def usable_evidence(joint: DiscreteJoint, n_calls=None) -> BudgetReport:
         increments.append(
             conditional_mutual_information(joint, c, "Y", ("X",) + tuple(calls[:i]))
         )
-    i_b = [single_call_info(joint, c) for c in calls]
-    i_max = [max_step_info(joint, c) for c in calls]
+    profile = TypeProfile(calls, (1,) * len(calls),
+                          tuple(single_call_info(joint, c) for c in calls),
+                          tuple(max_step_info(joint, c) for c in calls))
     return BudgetReport(
         h_y_given_x=h,
         i_mas=float(sum(increments)),
         increments=tuple(increments),
-        ceiling_parallel=min(h, float(sum(i_b))),
-        ceiling_sequential=min(h, float(sum(i_max))),
+        ceiling_parallel=parallel_ceiling(profile, h),
+        ceiling_sequential=sequential_ceiling(profile, h),
     )
 
 

@@ -8,7 +8,8 @@ rows, keyed by the JSONL's stat stamp alone and written only when that stamp
 can be trusted (load_store_embeddings).  RunStore is the one owner of these
 files: `run` calls its begin(), append() for each task as it finishes,
 finish() and close(), and `analyze` its transcripts(), which reads no other
-file of the directory, such as a dataset kept there, and rows().
+file of the directory, such as a dataset kept there, and rows(), the one
+lookup that matches each call of a transcript to its row.
 """
 
 import collections
@@ -123,20 +124,23 @@ class RunStore:
         return os.path.exists(self._path(EMBEDDINGS))
 
     def rows(self):
-        """The (id -> row index, rows) pair of embeddings.jsonl, through
-        load_store_embeddings, or {} without one.  A repeated id prints one
+        """This store's rows_of(t) for analysis.TaskScorer.score: the rows of
+        embeddings.jsonl (load_store_embeddings) and the index in them of each
+        of `t`'s calls, by Transcript.embedding_ids(); KeyError for a call
+        without a row, so for all without the file.  A repeated id prints one
         warning and keeps its last row."""
         path = self._path(EMBEDDINGS)
-        if not os.path.exists(path):
-            return {}
-        ids, rows = load_store_embeddings(path)
-        index = dict(zip(ids, range(len(ids))))
-        if len(index) < len(ids):
-            # ids name no N, so every N of one output_dir writes the same ones
-            repeated = next(i for i, c in collections.Counter(ids).items() if c > 1)
-            print(f"warning: {path} repeats embedding id {repeated!r}; "
-                  "each repeated id keeps its last row", file=sys.stderr)
-        return index, rows
+        index, rows = {}, None
+        if os.path.exists(path):
+            ids, rows = load_store_embeddings(path)
+            index = dict(zip(ids, range(len(ids))))
+            if len(index) < len(ids):
+                # ids name no N, so every N of one output_dir writes the same ones
+                repeated = next(i for i, c in collections.Counter(ids).items() if c > 1)
+                print(f"warning: {path} repeats embedding id {repeated!r}; "
+                      "each repeated id keeps its last row", file=sys.stderr)
+        # a stored transcript has at least one call, so an empty index refuses each
+        return lambda t: (rows, [index[i] for i in t.embedding_ids()])
 
 
 def _vector_json(vector):
@@ -242,7 +246,10 @@ def load_store_embeddings(path):
         if cached is not None:
             return cached
         with _NewCache(cache) as new:
-            ids, vectors = spectral.load_embeddings_jsonl(src)
+            try:
+                ids, vectors = spectral.load_embeddings_jsonl(src)
+            except ValueError as exc:  # a bad row or an empty file, named by its store
+                raise ValueError(f"{path}: {exc}") from None
             if (_STAMPS and new.reference is not None and max(stamp[3:]) < new.reference
                     and stamp == _stamp(os.fstat(src.fileno()))):
                 new.write([_CACHE_FORMAT, stamp, vectors.shape[1], ids], vectors,

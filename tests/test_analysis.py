@@ -81,9 +81,18 @@ def embeddings_for(task_id, vectors):
     return {f"{task_id}:{i}": list(v) for i, v in enumerate(vectors)}
 
 
-def summarize(transcripts, embeddings=None, mode="per-question"):
-    """The run summaries as analyze scores them: TaskScorer.score, then summarize_table."""
-    return summarize_table(TaskScorer(mode).score(transcripts, embeddings), mode)
+def rows_of(mapping):
+    """A store's rows_of lookup for TaskScorer.score, from a mapping of
+    "<task_id>:<call_index>" ids to raw vectors."""
+    index = dict(zip(mapping, range(len(mapping))))
+    rows = np.array([*mapping.values()], dtype=float)
+    return lambda t: (rows, [index[i] for i in t.embedding_ids()])
+
+
+def summarize(stores, mode="per-question"):
+    """The run summaries of (transcripts, rows_of) pairs as analyze scores them:
+    TaskScorer.score, then summarize_table."""
+    return summarize_table(TaskScorer(mode).score(stores), mode)
 
 
 class TestSummarize:
@@ -92,7 +101,7 @@ class TestSummarize:
 
     def test_accuracy_only_without_embeddings(self):
         ts = [make_transcript("t1", ["A", "A"]), make_transcript("t2", ["B", "B"])]
-        (s,) = summarize(ts)
+        (s,) = summarize([(ts, None)])
         assert s.accuracy == 0.5
         assert s.k_star is None and s.mean_cosine is None
         assert s.task_count == 2
@@ -100,7 +109,7 @@ class TestSummarize:
     def test_orthogonal_all_correct(self):
         ts = [make_transcript("t1", ["A", "A"])]
         emb = embeddings_for("t1", np.eye(2))
-        (s,) = summarize(ts, emb)
+        (s,) = summarize([(ts, rows_of(emb))])
         assert s.accuracy == 1.0
         assert abs(s.k_star - 2.0) < 1e-6
         assert abs(s.k_star_c - 2.0) < 1e-6
@@ -111,7 +120,7 @@ class TestSummarize:
         rng = np.random.default_rng(0)
         vectors = rng.standard_normal((4, 6))
         ts = [make_transcript("t1", ["A", "A", "B", "B"])]
-        (s,) = summarize(ts, embeddings_for("t1", vectors))
+        (s,) = summarize([(ts, rows_of(embeddings_for("t1", vectors)))])
         oracle = k_star(EmbeddingSet(vectors)).k_star
         assert abs(s.k_star - oracle) < 1e-9
 
@@ -119,14 +128,14 @@ class TestSummarize:
         ts = [make_transcript("t1", ["A", "A"]), make_transcript("t2", ["A", "A"])]
         emb = {**embeddings_for("t1", np.eye(2)),
                **embeddings_for("t2", [[1.0, 0.0], [1.0, 0.0]])}
-        (s,) = summarize(ts, emb, mode="per-question")
+        (s,) = summarize([(ts, rows_of(emb))], mode="per-question")
         assert abs(s.k_star - 1.5) < 1e-6  # mean of 2.0 and 1.0
 
     def test_pooled_stacks_groups(self):
         ts = [make_transcript("t1", ["A", "A"]), make_transcript("t2", ["A", "A"])]
         emb = {**embeddings_for("t1", np.eye(2)),
                **embeddings_for("t2", np.eye(2))}
-        (s,) = summarize(ts, emb, mode="pooled")
+        (s,) = summarize([(ts, rows_of(emb))], mode="pooled")
         # four vectors spanning two orthogonal directions, each doubled
         oracle = k_star(EmbeddingSet(np.vstack([np.eye(2), np.eye(2)]))).k_star
         assert abs(s.k_star - oracle) < 1e-9
@@ -135,19 +144,19 @@ class TestSummarize:
     def test_invalid_transcripts_skipped(self):
         ts = [make_transcript("t1", ["A", "A"]),
               make_transcript("t2", [None, None], invalid=True)]
-        (s,) = summarize(ts)
+        (s,) = summarize([(ts, None)])
         assert s.task_count == 1
 
     def test_missing_embeddings_named(self):
         ts = [make_transcript("t1", ["A", "A"])]
         with pytest.raises(MissingEmbeddings) as exc:
-            summarize(ts, {"t1:0": [1.0, 0.0]})
+            summarize([(ts, rows_of({"t1:0": [1.0, 0.0]}))])
         assert exc.value.task_id == "t1"
 
     def test_groups_split_by_config(self):
         ts = [make_transcript("t1", ["A", "A"], layer="L1"),
               make_transcript("t1", ["A", "A"], layer="L2")]
-        assert len(summarize(ts)) == 2
+        assert len(summarize([(ts, None)])) == 2
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
@@ -160,30 +169,28 @@ class TestSummarize:
               make_transcript("t1", ["A", "A"], layer="L2")]
         lookups = [embeddings_for("t1", np.eye(2)),
                    embeddings_for("t1", [[1.0, 0.0], [1.0, 0.0]])]
-        s1, s2 = summarize(ts, lookups, mode=mode)
+        s1, s2 = summarize([([t], rows_of(m)) for t, m in zip(ts, lookups)], mode=mode)
         assert (s1.layer, s2.layer) == ("L1", "L2")
         assert abs(s1.k_star - 2.0) < 1e-6
         assert abs(s2.k_star - 1.0) < 1e-6
 
     def test_per_transcript_lookup_without_embeddings(self):
+        # beside a store with rows, a store without any: None, or a lookup of no rows
         ts = [make_transcript("t1", ["A", "A"], layer="L1"),
               make_transcript("t2", ["A", "A"], layer="L2")]
-        lookups = [{**embeddings_for("t1", np.eye(2)), **embeddings_for("t2", np.eye(2))}, {}]
-        with pytest.raises(MissingEmbeddings) as exc:
-            summarize(ts, lookups)
-        assert exc.value.task_id == "t2"
-
-    def test_per_transcript_lookups_must_align(self):
-        ts = [make_transcript("t1", ["A", "A"])]
-        with pytest.raises(ValueError):
-            summarize(ts, [embeddings_for("t1", np.eye(2))] * 2)
+        emb = {**embeddings_for("t1", np.eye(2)), **embeddings_for("t2", np.eye(2))}
+        for bare in (None, rows_of({})):
+            with pytest.raises(MissingEmbeddings) as exc:
+                summarize([(ts[:1], rows_of(emb)), (ts[1:], bare)])
+            assert exc.value.task_id == "t2"
 
 
 def one_path_group(rng):
     """One N=4 group of transcripts with raw rows of assorted norms.
 
-    Returns (transcripts, lookup, raw rows, correctness mask) per transcript;
-    the answers give mixed, all-correct, all-wrong and single-call tasks.
+    Returns (transcripts, id -> vector mapping, raw rows, correctness mask) per
+    transcript; the answers give mixed, all-correct, all-wrong and single-call
+    tasks.
     """
     answers = [["A", "B", "A", "C"], ["A", "A", "A"], ["B", "C", "B", "B"], ["A"],
                ["C", "A", "A", "B", "A"]]
@@ -210,7 +217,7 @@ class TestOnePath:
 
     def test_per_question_is_the_mean_of_each_transcripts_columns(self):
         ts, lookup, raws, masks = one_path_group(np.random.default_rng(31))
-        (s,) = summarize(ts, lookup, mode="per-question")
+        (s,) = summarize([(ts, rows_of(lookup))], mode="per-question")
         per_task = [columns_of(EmbeddingSet(r), m) for r, m in zip(raws, masks)]
         expected = [float(np.mean([v for v in col if v is not None]))
                     for col in zip(*per_task)]
@@ -220,7 +227,7 @@ class TestOnePath:
         # normalizing each transcript's rows and then the stack again moves
         # some of these columns in their last bits
         ts, lookup, raws, masks = one_path_group(np.random.default_rng(32))
-        (s,) = summarize(ts, lookup, mode="pooled")
+        (s,) = summarize([(ts, rows_of(lookup))], mode="pooled")
         expected = columns_of(EmbeddingSet(np.vstack(raws)), sum(masks, []))
         assert (s.k_star, s.k_star_c, s.k_star_w, s.mean_cosine) == expected
 
@@ -229,7 +236,7 @@ class TestOnePath:
         ts = [make_transcript("t1", ["A", "A"]), make_transcript("t2", ["A", "A"])]
         emb = {**embeddings_for("t1", np.eye(2)), **embeddings_for("t2", [[1.0, 0.0], [0.0, 0.0]])}
         with pytest.raises(ValueError, match=r"^embedding t2:1 has norm < 1e-12$"):
-            summarize(ts, emb, mode=mode)
+            summarize([(ts, rows_of(emb))], mode=mode)
 
     def expected(self, raws, masks, mode):
         """The columns of the EmbeddingSets of `raws`, as summarize reports them."""
@@ -239,41 +246,64 @@ class TestOnePath:
         return tuple(float(np.mean([v for v in col if v is not None])) for col in zip(*per_task))
 
     @staticmethod
-    def table(ts, raws, order):
-        """A store's (index, rows) pair holding every call row of `ts`, row j of
-        the stack of `raws` at position order[j]."""
-        ids = [i for t in ts for i in t.embedding_ids()]
+    def table(ts, raws, order, size=None):
+        """A store's rows_of holding every call row of `ts`: row j of the stack
+        of `raws` at position order[j] of an array of `size` rows (as many as
+        the stack by default), the others zero.  It gives each transcript's
+        positions without building an id."""
         stacked = np.vstack(raws)
-        rows = np.empty_like(stacked)
+        rows = np.zeros((size or len(stacked), stacked.shape[1]))
         rows[order] = stacked
-        return {i: int(k) for i, k in zip(ids, order)}, rows
+        ends = np.cumsum([len(r) for r in raws])
+        positions = {t.task_id: order[end - len(r):end] for t, r, end in zip(ts, raws, ends)}
+        return lambda t: (rows, positions[t.task_id])
 
     @pytest.mark.parametrize("mode", ["per-question", "pooled"])
     @pytest.mark.parametrize("layout", ["consecutive", "shuffled", "interleaved"])
     def test_store_table_of_any_row_order(self, mode, layout):
         ts, _, raws, masks = one_path_group(np.random.default_rng(33))
-        total = sum(map(len, raws))
+        total, size = sum(map(len, raws)), None
         if layout == "consecutive":
             order = np.arange(total)
-        elif layout == "shuffled":
-            order = np.random.default_rng(34).permutation(total)
+        elif layout == "shuffled":  # inside an array of five more rows
+            size = total + 5
+            order = np.random.default_rng(34).permutation(size)[:total]
         else:  # the calls of t0 and t1 alternate in the store
             order = np.arange(total)
             order[:8] = [0, 2, 4, 6, 1, 3, 5, 7]
-        (s,) = summarize(ts, self.table(ts, raws, order), mode=mode)
+        table = TaskScorer(mode).score([(ts, self.table(ts, raws, order, size))])
+        assert table == TaskScorer(mode).score([(ts, self.table(ts, raws, np.arange(total)))])
+        (s,) = summarize_table(table, mode)
+        assert (s.k_star, s.k_star_c, s.k_star_w, s.mean_cosine) == self.expected(raws, masks, mode)
+
+    @pytest.mark.parametrize("mode", ["per-question", "pooled"])
+    def test_scoring_builds_no_embedding_id(self, mode, monkeypatch):
+        # only the lookup matches calls to rows; analysis names a row by its
+        # id only in the error of a zero-norm row
+        ts, _, raws, masks = one_path_group(np.random.default_rng(40))
+        total = sum(map(len, raws))
+        lookup = self.table(ts, raws, np.random.default_rng(41).permutation(total + 3)[:total],
+                            total + 3)
+
+        def refuse(self):
+            raise AssertionError("analysis built an embedding id")
+
+        monkeypatch.setattr(Transcript, "embedding_ids", refuse)
+        (s,) = summarize([(ts, lookup)], mode=mode)
         assert (s.k_star, s.k_star_c, s.k_star_w, s.mean_cosine) == self.expected(raws, masks, mode)
 
     def test_pooled_group_across_two_stores(self):
         ts, _, raws, masks = one_path_group(np.random.default_rng(35))
         first = self.table(ts[:2], raws[:2], np.arange(sum(map(len, raws[:2])))[::-1])
         second = self.table(ts[2:], raws[2:], np.arange(sum(map(len, raws[2:]))))
-        lookups = [first] * 2 + [second] * 3
-        (s,) = summarize(ts, lookups, mode="pooled")
+        (s,) = summarize([(ts[:2], first), (ts[2:], second)], mode="pooled")
         assert (s.k_star, s.k_star_c, s.k_star_w, s.mean_cosine) == self.expected(raws, masks,
                                                                                   "pooled")
-        # the same group with the second store as a mapping of ids to vectors
-        mapping = {i: list(r) for i, r in zip(second[0], second[1])}
-        (m,) = summarize(ts, [first] * 2 + [mapping] * 3, mode="pooled")
+        # the same group with the second store's lookup made from ids and vectors
+        mapping = {}
+        for t, raw in zip(ts[2:], raws[2:]):
+            mapping.update(embeddings_for(t.task_id, raw))
+        (m,) = summarize([(ts[:2], first), (ts[2:], rows_of(mapping))], mode="pooled")
         assert m == s
 
     @pytest.mark.parametrize("mode", ["per-question", "pooled"])
@@ -281,21 +311,21 @@ class TestOnePath:
         ts, lookup, raws, masks = one_path_group(np.random.default_rng(36))
         raws[1][2] = [1e308, -1e308, 5e307, 0.0, 1.0, -1e200, 1e308]
         lookup.update(embeddings_for("t1", raws[1]))
-        (s,) = summarize(ts, lookup, mode=mode)
+        (s,) = summarize([(ts, rows_of(lookup))], mode=mode)
         assert (s.k_star, s.k_star_c, s.k_star_w, s.mean_cosine) == self.expected(raws, masks, mode)
 
     @pytest.mark.parametrize("mode", ["per-question", "pooled"])
     def test_zero_norm_row_no_unit_uses_is_no_error(self, mode):
         ts, lookup, raws, masks = one_path_group(np.random.default_rng(37))
         lookup["t9:0"] = [0.0] * 7
-        (s,) = summarize(ts, lookup, mode=mode)
+        (s,) = summarize([(ts, rows_of(lookup))], mode=mode)
         assert (s.k_star, s.k_star_c, s.k_star_w, s.mean_cosine) == self.expected(raws, masks, mode)
 
     def test_pooled_group_of_two_widths_is_refused(self):
         ts = [make_transcript("t1", ["A", "A"]), make_transcript("t1", ["A", "A"])]
         lookups = [embeddings_for("t1", np.eye(2)), embeddings_for("t1", np.eye(3)[:2])]
         with pytest.raises(ValueError, match=r"^embeddings of task t1 have width 3, not the 2 "):
-            summarize(ts, lookups, mode="pooled")
+            summarize([([t], rows_of(m)) for t, m in zip(ts, lookups)], mode="pooled")
 
 
 class TestTaskTable:
@@ -305,14 +335,14 @@ class TestTaskTable:
         ts, lookup, raws, masks = one_path_group(np.random.default_rng(38))
         ts.insert(2, make_transcript("t9", ["A", "A"], n=4, invalid=True))
         valid = [t for t in ts if not t.invalid]
-        rows = TaskScorer().score(ts, lookup)
+        rows = TaskScorer().score([(ts, rows_of(lookup))])
         assert [(r.config, r.task_id, r.correct, r.task_count) for r in rows] == [
             (("d1", "L1", "vote", 4), t.task_id, answer_matches(t.final_answer, "A"), 1)
             for t in valid]
         for r, raw, mask in zip(rows, raws, masks):
             assert (r.k_star, r.k_star_c, r.k_star_w, r.mean_cosine) == columns_of(
                 EmbeddingSet(raw), mask)
-        (pooled,) = TaskScorer("pooled").score(ts, lookup)
+        (pooled,) = TaskScorer("pooled").score([(ts, rows_of(lookup))])
         assert (pooled.task_id, pooled.correct, pooled.task_count) == (
             None, sum(r.correct for r in rows), len(valid))
         assert (pooled.k_star, pooled.k_star_c, pooled.k_star_w, pooled.mean_cosine) == (
@@ -321,12 +351,14 @@ class TestTaskTable:
     def test_without_embeddings_only_counts(self):
         ts = [make_transcript("t1", ["A", "B", "A"]), make_transcript("t2", ["B", "B"], n=3)]
         assert [(r.task_id, r.correct, r.task_count, r.k_star, r.mean_cosine)
-                for r in TaskScorer().score(ts)] == [("t1", 1, 1, None, None), ("t2", 0, 1, None, None)]
+                for r in TaskScorer().score([(ts, None)])] == [("t1", 1, 1, None, None),
+                                                               ("t2", 0, 1, None, None)]
 
     @pytest.mark.parametrize("mode", ["per-question", "pooled"])
     def test_tables_scored_store_by_store_summarize_as_all_at_once(self, mode):
         # two stores of one L1 group and one L2 group, with the larger units
-        # in the second store, so one scorer's buffer grows between them
+        # later, in each store and in the second: one scorer's buffer grows
+        # from unit to unit, and is larger than some units of the second store
         rng = np.random.default_rng(39)
         ts, lookups = [], []
         for layer, widths in (("L1", [2, 3]), ("L2", [4, 6])):
@@ -334,13 +366,18 @@ class TestTaskTable:
                 t = make_transcript(f"t{k}", ["A", "B"] * (calls // 2) + ["A"] * (calls % 2),
                                     layer=layer, n=6)
                 ts.append(t)
-                lookups.append(embeddings_for(t.task_id, rng.standard_normal((calls, 5))))
+                lookups.append(rows_of(embeddings_for(t.task_id, rng.standard_normal((calls, 5)))))
         stores = [[0, 2], [1, 3]] if mode == "per-question" else [[0, 1], [2, 3]]
         scorer = TaskScorer(mode)
         table = []
         for store in stores:
-            table += scorer.score([ts[i] for i in store], [lookups[i] for i in store])
-        assert summarize_table(table, mode) == summarize(ts, lookups, mode=mode)
+            # each transcript with its own lookup, as ids repeat across layers
+            pairs = [([ts[i]], lookups[i]) for i in store]
+            part = scorer.score(pairs)
+            assert part == TaskScorer(mode).score(pairs)
+            table += part
+        assert summarize_table(table, mode) == summarize(
+            [([t], lookup) for t, lookup in zip(ts, lookups)], mode=mode)
 
 
 class TestNumericGold:
@@ -366,7 +403,7 @@ class TestNumericGold:
         lookup = {}
         for t in ts:
             lookup.update(zip(t.embedding_ids(), embedder.embed([c["raw_output"] for c in t.calls])))
-        (s,) = summarize(ts, lookup)
+        (s,) = summarize([(ts, rows_of(lookup))])
         assert s.accuracy == 1.0
         # every call counts as correct, so no call lands on the wrong side
         assert s.k_star_c is not None and s.k_star_w is None
@@ -557,7 +594,7 @@ class TestAgentsToMatch:
 class TestBoundary:
     def make_summary(self, c, w, layer="L4"):
         ts = [make_transcript("t1", ["A", "A"], layer=layer)]
-        (s,) = summarize(ts)
+        (s,) = summarize([(ts, None)])
         return type(s)(
             dataset="d1", layer=layer, workflow="vote", n_agents=2,
             accuracy=1.0, k_star=1.5, k_star_c=c, k_star_w=w,

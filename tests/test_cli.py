@@ -1334,14 +1334,14 @@ class TestAnalyze:
             if cache == "warm":
                 m.setattr(spectral, "load_embeddings_jsonl", None)  # a hit decodes nothing
             assert main(argv) == 0
-        transcripts, lookups = [], []
+        stores = []
         for store in (s1, s2):
             ts = [t for f in sorted(store.glob("vote_*.jsonl")) for t in TranscriptStore(f)]
             ids, rows = spectral.load_embeddings_jsonl(store / "embeddings.jsonl")
-            transcripts += ts
-            lookups += [(dict(zip(ids, range(len(ids)))), rows)] * len(ts)
-        summaries = analysis.summarize_table(
-            analysis.TaskScorer(mode).score(transcripts, lookups), mode)
+            index = dict(zip(ids, range(len(ids))))
+            stores.append((ts, lambda t, index=index, rows=rows: (
+                rows, [index[i] for i in t.embedding_ids()])))
+        summaries = analysis.summarize_table(analysis.TaskScorer(mode).score(stores), mode)
         assert [(s.n_agents, s.task_count) for s in summaries] == [(2, 3), (4, 6), (8, 3)]
         files, _ = analysis.report_bundle(summaries, seed=5)
         assert {p.name: p.read_text() for p in out.iterdir()} == files
@@ -1371,6 +1371,41 @@ class TestAnalyze:
                             "--output", str(tmp_path / "out"), capsys=capsys)
         assert code == 2
         assert "no embeddings for task" in out.err
+
+    @pytest.mark.parametrize("fault, message", [
+        ("bad-row", "malformed embedding row at line 7: "),
+        ("empty", "embedding file is empty\n"),
+    ])
+    def test_embedding_decode_error_names_the_stores_file(self, tmp_path, capsys, fault,
+                                                          message):
+        s1 = self.run_store(tmp_path / "r1", layer="L1", n_agents_list=[2])
+        s2 = self.run_store(tmp_path / "r2", layer="L2", n_agents_list=[2])
+        emb = s2 / "embeddings.jsonl"
+        if fault == "bad-row":
+            with open(emb, "a") as fh:
+                fh.write('{"id": "t9:0", "vector": [1.0,\n')
+        else:
+            emb.write_text("")
+        code, out = run_cli("analyze", str(s1), "--merge", str(s2),
+                            "--output", str(tmp_path / "out"), capsys=capsys)
+        assert code == 2
+        assert out.err.startswith(f"error: {emb}: {message}")
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: every N of one output_dir writes "
+                       "the same embedding ids, so a smaller N is scored with the rows of the "
+                       "largest N")
+    def test_each_n_of_a_multi_n_store_reports_as_its_store_alone(self, tmp_path):
+        config = {"workflow": "debate", "layer": "L4", "rounds": 2, "seed": 7,
+                  "model_pool": ["m1", "m2"], "backend": {"kind": "mock", "dim": 16}}
+        both = self.run_store(tmp_path / "both", n_agents_list=[2, 4], **config)
+        alone = self.run_store(tmp_path / "alone", n_agents_list=[2], **config)
+
+        def n2_row(store):
+            assert main(["analyze", str(store)]) == 0
+            lines = (store / "reports" / "summaries.csv").read_text().splitlines()
+            return next(line for line in lines if line.split(",")[3] == "2")
+
+        assert n2_row(both) == n2_row(alone)
 
     @pytest.mark.parametrize("first", ["zero-norm", "no-embeddings"])
     def test_of_two_faulty_stores_the_first_given_names_the_error(self, tmp_path, capsys,

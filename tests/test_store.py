@@ -106,8 +106,8 @@ class TestResidentRows:
     @linux
     def test_scored_rows_are_let_go(self, store):
         run = RunStore(store)
-        lookup = run.rows()
-        table = TaskScorer().score(run.transcripts(), lookup)
+        lookup = run.rows()  # held, so the mapping outlives the scoring
+        table = TaskScorer().score([(run.transcripts(), lookup)])
         assert [r.task_id for r in table] == [f"t{i}" for i in range(6)]
         assert all(r.k_star is not None for r in table)
         assert mapped_rss_kb(store / "embeddings.cache") == 0
