@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from masinfo.harness import BackendError, extract_answer, majority_answer
+from masinfo.harness import BackendError, extract_answer, is_count, majority_answer
 
 
 class TransientBackendError(BackendError):
@@ -79,11 +79,6 @@ class MockChatBackend:
         return f"I think the answer is ({letter})."
 
 
-def _is_count(value):
-    # bool is an int subclass; `true` is no count
-    return not isinstance(value, bool) and isinstance(value, int) and value >= 1
-
-
 class MockEmbeddingBackend:
     """Deterministic unit-vector embeddings hashed from the text; `deterministic`
     (in-process and reproducible) as MockChatBackend is.
@@ -96,9 +91,9 @@ class MockEmbeddingBackend:
     deterministic = True
 
     def __init__(self, dim=8, seed=0, max_batch=None):
-        if not _is_count(dim):
+        if not is_count(dim):
             raise ValueError(f"backend dim must be an integer >= 1, got {dim!r}")
-        if max_batch is not None and not _is_count(max_batch):
+        if max_batch is not None and not is_count(max_batch):
             raise ValueError(f"backend max_batch must be None or an integer >= 1, "
                              f"got {max_batch!r}")
         self.dim = dim

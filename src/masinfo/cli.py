@@ -133,8 +133,7 @@ def cmd_fit_alpha(args):
 
 
 def _check_count(value, name):
-    # bool is an int subclass; `true` is no count
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if not harness.is_count(value):
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
@@ -143,6 +142,10 @@ def _check_names(value, name):
     if not isinstance(value, list) or not value or not all(
             isinstance(v, str) and v for v in value):
         raise ValueError(f"{name} must be a nonempty list of nonempty strings, got {value!r}")
+    # a name given twice is one type twice: ["m1", "m1"] would pass as an L3 pool
+    for i, v in enumerate(value):
+        if v in value[:i]:
+            raise ValueError(f"{name} repeats {v!r}")
 
 
 def _load_config(path):

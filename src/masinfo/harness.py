@@ -1,16 +1,17 @@
 """Vote and Debate workflow execution over configurable agent pools.
 
-Agents are described by (model, persona, decoding) configuration types and
-assembled into pools by diversity layer:
+An agent's type is its (model, persona, decoding).  Each diversity layer
+names the axes its pool varies (LAYER_AXES):
 
   L1  single model, default prompt (homogeneous baseline)
   L2  single model, distinct personas
   L3  models round-robin, default prompt
   L4  models and personas both varied
 
-A DiversityPlan builds the agents of each N once, each with its type label,
-system messages, model and decoding, and shares them with every transcript
-of that N; each round sends every agent one user message.
+DiversityPlan.agents(N) walks the layer's axes once per N, building each
+agent's type label, system messages, model and decoding, and shares the
+agents with every transcript of that N; each round sends every agent one
+user message.
 
 Transcripts persist as append-only JSONL; masinfo.store lays out a run's
 files, and masinfo.backends makes the chat and embedding backends.
@@ -33,7 +34,10 @@ from masinfo.spectral import ZERO_NORM_TOL, is_finite_number_list
 SCHEMA_VERSION = 1
 FIXED_TIMESTAMP = "1970-01-01T00:00:00Z"
 
-LAYERS = ("L1", "L2", "L3", "L4")
+# The axes each diversity layer varies, (models, personas): DiversityPlan
+# walks both, and an axis a layer does not vary holds one entry.
+LAYER_AXES = {"L1": (False, False), "L2": (False, True), "L3": (True, False), "L4": (True, True)}
+LAYERS = tuple(LAYER_AXES)
 
 DEFAULT_PERSONAS = {
     "mathematician": "You are an expert mathematician who reasons with rigorous algebra.",
@@ -60,6 +64,11 @@ class InsufficientPool(ValueError):
     pass
 
 
+def is_count(value):
+    """Whether `value` is an integer >= 1; bool is an int subclass, and `true` is no count."""
+    return not isinstance(value, bool) and isinstance(value, int) and value >= 1
+
+
 @dataclass(frozen=True)
 class Decoding:
     temperature: float = 0.7
@@ -71,64 +80,6 @@ class Decoding:
             raise ValueError("temperature must be >= 0")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError("top_p must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class AgentConfig:
-    model_id: str
-    persona_id: str = None
-    decoding: Decoding = field(default_factory=Decoding)
-
-    @property
-    def type_label(self):
-        # the label is a pure function of (model, persona, decoding), so
-        # equal tuples share a type
-        d = self.decoding
-        return (
-            f"{self.model_id}|{self.persona_id or 'default'}"
-            f"|t{d.temperature}|p{d.top_p}|m{d.max_tokens}"
-        )
-
-
-def build_layer_pool(layer, models, personas, n_agents):
-    """Assemble n agent configs for a diversity layer.
-
-    L1 repeats one config; L2 cycles personas over one model; L3 cycles
-    models with the default prompt; L4 cycles models and personas jointly,
-    stepping both so consecutive agents differ in both axes when the pools
-    allow it.
-    """
-    if layer not in LAYERS:
-        raise ValueError(f"unknown layer {layer!r}; expected one of {LAYERS}")
-    if n_agents < 1:
-        raise ValueError("n_agents must be >= 1")
-    if not models:
-        raise InsufficientPool("model pool is empty")
-    decoding = Decoding()
-
-    if layer == "L1":
-        return [AgentConfig(models[0], None, decoding) for _ in range(n_agents)]
-    if layer == "L2":
-        if len(personas) < 2:
-            raise InsufficientPool("L2 needs at least 2 personas")
-        return [AgentConfig(models[0], personas[i % len(personas)], decoding) for i in range(n_agents)]
-    if layer == "L3":
-        if len(models) < 2:
-            raise InsufficientPool("L3 needs at least 2 models")
-        return [AgentConfig(models[i % len(models)], None, decoding) for i in range(n_agents)]
-    # L4: advance both pools each step.  Stepping model and persona indices
-    # together walks lcm(M, P) distinct pairs; shifting the persona index by
-    # one per completed walk visits every (model, persona) pair before any
-    # repeats, so the first M*P agents are all distinct.
-    if len(models) < 2 or len(personas) < 2:
-        raise InsufficientPool("L4 needs at least 2 models and 2 personas")
-    cycle = math.lcm(len(models), len(personas))
-    pool = []
-    for i in range(n_agents):
-        m = models[i % len(models)]
-        p = personas[(i + i // cycle) % len(personas)]
-        pool.append(AgentConfig(m, p, decoding))
-    return pool
 
 
 # One agent of a pool as its calls need it: its type label, the system
@@ -146,27 +97,45 @@ class DiversityPlan:
     _agents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def agents(self, n_agents):
-        """The Agent entries of build_layer_pool's n configs, built on the first
-        call for n and shared by every later one.  InsufficientPool names a
+        """The first n agents of the layer's walk, built on the first call for
+        n and shared by every later one.  Agent i takes models[i % M] and
+        personas[(i + i // lcm(M, P)) % P], an axis the layer does not vary
+        being the first model or the default prompt alone; the shift, taken
+        only when both axes vary, makes the first M*P agents distinct pairs.
+        So agents(k) is agents(n)[:k] for k <= n.  InsufficientPool names a
         pool too small for the layer or a persona missing from the catalog."""
         pool = self._agents.get(n_agents)
-        if pool is None:
-            pool = []
-            for cfg in build_layer_pool(self.layer, list(self.model_pool),
-                                        list(self.persona_pool), n_agents):
-                persona = self.persona_text(cfg.persona_id)
-                system = ({"role": "system", "content": persona},) if persona else ()
-                pool.append(Agent(cfg.type_label, system, cfg.model_id, cfg.decoding))
-            pool = self._agents[n_agents] = tuple(pool)
+        if pool is not None:
+            return pool
+        if self.layer not in LAYER_AXES:
+            raise ValueError(f"unknown layer {self.layer!r}; expected one of {LAYERS}")
+        if not is_count(n_agents):
+            raise ValueError("n_agents must be >= 1")
+        if not self.model_pool:
+            raise InsufficientPool("model pool is empty")
+        varies = LAYER_AXES[self.layer]
+        models = self.model_pool if varies[0] else self.model_pool[:1]
+        personas = self.persona_pool if varies[1] else (None,)
+        if any(v and len(axis) < 2 for v, axis in zip(varies, (models, personas))):
+            need = " and ".join(f"2 {a}" for v, a in zip(varies, ("models", "personas")) if v)
+            raise InsufficientPool(f"{self.layer} needs at least {need}")
+        # a walk as long as the pool shifts no agent, as a layer that varies one axis needs
+        walk = math.lcm(len(models), len(personas)) if all(varies) else n_agents
+        d = Decoding()
+        pool = []
+        for i in range(n_agents):
+            model, persona = models[i % len(models)], personas[(i + i // walk) % len(personas)]
+            if persona is not None and persona not in self.persona_catalog:
+                raise InsufficientPool(f"persona {persona!r} missing from catalog")
+            text = self.persona_catalog.get(persona)
+            # the label is a pure function of (model, persona, decoding), so
+            # equal tuples share a type
+            label = (f"{model}|{persona or 'default'}"
+                     f"|t{d.temperature}|p{d.top_p}|m{d.max_tokens}")
+            pool.append(Agent(label, ({"role": "system", "content": text},) if text else (),
+                              model, d))
+        pool = self._agents[n_agents] = tuple(pool)
         return pool
-
-    def persona_text(self, persona_id):
-        if persona_id is None:
-            return None
-        try:
-            return self.persona_catalog[persona_id]
-        except KeyError as exc:
-            raise InsufficientPool(f"persona {persona_id!r} missing from catalog") from exc
 
 
 @dataclass(frozen=True)

@@ -194,8 +194,12 @@ def is_finite_number_list(v):
         return False
 
 
-def load_embeddings_jsonl(path):
+def load_embeddings_jsonl(path, keys=False):
     """Read one {"id": str, "vector": [...]} object per line; returns (ids, raw rows).
+
+    A row may also name the agent count "n" of its transcript, an integer.
+    With `keys`, such a row's id is returned as its key (n, id); without,
+    the field is not read.
 
     Each vector must pass is_finite_number_list: `null`, `NaN`, `Infinity`,
     a literal that overflows a double (`1e400`), a boolean, a string or a
@@ -214,10 +218,15 @@ def load_embeddings_jsonl(path):
                 continue
             try:
                 obj = orjson.loads(line)
-                ids.append(str(obj["id"]))
-                vec = obj["vector"]
+                row_id, vec = str(obj["id"]), obj["vector"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed embedding row at line {lineno}: {exc}") from exc
+            if keys and "n" in obj:
+                if type(obj["n"]) is not int:
+                    raise ValueError(f"malformed embedding row at line {lineno}: "
+                                     "n must be an integer")
+                row_id = (obj["n"], row_id)
+            ids.append(row_id)
             if not is_finite_number_list(vec):
                 raise ValueError(f"malformed embedding row at line {lineno}: "
                                  "vector must be a flat list of finite numbers")

@@ -1,8 +1,9 @@
 """A run directory: the files `masinfo run` writes and `masinfo analyze` reads.
 
 `<workflow>_<layer>_N<n>.jsonl` holds the transcripts of one agent count
-(harness.TranscriptStore), `embeddings.jsonl` one {"id", "vector"} row per
-call, named by Transcript.embedding_ids(), and `manifest.json` the config
+(harness.TranscriptStore), `embeddings.jsonl` one {"id", "n", "vector"} row
+per call, named by Transcript.embedding_ids() and the transcript's agent
+count, and `manifest.json` the config
 hash and the run's status; `embeddings.cache` is analyze's binary copy of the
 rows, keyed by the JSONL's stat stamp alone and written only when that stamp
 can be trusted (load_store_embeddings).  RunStore is the one owner of these
@@ -102,7 +103,8 @@ class RunStore:
         if vectors:
             if self._rows is None:
                 self._rows = open(self._path(EMBEDDINGS), "ab")
-            self._rows.writelines(embedding_rows(transcript.embedding_ids(), vectors))
+            self._rows.writelines(embedding_rows(transcript.embedding_ids(), vectors,
+                                                 transcript.n_agents))
             self._rows.flush()
         self._stores[spec].append(transcript)
 
@@ -126,21 +128,33 @@ class RunStore:
     def rows(self):
         """This store's rows_of(t) for analysis.TaskScorer.score: the rows of
         embeddings.jsonl (load_store_embeddings) and the index in them of each
-        of `t`'s calls, by Transcript.embedding_ids(); KeyError for a call
-        without a row, so for all without the file.  A repeated id prints one
-        warning and keeps its last row."""
+        of `t`'s calls, by their keys (t.n_agents, id) for the ids of
+        Transcript.embedding_ids(), so each N of the store reads its own rows.
+        A transcript without such rows, as in stores written before rows
+        named their N, is looked up by its ids alone.  KeyError for a call
+        without a row, so for all without the file.  A repeated key prints
+        one warning and keeps its last row."""
         path = self._path(EMBEDDINGS)
         index, rows = {}, None
         if os.path.exists(path):
-            ids, rows = load_store_embeddings(path)
-            index = dict(zip(ids, range(len(ids))))
-            if len(index) < len(ids):
-                # ids name no N, so every N of one output_dir writes the same ones
-                repeated = next(i for i, c in collections.Counter(ids).items() if c > 1)
+            keys, rows = load_store_embeddings(path)
+            index = dict(zip(keys, range(len(keys))))
+            if len(index) < len(keys):
+                # ids without an N repeat across the N of one output_dir, and any
+                # key after a crashed task's rerun
+                repeated = next(k for k, c in collections.Counter(keys).items() if c > 1)
                 print(f"warning: {path} repeats embedding id {repeated!r}; "
                       "each repeated id keeps its last row", file=sys.stderr)
-        # a stored transcript has at least one call, so an empty index refuses each
-        return lambda t: (rows, [index[i] for i in t.embedding_ids()])
+
+        def rows_of(t):
+            # a stored transcript has at least one call, so an empty index refuses each
+            ids = t.embedding_ids()
+            try:
+                return rows, [index[t.n_agents, i] for i in ids]
+            except KeyError:  # rows that name no N
+                return rows, [index[i] for i in ids]
+
+        return rows_of
 
 
 def _vector_json(vector):
@@ -181,9 +195,10 @@ def _vector_json(vector):
     return raw.replace(b",", b", ")
 
 
-def embedding_rows(row_ids, vectors):
-    """Yield `json.dumps({"id": row_id, "vector": vector}).encode() + b"\\n"`
-    for each pair of a string id and its vector, byte for byte.
+def embedding_rows(row_ids, vectors, n):
+    """Yield `json.dumps({"id": row_id, "n": n, "vector": vector}).encode() + b"\\n"`
+    for each pair of a string id and its vector, byte for byte; `n` is the
+    integer agent count of the rows' transcript.
 
     The rows are made one at a time, so a caller that writes each as it comes
     holds one row, not the whole list of them.  A vector object that repeats
@@ -196,14 +211,15 @@ def embedding_rows(row_ids, vectors):
         hit = encoded.get(id(v))
         if hit is None:
             hit = encoded[id(v)] = (v, _vector_json(v))
-        yield b'{"id": %s, "vector": %s}\n' % (quote(row_id).encode(), hit[1])
+        yield b'{"id": %s, "n": %d, "vector": %s}\n' % (quote(row_id).encode(), n, hit[1])
 
 
 # Names the cache layout and the decoder that filled it.  Bump it whenever
 # the layout changes or load_embeddings_jsonl accepts, rejects or returns
 # anything differently, so that caches an older version wrote are read as
-# misses.  Format 6 keys the rows by the JSONL's stat stamp alone.
-_CACHE_FORMAT = 6
+# misses.  Format 6 keys the rows by the JSONL's stat stamp alone; format 7
+# holds each row's key, (n, id) for a row that names its N and its id otherwise.
+_CACHE_FORMAT = 7
 _READ_CHUNK = 1 << 18
 # A stat stamp proves a file unchanged only where ctime is the inode's change
 # time, which no user-space call can set; on Windows it is the creation time.
@@ -216,9 +232,10 @@ def _stamp(st):
 
 
 def load_store_embeddings(path):
-    """load_embeddings_jsonl(path), through a binary copy of its rows beside it.
+    """load_embeddings_jsonl(path, keys=True), through a binary copy of its
+    rows beside it.
 
-    `<name>.cache` holds one JSON line `[format, stamp, width, ids]`, padded
+    `<name>.cache` holds one JSON line `[format, stamp, width, keys]`, padded
     with spaces to a multiple of 8 bytes, then the rows as raw little-endian
     float64: _CACHE_FORMAT and the _stamp of the JSONL the rows were decoded
     from.  A cache whose stamp equals the JSONL's stat now is a hit.
@@ -247,33 +264,35 @@ def load_store_embeddings(path):
             return cached
         with _NewCache(cache) as new:
             try:
-                ids, vectors = spectral.load_embeddings_jsonl(src)
+                keys, vectors = spectral.load_embeddings_jsonl(src, keys=True)
             except ValueError as exc:  # a bad row or an empty file, named by its store
                 raise ValueError(f"{path}: {exc}") from None
             if (_STAMPS and new.reference is not None and max(stamp[3:]) < new.reference
                     and stamp == _stamp(os.fstat(src.fileno()))):
-                new.write([_CACHE_FORMAT, stamp, vectors.shape[1], ids], vectors,
+                new.write([_CACHE_FORMAT, stamp, vectors.shape[1], keys], vectors,
                           stat.S_IMODE(st.st_mode))
-    return ids, vectors
+    return keys, vectors
 
 
 def _read_cache(cache, stamp):
-    """(ids, rows) of `cache`, or None unless it is of the current format, was
-    decoded from the JSONL of stat stamp `stamp` and holds exactly len(ids) *
-    width finite floats; the rows are the file's pages, mapped read-only and
-    not yet read through the mapping."""
+    """(keys, rows) of `cache`, or None unless it is of the current format,
+    was decoded from the JSONL of stat stamp `stamp` and holds exactly
+    len(keys) * width finite floats; the rows are the file's pages, mapped
+    read-only and not yet read through the mapping.  JSON holds a key (n, id)
+    as a list, which is made a tuple again."""
     try:
         with open(cache, "rb") as fh:
-            fmt, cached_stamp, width, ids = json.loads(fh.readline())
+            fmt, cached_stamp, width, keys = json.loads(fh.readline())
             offset = fh.tell()
-            if (fmt == _CACHE_FORMAT and cached_stamp == stamp and isinstance(ids, list)
+            if (fmt == _CACHE_FORMAT and cached_stamp == stamp and isinstance(keys, list)
                     and type(width) is int):
                 rows = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-                # exactly len(ids) * width floats, and nothing after them
-                count = len(ids) * width
+                # exactly len(keys) * width floats, and nothing after them
+                count = len(keys) * width
                 if len(rows) - offset == count * 8 and _all_finite(fh, count):
                     vectors = np.frombuffer(rows, "<f8", count, offset)
-                    return ids, vectors.reshape(len(ids), width)
+                    keys = [tuple(k) if type(k) is list else k for k in keys]
+                    return keys, vectors.reshape(len(keys), width)
     except (OSError, ValueError, TypeError):  # a missing, torn or foreign cache
         pass
     return None

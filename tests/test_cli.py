@@ -1,7 +1,9 @@
+import collections
 import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -672,25 +674,26 @@ class TestRun:
         code, out = run_cli("run", str(cfg_path), capsys=capsys)
         assert code == 3
 
-    # sha256 of each file a parent-commit `run` wrote on these configs; any
-    # change to the transcript or vector bytes shows here
+    # sha256 of each file `run` writes on these configs; any change to the
+    # transcript or vector bytes shows here.  The transcript files' digests
+    # predate the "n" field of embedding rows, embeddings.jsonl's include it
     GOLDEN = {
         "vote": {
-            "embeddings.jsonl": "597b7f7780af2d749d8fba346f62aacdf50a2be10720e906bd875974d40d03d6",
+            "embeddings.jsonl": "0aa7609b9ee727da1ec3d9e14db692d9ebf608695858a6fde602adbd75d2fe0d",
             "vote_L4_N2.jsonl": "e7999e53f16f15e6a2c7e851b99c6faa18e5a7a64711b9a2e5a4b86335ff0411",
             "vote_L4_N4.jsonl": "2b0413d0a801724911c1904bc12704c8343a5a4c5daced5ac9ff423dd8353dfc",
             "vote_L4_N8.jsonl": "b3e8b5a39ac34247bed3068d13b0ef50e304e98b578b88dfcf879a26bc079dde",
         },
         "debate": {
-            "embeddings.jsonl": "421368d9a21aa4de948fc76154d64db4642eba95dd2ad6a9b3d1346f4973c916",
+            "embeddings.jsonl": "f4cfeb491a3e8bd5db0f667d5d5a82bb855aab1d7955a1c13b34dd3affb0becf",
             "debate_L4_N2.jsonl": "b16aa45f56ddc5912cc15a637c2989e5d5a708847fb5530cde230e7b00600847",
             "debate_L4_N4.jsonl": "d91c5b789a71a3db3208fd510861aea7a8cd053d0e7d021c88d05c57bcaeeaa6",
             "debate_L4_N8.jsonl": "e09435903246f729837fdf53c0681a92fc26bfaa7cc0f8a19c92249aff822f0a",
         },
     }
 
-    @pytest.mark.parametrize("workflow", ["vote", "debate"])
-    def test_mock_store_bytes_pinned(self, tmp_path, workflow):
+    @staticmethod
+    def run_pinned(tmp_path, workflow):
         # dim 256 puts about 100 components below 1e-4 in the debate rows,
         # which json.dumps prints as 1e-05-style exponents
         cfg_path, _ = base_config(
@@ -698,9 +701,31 @@ class TestRun:
             n_agents_list=[2, 4, 8], backend={"kind": "mock", "dim": 256}, concurrency_limit=2,
             **({"rounds": 2} if workflow == "debate" else {}))
         assert main(["run", str(cfg_path)]) == 0
+        return tmp_path / "store"
+
+    @pytest.mark.parametrize("workflow", ["vote", "debate"])
+    def test_mock_store_bytes_pinned(self, tmp_path, workflow):
         digests = {name: hashlib.sha256(data).hexdigest()
-                   for name, data in store_bytes(tmp_path / "store").items()}
+                   for name, data in store_bytes(self.run_pinned(tmp_path, workflow)).items()}
         assert digests == self.GOLDEN[workflow]
+
+    # sha256 of each config's embeddings.jsonl at the commit before rows named
+    # their N: with the "n" field taken out, the rows are those bytes exactly
+    ROWS_WITHOUT_N = {
+        "vote": "597b7f7780af2d749d8fba346f62aacdf50a2be10720e906bd875974d40d03d6",
+        "debate": "421368d9a21aa4de948fc76154d64db4642eba95dd2ad6a9b3d1346f4973c916",
+    }
+
+    @pytest.mark.parametrize("workflow", ["vote", "debate"])
+    def test_rows_are_the_older_rows_with_their_n(self, tmp_path, workflow):
+        data = (self.run_pinned(tmp_path, workflow) / "embeddings.jsonl").read_bytes()
+        row = re.compile(rb'^(\{"id": "[^"]*"), "n": ([0-9]+)(, "vector": )', re.MULTILINE)
+        rounds = 2 if workflow == "debate" else 1
+        # 5 tasks of N * rounds calls each
+        assert collections.Counter(m[2] for m in row.finditer(data)) == {
+            str(n).encode(): 5 * n * rounds for n in (2, 4, 8)}
+        older = row.sub(rb"\1\3", data)
+        assert hashlib.sha256(older).hexdigest() == self.ROWS_WITHOUT_N[workflow]
 
     def test_task_rows_streamed_not_held(self, tmp_path):
         # one debate task of 16 agents and 4 rounds: 64 rows of 4096 numbers,
@@ -852,6 +877,23 @@ class TestConfigValidation:
         code, out = run_cli("run", str(cfg_path), capsys=capsys)
         assert code == 2
         assert "must be a nonempty list of nonempty strings" in out.err
+        assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"layer": "L3", "model_pool": ["m1", "m1"]}, "model_pool repeats 'm1'"),
+        ({"layer": "L4", "model_pool": ["m1", "m2", "m1"], "persona_pool": ["skeptic", "logician"]},
+         "model_pool repeats 'm1'"),
+        ({"layer": "L4", "model_pool": ["m1", "m2"], "persona_pool": ["skeptic", "skeptic"]},
+         "persona_pool repeats 'skeptic'"),
+    ], ids=["l3-one-model-twice", "l4-model-twice", "l4-persona-twice"])
+    def test_repeated_pool_name_exits_2_before_output_dir(self, tmp_path, capsys, overrides,
+                                                          message):
+        # a name given twice is one agent type: ["m1", "m1"] would run a
+        # homogeneous pool and file it as L3
+        cfg_path, _ = base_config(tmp_path, n_agents_list=[2], **overrides)
+        code, out = run_cli("run", str(cfg_path), capsys=capsys)
+        assert code == 2
+        assert out.err == f"error: {message}\n"
         assert not (tmp_path / "store").exists()
 
     @pytest.mark.parametrize("tasks, backend, message", [
@@ -1391,9 +1433,6 @@ class TestAnalyze:
         assert code == 2
         assert out.err.startswith(f"error: {emb}: {message}")
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: every N of one output_dir writes "
-                       "the same embedding ids, so a smaller N is scored with the rows of the "
-                       "largest N")
     def test_each_n_of_a_multi_n_store_reports_as_its_store_alone(self, tmp_path):
         config = {"workflow": "debate", "layer": "L4", "rounds": 2, "seed": 7,
                   "model_pool": ["m1", "m2"], "backend": {"kind": "mock", "dim": 16}}
@@ -1499,8 +1538,16 @@ class TestAnalyze:
         # N=2 and N=4 of one output_dir write the same ids t0:0, t0:1, ...
         two_n = self.run_store(tmp_path / "two", n_agents_list=[2, 4])
         one_n = self.run_store(tmp_path / "one", n_agents_list=[4])
-        code, out = run_cli("analyze", str(two_n), "--merge", str(one_n),
-                            "--output", str(tmp_path / "out"), capsys=capsys)
+        argv = ["analyze", str(two_n), "--merge", str(one_n), "--output", str(tmp_path / "out")]
+        code, out = run_cli(*argv, capsys=capsys)
+        assert code == 0
+        assert "warning:" not in out.err  # each row names its N
+        # rows as stores written before they named their N hold them
+        for store in (two_n, one_n):
+            rows = [json.loads(l) for l in (store / "embeddings.jsonl").read_text().splitlines()]
+            write_jsonl(store / "embeddings.jsonl", [
+                {"id": r["id"], "vector": r["vector"]} for r in rows])
+        code, out = run_cli(*argv, capsys=capsys)
         assert code == 0
         warnings = [l for l in out.err.splitlines() if l.startswith("warning:")]
         assert warnings == [f"warning: {two_n / 'embeddings.jsonl'} repeats embedding id "

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import email.utils
 import hashlib
+import itertools
 import json
 import re
 import sys
@@ -27,7 +28,7 @@ from masinfo.backends import (
 from masinfo.cli import main
 from masinfo.harness import (
     DEFAULT_PERSONAS,
-    AgentConfig,
+    LAYERS,
     BackendError,
     Decoding,
     DimensionMismatch,
@@ -37,7 +38,6 @@ from masinfo.harness import (
     TranscriptStore,
     WorkflowSpec,
     answer_matches,
-    build_layer_pool,
     extract_answer,
     fetch_embeddings,
     load_tasks_jsonl,
@@ -82,13 +82,19 @@ def make_plan(layer="L1", models=("m1",), personas=()):
     return DiversityPlan(layer=layer, model_pool=tuple(models), persona_pool=tuple(personas))
 
 
-class TestAgentConfig:
+def persona_of(agent):
+    return agent.label.split("|")[1]
+
+
+MATH, LOGIC, ENG = "mathematician", "logician", "engineer"
+
+
+class TestAgentType:
     def test_type_label_equality(self):
-        a = AgentConfig("m1", "p1", Decoding(0.7, 0.95, 1024))
-        b = AgentConfig("m1", "p1", Decoding(0.7, 0.95, 1024))
-        c = AgentConfig("m1", "p2", Decoding(0.7, 0.95, 1024))
-        assert a.type_label == b.type_label
-        assert a.type_label != c.type_label
+        # agents 0 and 2 share (model, persona, decoding), agent 1 has another persona
+        a, c, b = make_plan("L2", ["m1"], [MATH, LOGIC]).agents(3)
+        assert a.label == b.label == make_plan("L2", ["m1"], [MATH, ENG]).agents(1)[0].label
+        assert a.label != c.label
 
     def test_decoding_validation(self):
         with pytest.raises(ValueError):
@@ -99,65 +105,97 @@ class TestAgentConfig:
 
 class TestLayerPools:
     def test_l1_identical(self):
-        pool = build_layer_pool("L1", ["m1"], [], 4)
+        pool = make_plan("L1", ["m1"]).agents(4)
         assert len(pool) == 4
-        assert len({c.type_label for c in pool}) == 1
+        assert len({a.label for a in pool}) == 1
 
     def test_l2_personas_cycle(self):
-        pool = build_layer_pool("L2", ["m1"], ["p1", "p2", "p3"], 4)
-        assert [c.persona_id for c in pool] == ["p1", "p2", "p3", "p1"]
-        assert {c.model_id for c in pool} == {"m1"}
+        pool = make_plan("L2", ["m1"], [MATH, LOGIC, ENG]).agents(4)
+        assert [persona_of(a) for a in pool] == [MATH, LOGIC, ENG, MATH]
+        assert {a.model for a in pool} == {"m1"}
 
     def test_l3_models_round_robin(self):
-        pool = build_layer_pool("L3", ["m1", "m2", "m3"], [], 4)
-        assert [c.model_id for c in pool] == ["m1", "m2", "m3", "m1"]
-        assert all(c.persona_id is None for c in pool)
+        pool = make_plan("L3", ["m1", "m2", "m3"], [MATH, LOGIC]).agents(4)
+        assert [a.model for a in pool] == ["m1", "m2", "m3", "m1"]
+        assert all(persona_of(a) == "default" and a.system == () for a in pool)
 
     def test_l4_distinct_pairs_first(self):
-        pool = build_layer_pool("L4", ["m1", "m2", "m3"], ["p1", "p2", "p3"], 2)
-        assert pool[0].model_id != pool[1].model_id
-        assert pool[0].persona_id != pool[1].persona_id
+        pool = make_plan("L4", ["m1", "m2", "m3"], [MATH, LOGIC, ENG]).agents(2)
+        assert pool[0].model != pool[1].model
+        assert persona_of(pool[0]) != persona_of(pool[1])
 
     def test_l4_covers_full_product_before_repeating(self):
         for n_models, n_personas in ((2, 2), (2, 3), (3, 3), (3, 4)):
             models = [f"m{i}" for i in range(n_models)]
-            personas = [f"p{i}" for i in range(n_personas)]
-            pool = build_layer_pool("L4", models, personas, n_models * n_personas)
-            pairs = {(c.model_id, c.persona_id) for c in pool}
+            personas = list(DEFAULT_PERSONAS)[:n_personas]
+            pool = make_plan("L4", models, personas).agents(n_models * n_personas)
+            pairs = {(a.model, persona_of(a)) for a in pool}
             assert len(pairs) == n_models * n_personas
 
     def test_insufficient_pools(self):
-        with pytest.raises(InsufficientPool):
-            build_layer_pool("L2", ["m1"], ["only"], 4)
-        with pytest.raises(InsufficientPool):
-            build_layer_pool("L3", ["m1"], [], 4)
-        with pytest.raises(InsufficientPool):
-            build_layer_pool("L4", ["m1", "m2"], ["p1"], 4)
+        for layer, models, personas, message in (
+                ("L2", ["m1"], [MATH], "L2 needs at least 2 personas"),
+                ("L3", ["m1"], [], "L3 needs at least 2 models"),
+                ("L4", ["m1", "m2"], [MATH], "L4 needs at least 2 models and 2 personas"),
+                ("L1", [], [], "model pool is empty"),
+                ("L2", ["m1"], [MATH, "nobody"], "persona 'nobody' missing from catalog")):
+            with pytest.raises(InsufficientPool, match=f"^{message}$"):
+                make_plan(layer, models, personas).agents(4)
+        # a persona past the pool's first N agents is never looked up
+        assert make_plan("L2", ["m1"], [MATH, "nobody"]).agents(1)
+        for n in (0, -1, True):
+            with pytest.raises(ValueError, match="^n_agents must be >= 1$"):
+                make_plan().agents(n)
 
     def test_distinct_labels_nondecreasing_l1_to_l4(self):
         models = ["m1", "m2", "m3"]
-        personas = ["p1", "p2", "p3"]
+        personas = [MATH, LOGIC, ENG]
         n = 8
         counts = []
         for layer in ("L1", "L2", "L3", "L4"):
-            pool = build_layer_pool(layer, models, personas, n)
-            counts.append(len({c.type_label for c in pool}))
+            pool = make_plan(layer, models, personas).agents(n)
+            counts.append(len({a.label for a in pool}))
         assert counts == sorted(counts)
 
     def test_plan_agents_built_once_per_n_and_outside_eq_and_repr(self):
-        plan = make_plan("L4", ["m1", "m2"], ["mathematician", "logician", "engineer"])
-        fresh = make_plan("L4", ["m1", "m2"], ["mathematician", "logician", "engineer"])
+        plan = make_plan("L4", ["m1", "m2"], [MATH, LOGIC, ENG])
+        fresh = make_plan("L4", ["m1", "m2"], [MATH, LOGIC, ENG])
         agents = plan.agents(5)
         assert plan.agents(5) is agents
         assert plan == fresh and repr(plan) == repr(fresh)
-        configs = build_layer_pool("L4", ["m1", "m2"], ["mathematician", "logician", "engineer"],
-                                   5)
+        pairs = list(zip(["m1", "m2", "m1", "m2", "m1"], [MATH, LOGIC, ENG, MATH, LOGIC]))
         assert [(a.label, a.model, a.decoding) for a in agents] == [
-            (c.type_label, c.model_id, c.decoding) for c in configs]
+            (f"{m}|{p}|t0.7|p0.95|m1024", m, Decoding()) for m, p in pairs]
         assert [a.system for a in agents] == [
-            ({"role": "system", "content": DEFAULT_PERSONAS[c.persona_id]},)
-            for c in configs]
+            ({"role": "system", "content": DEFAULT_PERSONAS[p]},) for _, p in pairs]
         assert make_plan().agents(2)[0].system == ()
+
+    # sha256 over every case of the grid below, computed at the commit before
+    # the layers became one walk: each pool's (label, system, model) per
+    # agent, or the message of the InsufficientPool that refused it
+    POOLS_SHA256 = "cff1bbb6489f1d6081da1f730b61c17a0f0a385565378a4168f3af22c6f4eab6"
+
+    def test_pools_and_refusals_pinned(self):
+        digest, built = hashlib.sha256(), 0
+        for layer, m, p in itertools.product(LAYERS, range(1, 6), range(7)):
+            plan = make_plan(layer, [f"m{i}" for i in range(m)], list(DEFAULT_PERSONAS)[:p])
+            for n in range(1, 40):
+                try:
+                    agents = [[a.label, a.system, a.model] for a in plan.agents(n)]
+                    built += 1
+                except InsufficientPool as exc:
+                    agents = str(exc)
+                digest.update(json.dumps([layer, m, p, n, agents]).encode())
+        assert built == 4212
+        assert digest.hexdigest() == self.POOLS_SHA256
+
+    def test_each_pool_is_a_prefix_of_every_longer_one(self):
+        # nested Vote grids reuse the first k agents of a larger N
+        for layer, m, p in itertools.product(LAYERS, range(2, 6), range(2, 7)):
+            models, personas = [f"m{i}" for i in range(m)], list(DEFAULT_PERSONAS)[:p]
+            pool = make_plan(layer, models, personas).agents(39)
+            for k in range(1, 39):
+                assert make_plan(layer, models, personas).agents(k) == pool[:k], (layer, m, p, k)
 
 
 class TestWorkflowSpec:
@@ -424,9 +462,10 @@ class TestEmbeddings:
         # an exponent token and an int beyond 64 bits, which take the other encoder paths
         vectors += [[1e-05, -2.5e-07, 0.5]] * 2 + [[2 ** 70, 0.5]] * 2
         ids = [f"q{k}:{k}" for k in range(len(vectors))]
-        assert b"".join(embedding_rows(ids, vectors)) == b"".join(
-            json.dumps({"id": i, "vector": v}).encode() + b"\n" for i, v in zip(ids, vectors))
-        assert b"".join(embedding_rows([], [])) == b""
+        assert b"".join(embedding_rows(ids, vectors, 12)) == b"".join(
+            json.dumps({"id": i, "n": 12, "vector": v}).encode() + b"\n"
+            for i, v in zip(ids, vectors))
+        assert b"".join(embedding_rows([], [], 1)) == b""
 
     @staticmethod
     def replying(indices):
@@ -522,8 +561,8 @@ class TestEmbeddingRow:
     def assert_rows_match(self, values, width=64, row_id="q0001:12"):
         for start in range(0, len(values), width):
             v = values[start:start + width]
-            assert b"".join(embedding_rows([row_id], [v])) == (
-                json.dumps({"id": row_id, "vector": v}).encode() + b"\n"), v
+            assert b"".join(embedding_rows([row_id], [v], 4)) == (
+                json.dumps({"id": row_id, "n": 4, "vector": v}).encode() + b"\n"), v
 
     def test_random_bit_patterns_in_every_binade(self):
         rng = np.random.default_rng(0)

@@ -563,9 +563,9 @@ class TestStoreCache:
         calls = []
         decode = spectral.load_embeddings_jsonl
 
-        def counted(fh):
+        def counted(fh, **kwargs):
             calls.append(fh.name)
-            return decode(fh)
+            return decode(fh, **kwargs)
 
         monkeypatch.setattr(spectral, "load_embeddings_jsonl", counted)
         return calls
@@ -588,6 +588,31 @@ class TestStoreCache:
         self.assert_same(hit, want)
         assert hit[0][7:] == ["q7:\x00", "q\u00e9:\n0"]
         assert sorted(os.listdir(store)) == ["emb.cache", "emb.jsonl"]
+
+    def test_keys_of_rows_that_name_their_n_survive_the_cache(self, tmp_path, monkeypatch):
+        path = tmp_path / "emb.jsonl"
+        rows = np.random.default_rng(6).standard_normal((3, 4))
+        path.write_text("".join(json.dumps(r) + "\n" for r in [
+            {"id": "t0:0", "n": 2, "vector": rows[0].tolist()},
+            {"id": "t0:0", "n": 4, "vector": rows[1].tolist()},
+            {"id": "t0:1", "vector": rows[2].tolist()}]))
+        after_a_tick(path)
+        assert load_embeddings_jsonl(path)[0] == ["t0:0", "t0:0", "t0:1"]  # kstar's reading
+        want = ([(2, "t0:0"), (4, "t0:0"), "t0:1"], rows)
+        self.assert_same(load_store_embeddings(path), want)  # miss, writes the cache
+        assert read_cache(tmp_path / "emb.cache")[0]["ids"] == [[2, "t0:0"], [4, "t0:0"], "t0:1"]
+        self.no_decode(monkeypatch)
+        self.assert_same(load_store_embeddings(path), want)
+
+    @pytest.mark.parametrize("n", ["2", 2.0, None, [2]])
+    def test_row_whose_n_is_no_integer_is_malformed(self, tmp_path, n):
+        path = tmp_path / "emb.jsonl"
+        path.write_text(json.dumps({"id": "t0:0", "n": 2, "vector": [1.0]}) + "\n"
+                        + json.dumps({"id": "t0:1", "n": n, "vector": [1.0]}) + "\n")
+        assert load_embeddings_jsonl(path)[0] == ["t0:0", "t0:1"]
+        with pytest.raises(ValueError, match="^malformed embedding row at line 2: "
+                                             "n must be an integer$"):
+            load_embeddings_jsonl(path, keys=True)
 
     def test_appended_row_makes_the_cache_stale(self, store):
         path = store / "emb.jsonl"
