@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from masinfo.analysis import TaskScorer, summarize_table
+from masinfo.analysis import score, summarize_table
 from masinfo.backends import MockChatBackend, MockEmbeddingBackend
 from masinfo.harness import DiversityPlan, WorkflowSpec, fetch_embeddings, run_workflow
 
@@ -48,9 +48,10 @@ def main(pool):
     print("\n== transcripts embed and summarize ==")
     texts = [c["raw_output"] or "" for c in vote.calls]
     rows = np.array(fetch_embeddings(texts, MockEmbeddingBackend(dim=8, seed=3)))
-    # one store of one transcript, whose calls are the rows in order
-    store = ([vote], lambda t: (rows, range(len(rows))))
-    (summary,) = summarize_table(TaskScorer().score([store]))
+    # one store of one transcript, whose calls are the rows in order; score
+    # calls its loader for the lookup
+    store = ([vote], lambda: lambda t: (rows, range(len(rows))))
+    (summary,) = summarize_table(score([store]))
     print(f"  {summary.config_label}: accuracy {summary.accuracy:.2f}, "
           f"K* {summary.k_star:.3f}")
 

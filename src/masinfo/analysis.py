@@ -1,9 +1,10 @@
 """Measurement tables from transcript stores.
 
-`TaskScorer.score` turns each store's persisted Vote/Debate transcripts, with
-the lookup of their call rows that masinfo.store makes, into one row per unit
-(a task, or a pooled group) with its correct count and its K*, K*_c/K*_w and
-mean cosine; `summarize_table` aggregates those rows into per-config
+`score` turns the persisted Vote/Debate transcripts of every merged store,
+with the loader of their call rows that masinfo.store makes, into one row per
+unit (a task, or a pooled group) with its correct count and its K*, K*_c/K*_w
+and mean cosine, loading each store's rows at its first unit and letting them
+go after its last; `summarize_table` aggregates those rows into per-config
 summaries.  The two, in that order, are the one way to score.  `report_bundle`
 renders the summaries as the `analyze` report files: the summaries, accuracy
 per N and its marginal gains, agents-to-match tables, the correct/wrong-dominant
@@ -80,7 +81,7 @@ def _mean_or_none(values):
 
 @dataclass(frozen=True)
 class TaskRow:
-    """One unit of TaskScorer.score: its config (dataset, layer, workflow, N), its task
+    """One unit of score: its config (dataset, layer, workflow, N), its task
     (None for a pooled group), how many of its task_count transcripts are correct,
     and its spectral columns (None without embeddings)."""
 
@@ -100,106 +101,119 @@ def _config_order(item):
     return isinstance(item[0][0], str), item[0]
 
 
-class TaskScorer:
-    """TaskRows of transcripts, call after call, with one buffer for the rows of every unit.
+def score(stores, mode="per-question"):
+    """One TaskRow per unit of the merged `stores`, config by config in sorted
+    order, and within a config in the order of `stores` and of their transcripts.
 
-    The buffer grows to the largest unit met so far and is kept, so a caller
-    that scores its stores batch by batch allocates it once.  The rows of
-    several calls may be joined into one table as long as no pooled group
-    spans two calls.
+    `stores` holds one (transcripts, rows) pair per store: rows() loads the
+    store's lookup, rows_of(t) = (rows, positions), a 2-D array of raw vectors
+    and the index in it of each of `t`'s calls in call order, as
+    store.RunStore.rows does.  A KeyError from rows_of, or a None rows beside
+    real loaders, raises MissingEmbeddings; when every rows is None the
+    spectral columns are None.  A unit is one valid transcript in mode
+    "per-question", and in mode "pooled" the whole group of valid transcripts
+    of one config, whose call rows are stacked into one set.  ValueError
+    refuses a config whose transcripts differ in rounds or agent types.
+
+    Units are scored in the order of their first store: a store's rows() is
+    called at its first unit and let go after its last, and never for a store
+    without a valid transcript.  One buffer takes the rows of every unit.
     """
+    if mode not in ("per-question", "pooled"):
+        raise ValueError("mode must be 'per-question' or 'pooled'")
+    groups, shapes = {}, {}
+    for s, (transcripts, _) in enumerate(stores):
+        for t in transcripts:
+            if t.invalid:
+                continue
+            key = t.dataset, t.layer, t.workflow, t.n_agents
+            groups.setdefault(key, []).append((s, t))
+            shape = {"rounds": t.rounds,
+                     "agent_type_label": sorted({c["agent_type_label"] for c in t.calls})}
+            for field, value in shapes.setdefault(key, shape).items():
+                if shape[field] != value:
+                    raise ValueError(f"{key[0]}/{key[2]}/{key[1]}/N{key[3]} mixes transcripts "
+                                     f"whose {field} differ: {value} and {shape[field]}")
+    per_question = mode == "per-question"
+    units = [(key, u) for key, members in sorted(groups.items(), key=_config_order)
+             for u in ([[m] for m in members] if per_question else [members])]
+    order = sorted(range(len(units)), key=lambda j: units[j][1][0][0])
+    last = {s: i for i, j in enumerate(order) for s, _ in units[j][1]}
+    spectral = any(rows is not None for _, rows in stores)
+    # the one buffer, in a list so that _columns drops a smaller one as it grows it
+    lookups, buf, table = {}, [np.empty(0)], [None] * len(units)
+    for i, j in enumerate(order):
+        key, u = units[j]
+        columns = (None,) * 4
+        if spectral:
+            for s, _ in u:
+                if s not in lookups:
+                    load = stores[s][1]
+                    lookups[s] = None if load is None else load()
+            columns = _columns([(t, lookups[s]) for s, t in u], buf)
+            for s, _ in u:
+                if last[s] == i:
+                    lookups.pop(s, None)
+        correct = sum(answer_matches(t.final_answer, t.gold_answer) for _, t in u)
+        table[j] = TaskRow(key, u[0][1].task_id if per_question else None, correct, len(u),
+                           *columns)
+    return table
 
-    def __init__(self, mode="per-question"):
-        if mode not in ("per-question", "pooled"):
-            raise ValueError("mode must be 'per-question' or 'pooled'")
-        self.mode = mode
-        self._buf = np.empty(0)
 
-    def score(self, stores):
-        """One TaskRow per unit, config by config in sorted order, and within a
-        config in the order of `stores` and of their transcripts.
+def _columns(unit, buf):
+    """(K*, K*_c, K*_w, mean cosine) of every call of `unit`, (transcript, rows_of) pairs.
 
-        `stores` holds one (transcripts, rows_of) pair per store: rows_of(t) is
-        (rows, positions), a 2-D array of raw vectors and the index in it of
-        each of `t`'s calls in call order, as store.RunStore.rows() makes it.
-        A KeyError from it, or a None beside real lookups, raises
-        MissingEmbeddings; when every rows_of is None the spectral columns are
-        None.  A unit is one valid transcript in mode "per-question", and in
-        mode "pooled" the whole group of valid transcripts of one config, whose
-        call rows are stacked into one set.  The table holds no rows.
-        """
-        spectral = any(rows_of is not None for _, rows_of in stores)
-        groups = {}
-        for transcripts, rows_of in stores:
-            for t in transcripts:
-                if not t.invalid:
-                    groups.setdefault((t.dataset, t.layer, t.workflow, t.n_agents), []).append(
-                        (t, rows_of))
-        per_question = self.mode == "per-question"
-        table = []
-        for key, members in sorted(groups.items(), key=_config_order):
-            for u in [[m] for m in members] if per_question else [members]:
-                columns = self._columns(u) if spectral else (None,) * 4
-                correct = sum(answer_matches(t.final_answer, t.gold_answer) for t, _ in u)
-                task_id = u[0][0].task_id if per_question else None
-                table.append(TaskRow(key, task_id, correct, len(u), *columns))
-        return table
-
-    def _columns(self, unit):
-        """(K*, K*_c, K*_w, mean cosine) of every call of `unit`, (transcript, rows_of) pairs.
-
-        The unit's rows are copied, member by member, to the start of the
-        buffer, grown first if they do not fit, and normalized there once;
-        each member's rows are let go (store.release_pages) once copied.
-        Their one Gram gives K* and, through its principal submatrices, K*_c
-        and K*_w: the values of k_star and k_star_conditioned on the
-        EmbeddingSet of the same rows.  No cosine below 2 rows.
-        """
-        picks, mask = [], []
-        for t, rows_of in unit:
-            if rows_of is None:
-                raise MissingEmbeddings(t.task_id)
-            try:
-                picks.append((t, *rows_of(t)))
-            except KeyError:
-                raise MissingEmbeddings(t.task_id) from None
-            mask += [answer_matches(c["extracted_answer"], t.gold_answer) for c in t.calls]
-        d = picks[0][1].shape[1]
-        n = sum(len(pos) for _, _, pos in picks)
-        if self._buf.size < n * d:
-            self._buf = np.empty(n * d)
-        z = self._buf[:n * d].reshape(n, d)
-        start = 0
-        for k, (t, rows, pos) in enumerate(picks):
-            if rows.shape[1] != d:
-                raise ValueError(f"embeddings of task {t.task_id} have width {rows.shape[1]}, "
-                                 f"not the {d} of the rest of their group")
-            end = start + len(pos)
-            np.take(rows, pos, axis=0, out=z[start:end], mode="clip")
-            start = end
-            # copied out: a cache hit's rows need not stay resident while the
-            # next unit is read; a store's members come one after another
-            if k + 1 == len(picks) or picks[k + 1][1] is not rows:
-                release_pages(rows)
+    The unit's rows are copied, member by member, to the start of the
+    buffer buf[0], replaced first by a larger one if they do not fit, and
+    normalized there once; each member's rows are let go
+    (store.release_pages) once copied.  Their one Gram gives K* and, through
+    its principal submatrices, K*_c and K*_w: the values of k_star and
+    k_star_conditioned on the EmbeddingSet of the same rows.  No cosine
+    below 2 rows.
+    """
+    picks, mask = [], []
+    for t, rows_of in unit:
+        if rows_of is None:
+            raise MissingEmbeddings(t.task_id)
         try:
-            _normalize_rows(z)
-        except ZeroNormVector as exc:
-            ids = [i for t, _, _ in picks for i in t.embedding_ids()]
-            raise ValueError(f"embedding {ids[exc.index]} has norm < {ZERO_NORM_TOL}") from None
-        g = _unit_gram(z)
-        c, w = _sides(g, np.array(mask, dtype=bool))
-        cos = _mean_cosine(z) if n >= 2 else None
-        return _spectrum(g).k_star, c, w, cos
+            picks.append((t, *rows_of(t)))
+        except KeyError:
+            raise MissingEmbeddings(t.task_id) from None
+        mask += [answer_matches(c["extracted_answer"], t.gold_answer) for c in t.calls]
+    d = picks[0][1].shape[1]
+    n = sum(len(pos) for _, _, pos in picks)
+    if buf[0].size < n * d:
+        buf[0] = np.empty(n * d)
+    z = buf[0][:n * d].reshape(n, d)
+    start = 0
+    for k, (t, rows, pos) in enumerate(picks):
+        if rows.shape[1] != d:
+            raise ValueError(f"embeddings of task {t.task_id} have width {rows.shape[1]}, "
+                             f"not the {d} of the rest of their group")
+        end = start + len(pos)
+        np.take(rows, pos, axis=0, out=z[start:end], mode="clip")
+        start = end
+        # copied out: a cache hit's rows need not stay resident while the
+        # next unit is read; a store's members come one after another
+        if k + 1 == len(picks) or picks[k + 1][1] is not rows:
+            release_pages(rows)
+    try:
+        _normalize_rows(z)
+    except ZeroNormVector as exc:
+        ids = [i for t, _, _ in picks for i in t.embedding_ids()]
+        raise ValueError(f"embedding {ids[exc.index]} has norm < {ZERO_NORM_TOL}") from None
+    g = _unit_gram(z)
+    c, w = _sides(g, np.array(mask, dtype=bool))
+    cos = _mean_cosine(z) if n >= 2 else None
+    return _spectrum(g).k_star, c, w, cos
 
 
 def summarize_table(table, mode="per-question"):
-    """One RunSummary per config of the TaskScorer.score rows `table`, sorted.
+    """One RunSummary per config of the score rows `table`, sorted.
 
     Accuracy is the group's correct transcripts over its transcripts; each
     spectral column is the mean over the group's units, in table order, of
-    the unit's value where it has one.  A pooled group must be whole in one
-    row, so the rows of several score calls may be joined only when no
-    pooled group spans two of them.
+    the unit's value where it has one.
     """
     groups = {}
     for row in table:

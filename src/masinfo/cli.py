@@ -187,6 +187,10 @@ def _load_config(path):
     catalog = dict(harness.DEFAULT_PERSONAS)
     if catalog_path:
         catalog = harness.load_persona_catalog(catalog_path)
+    # every name, whatever the layer and N: the plan looks up only those its agents take
+    for persona in cfg.get("persona_pool", ()):
+        if persona not in catalog:
+            raise ValueError(f"persona {persona!r} missing from catalog")
     plan = harness.DiversityPlan(
         layer=cfg["layer"],
         model_pool=tuple(cfg["model_pool"]),
@@ -243,42 +247,18 @@ def cmd_run(args):
 # analyze
 
 
-def _batches(stores, mode):
-    """`stores`, (RunStore, transcripts) pairs, split into lists that no unit
-    crosses: one store each in mode "per-question"; in mode "pooled", stores
-    that share a config go together.  Each list keeps the stores in order,
-    and the lists come in the order of their first stores."""
-    if mode == "per-question":
-        return [[s] for s in stores]
-    batches = []  # (configs, store positions)
-    for i, (_, ts) in enumerate(stores):
-        configs, members = {(t.dataset, t.layer, t.workflow, t.n_agents) for t in ts}, [i]
-        for b in [b for b in batches if b[0] & configs]:
-            batches.remove(b)
-            configs |= b[0]
-            members += b[1]
-        batches.append((configs, sorted(members)))
-    return [[stores[i] for i in members] for _, members in sorted(batches, key=lambda b: b[1])]
-
-
 def _score_stores(store_dirs, mode):
-    """The task table of the stores `store_dirs`, merged.  Each store's
-    transcripts are scored with its own RunStore.rows() lookup, since ids
-    repeat across stores, and each batch of stores is scored and its rows let
-    go before the next is loaded: only one batch's rows are held at a time.
-    Their transcripts and the scorer's unit buffer go when it returns, so the
-    reports are built without them."""
+    """The task table of the stores `store_dirs`, merged: analysis.score of
+    each store's transcripts with its own RunStore.rows loader, since ids
+    repeat across stores.  Their transcripts and the scorer's unit buffer go
+    when it returns, so the reports are built without them."""
     stores = [(run, run.transcripts()) for run in map(RunStore, store_dirs)]
     if not any(ts for _, ts in stores):
         raise ValueError("store contains no transcripts")
     spectral = any(ts and run.has_rows() for run, ts in stores)
     if not spectral:
         print("warning: no embeddings found; spectral columns omitted", file=sys.stderr)
-    scorer = analysis.TaskScorer(mode)
-    table = []
-    for batch in _batches(stores, mode):
-        table += scorer.score([(ts, run.rows() if spectral else None) for run, ts in batch])
-    return table
+    return analysis.score([(ts, run.rows if spectral else None) for run, ts in stores], mode)
 
 
 def cmd_analyze(args):

@@ -126,10 +126,11 @@ class RunStore:
         return os.path.exists(self._path(EMBEDDINGS))
 
     def rows(self):
-        """This store's rows_of(t) for analysis.TaskScorer.score: the rows of
-        embeddings.jsonl (load_store_embeddings) and the index in them of each
-        of `t`'s calls, by their keys (t.n_agents, id) for the ids of
-        Transcript.embedding_ids(), so each N of the store reads its own rows.
+        """This store's rows_of(t), loaded by analysis.score at the store's
+        first unit: the rows of embeddings.jsonl (load_store_embeddings) and
+        the index in them of each of `t`'s calls, by their keys (t.n_agents,
+        id) for the ids of Transcript.embedding_ids(), so each N of the store
+        reads its own rows.
         A transcript without such rows, as in stores written before rows
         named their N, is looked up by its ids alone.  KeyError for a call
         without a row, so for all without the file.  A repeated key prints

@@ -1,5 +1,8 @@
+import collections
 import json
 import math
+import re
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -11,7 +14,6 @@ from masinfo.analysis import (
     MissingEmbeddings,
     NeedTwoPoints,
     RunSummary,
-    TaskScorer,
     agents_to_match,
     boundary_classification,
     marginal_gains,
@@ -19,6 +21,7 @@ from masinfo.analysis import (
     pearson_r,
     permutation_test,
     report_bundle,
+    score,
     spearman_rho,
     summarize_table,
     _ranks,
@@ -82,17 +85,23 @@ def embeddings_for(task_id, vectors):
 
 
 def rows_of(mapping):
-    """A store's rows_of lookup for TaskScorer.score, from a mapping of
+    """A store's rows_of lookup for score, from a mapping of
     "<task_id>:<call_index>" ids to raw vectors."""
     index = dict(zip(mapping, range(len(mapping))))
     rows = np.array([*mapping.values()], dtype=float)
     return lambda t: (rows, [index[i] for i in t.embedding_ids()])
 
 
+def loaded(stores):
+    """(transcripts, rows_of) pairs as score takes them: each lookup behind a loader."""
+    return [(ts, None if lookup is None else lambda lookup=lookup: lookup)
+            for ts, lookup in stores]
+
+
 def summarize(stores, mode="per-question"):
     """The run summaries of (transcripts, rows_of) pairs as analyze scores them:
-    TaskScorer.score, then summarize_table."""
-    return summarize_table(TaskScorer(mode).score(stores), mode)
+    score, then summarize_table."""
+    return summarize_table(score(loaded(stores), mode), mode)
 
 
 class TestSummarize:
@@ -271,8 +280,8 @@ class TestOnePath:
         else:  # the calls of t0 and t1 alternate in the store
             order = np.arange(total)
             order[:8] = [0, 2, 4, 6, 1, 3, 5, 7]
-        table = TaskScorer(mode).score([(ts, self.table(ts, raws, order, size))])
-        assert table == TaskScorer(mode).score([(ts, self.table(ts, raws, np.arange(total)))])
+        table = score(loaded([(ts, self.table(ts, raws, order, size))]), mode)
+        assert table == score(loaded([(ts, self.table(ts, raws, np.arange(total)))]), mode)
         (s,) = summarize_table(table, mode)
         assert (s.k_star, s.k_star_c, s.k_star_w, s.mean_cosine) == self.expected(raws, masks, mode)
 
@@ -329,20 +338,20 @@ class TestOnePath:
 
 
 class TestTaskTable:
-    """TaskScorer.score's rows are the units summarize_table averages."""
+    """score's rows are the units summarize_table averages."""
 
     def test_one_row_per_unit(self):
         ts, lookup, raws, masks = one_path_group(np.random.default_rng(38))
         ts.insert(2, make_transcript("t9", ["A", "A"], n=4, invalid=True))
         valid = [t for t in ts if not t.invalid]
-        rows = TaskScorer().score([(ts, rows_of(lookup))])
+        rows = score(loaded([(ts, rows_of(lookup))]))
         assert [(r.config, r.task_id, r.correct, r.task_count) for r in rows] == [
             (("d1", "L1", "vote", 4), t.task_id, answer_matches(t.final_answer, "A"), 1)
             for t in valid]
         for r, raw, mask in zip(rows, raws, masks):
             assert (r.k_star, r.k_star_c, r.k_star_w, r.mean_cosine) == columns_of(
                 EmbeddingSet(raw), mask)
-        (pooled,) = TaskScorer("pooled").score([(ts, rows_of(lookup))])
+        (pooled,) = score(loaded([(ts, rows_of(lookup))]), "pooled")
         assert (pooled.task_id, pooled.correct, pooled.task_count) == (
             None, sum(r.correct for r in rows), len(valid))
         assert (pooled.k_star, pooled.k_star_c, pooled.k_star_w, pooled.mean_cosine) == (
@@ -351,14 +360,14 @@ class TestTaskTable:
     def test_without_embeddings_only_counts(self):
         ts = [make_transcript("t1", ["A", "B", "A"]), make_transcript("t2", ["B", "B"], n=3)]
         assert [(r.task_id, r.correct, r.task_count, r.k_star, r.mean_cosine)
-                for r in TaskScorer().score([(ts, None)])] == [("t1", 1, 1, None, None),
-                                                               ("t2", 0, 1, None, None)]
+                for r in score([(ts, None)])] == [("t1", 1, 1, None, None),
+                                                  ("t2", 0, 1, None, None)]
 
     @pytest.mark.parametrize("mode", ["per-question", "pooled"])
     def test_tables_scored_store_by_store_summarize_as_all_at_once(self, mode):
         # two stores of one L1 group and one L2 group, with the larger units
-        # later, in each store and in the second: one scorer's buffer grows
-        # from unit to unit, and is larger than some units of the second store
+        # later: scored all at once, the one buffer grows from unit to unit,
+        # and is larger than some units of the second store
         rng = np.random.default_rng(39)
         ts, lookups = [], []
         for layer, widths in (("L1", [2, 3]), ("L2", [4, 6])):
@@ -368,16 +377,125 @@ class TestTaskTable:
                 ts.append(t)
                 lookups.append(rows_of(embeddings_for(t.task_id, rng.standard_normal((calls, 5)))))
         stores = [[0, 2], [1, 3]] if mode == "per-question" else [[0, 1], [2, 3]]
-        scorer = TaskScorer(mode)
         table = []
         for store in stores:
             # each transcript with its own lookup, as ids repeat across layers
-            pairs = [([ts[i]], lookups[i]) for i in store]
-            part = scorer.score(pairs)
-            assert part == TaskScorer(mode).score(pairs)
+            pairs = loaded([([ts[i]], lookups[i]) for i in store])
+            part = score(pairs, mode)
+            assert part == score(pairs, mode)
             table += part
         assert summarize_table(table, mode) == summarize(
             [([t], lookup) for t, lookup in zip(ts, lookups)], mode=mode)
+
+
+class TestLoadLifetime:
+    """score calls each store's loader at the store's first unit, lets the
+    lookup go after its last, and loads no store without a valid transcript."""
+
+    @staticmethod
+    def stores(rng):
+        """Stores a, b, c and d as (name, transcripts, rows_of): a and c share
+        vote/L1/N2, a and b share vote/L2/N2, and d holds invalid transcripts only."""
+        layout = {"a": [("L1", "t0"), ("L1", "t1"), ("L2", "t0")],
+                  "b": [("L2", "t1"), ("L2", "t2"), ("L3", "t0")],
+                  "c": [("L1", "t2")], "d": [("L1", "t3"), ("L2", "t3")]}
+        stores = []
+        for name, members in layout.items():
+            ts, mapping = [], {}
+            for layer, task_id in members:
+                ts.append(make_transcript(task_id, ["A", "B"], layer=layer,
+                                          invalid=name == "d"))
+                mapping.update(embeddings_for(task_id, rng.standard_normal((2, 5))))
+            stores.append((name, ts, rows_of(mapping)))
+        return stores
+
+    @staticmethod
+    def tracked(stores):
+        """`stores` as score takes them, each lookup behind a loader that counts
+        its calls; and a log of (layer, stores whose lookup is alive) at each
+        lookup of a transcript's rows, in order and without repeats."""
+        live, calls, log = set(), collections.Counter(), []
+
+        def loader(name, lookup):
+            def load():
+                calls[name] += 1
+
+                def held_rows_of(t):
+                    entry = (t.layer, tuple(sorted(live)))
+                    if not log or log[-1] != entry:
+                        log.append(entry)
+                    return lookup(t)
+
+                live.add(name)
+                weakref.finalize(held_rows_of, live.discard, name)
+                return held_rows_of
+            return load
+
+        return [(ts, loader(name, lookup)) for name, ts, lookup in stores], calls, log, live
+
+    def test_per_question_holds_one_store_even_where_stores_share_a_config(self):
+        loaders, calls, log, live = self.tracked(self.stores(np.random.default_rng(50)))
+        score(loaders, "per-question")
+        assert log == [("L1", ("a",)), ("L2", ("a",)), ("L2", ("b",)), ("L3", ("b",)),
+                       ("L1", ("c",))]
+        assert calls == {"a": 1, "b": 1, "c": 1} and not live
+
+    def test_pooled_drops_each_store_after_its_last_group(self):
+        loaders, calls, log, live = self.tracked(self.stores(np.random.default_rng(51)))
+        score(loaders, "pooled")
+        # c goes after L1, its only group, and a after L2, before L3 is read
+        assert log == [("L1", ("a", "c")), ("L2", ("a", "b")), ("L3", ("b",))]
+        assert calls == {"a": 1, "b": 1, "c": 1} and not live
+
+    @pytest.mark.parametrize("mode", ["per-question", "pooled"])
+    def test_tables_equal_those_of_lookups_loaded_at_once_in_any_store_order(self, mode):
+        stores = self.stores(np.random.default_rng(52))
+        for seed in range(4):
+            order = [stores[i] for i in np.random.default_rng(seed).permutation(len(stores))]
+            loaders, calls, _, _ = self.tracked(order)
+            table = score(loaders, mode)
+            at_once = score(loaded([(ts, lookup) for _, ts, lookup in order]), mode)
+            assert table == at_once
+            assert summarize_table(table, mode) == summarize_table(at_once, mode)
+            assert calls == {"a": 1, "b": 1, "c": 1}
+
+
+class TestOneConfig:
+    """A config whose transcripts differ in rounds or agent types is two
+    configs merged, and is refused."""
+
+    @staticmethod
+    def relabelled(t, label):
+        t.calls = [{**c, "agent_type_label": label} for c in t.calls]
+        return t
+
+    @pytest.mark.parametrize("mode", ["per-question", "pooled"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: setattr(t, "rounds", 2), "whose rounds differ: 1 and 2"),
+        (lambda t: TestOneConfig.relabelled(t, "m9|default|t0.7|p0.95|m1024"),
+         "whose agent_type_label differ: ['m|default|t0.7|p0.95|m1024'] and "
+         "['m9|default|t0.7|p0.95|m1024']"),
+    ], ids=["rounds", "agent-types"])
+    def test_two_stores_of_one_key_but_two_configs_are_refused(self, mode, edit, message):
+        first, second = make_transcript("t0", ["A", "B"]), make_transcript("t0", ["A", "A"])
+        edit(second)
+        with pytest.raises(ValueError, match=re.escape(f"d1/vote/L1/N2 mixes transcripts {message}")):
+            score([([first], None), ([second], None)], mode)
+
+    def test_the_set_of_agent_types_is_compared_not_the_calls(self):
+        # the same two types over two calls and over four, in another order
+        two = self.relabelled(make_transcript("t0", ["A", "B"], n=4), "x")
+        two.calls[1]["agent_type_label"] = "y"
+        four = make_transcript("t1", ["A", "B", "A", "B"])
+        for c, label in zip(four.calls, "yxxy"):
+            c["agent_type_label"] = label
+        assert [r.task_count for r in score([([two], None), ([four], None)], "pooled")] == [2]
+
+    def test_invalid_transcripts_are_not_compared(self):
+        bad = make_transcript("t1", ["A", "B"], invalid=True)
+        bad.rounds = 3
+        (row,) = score([([make_transcript("t0", ["A", "A"])], None), ([bad], None)], "pooled")
+        assert row.task_count == 1
 
 
 class TestNumericGold:

@@ -860,6 +860,59 @@ class TestConfigValidation:
         assert out.err.startswith("error: ")
         assert not (tmp_path / "store").exists()
 
+    @pytest.mark.parametrize("overrides, catalog, message", [
+        ({"dataset_path": "absent.jsonl"}, None, "dataset not found: absent.jsonl"),
+        ({"workflow": "chain"}, None, "kind must be 'vote' or 'debate'"),
+        ({"persona_catalog_path": "absent.json"}, None,
+         "persona catalog not found: absent.json"),
+        ({}, '["skeptic"]', "persona catalog must map persona ids to prompt strings"),
+        ({}, '{"skeptic": 1}', "persona catalog must map persona ids to prompt strings"),
+        # no agent of these takes the missing persona, yet the config names it
+        ({"layer": "L3", "model_pool": ["m1", "m2"], "persona_pool": ["nobody"]}, None,
+         "persona 'nobody' missing from catalog"),
+        ({"layer": "L4", "model_pool": ["m1", "m2"],
+          "persona_pool": ["skeptic", "teacher", "nobody"]}, None,
+         "persona 'nobody' missing from catalog"),
+        ({"layer": "L2", "persona_pool": ["skeptic", "teacher"]}, '{"skeptic": "S."}',
+         "persona 'teacher' missing from catalog"),
+    ], ids=["dataset-absent", "workflow-unknown", "catalog-absent", "catalog-list",
+            "catalog-number-text", "l3-persona-missing", "l4-persona-missing-past-n",
+            "persona-missing-from-catalog-file"])
+    def test_config_naming_what_is_not_there_exits_2_before_output_dir(
+            self, tmp_path, monkeypatch, capsys, overrides, catalog, message):
+        if catalog is not None:
+            (tmp_path / "personas.json").write_text(catalog)
+            overrides = {**overrides, "persona_catalog_path": "personas.json"}
+        cfg_path, _ = base_config(tmp_path, n_agents_list=[2], **overrides)
+        monkeypatch.chdir(tmp_path)  # where the relative paths point
+        code, out = run_cli("run", str(cfg_path), capsys=capsys)
+        assert code == 2
+        assert out.err == f"error: {message}\n"
+        assert not (tmp_path / "store").exists()
+
+    def test_persona_catalog_file_gives_l2_agents_its_texts(self, tmp_path, monkeypatch):
+        texts = {"alpha": "You are Alpha.", "beta": "You are Beta."}
+        (tmp_path / "personas.json").write_text(json.dumps(texts))
+        # no persona_pool: the pool is the catalog's names, in its order
+        cfg_path, _ = base_config(tmp_path, layer="L2", n_agents_list=[2],
+                                  persona_catalog_path=str(tmp_path / "personas.json"))
+        seen = collections.Counter()
+
+        class SystemRecordingChat(MockChatBackend):
+            def chat(self, messages, model, decoding):
+                seen.update(m["content"] for m in messages if m["role"] == "system")
+                return super().chat(messages, model, decoding)
+
+        build = backends.build
+        monkeypatch.setattr(backends, "build", lambda spec, seed: (
+            SystemRecordingChat(seed=seed), build(spec, seed)[1]))
+        assert main(["run", str(cfg_path)]) == 0
+        assert seen == {text: 3 for text in texts.values()}  # one call a task each
+        labels = {c["agent_type_label"].split("|")[1]
+                  for t in TranscriptStore(tmp_path / "store" / "vote_L2_N2.jsonl")
+                  for c in t.calls}
+        assert labels == set(texts)
+
 
     @pytest.mark.parametrize("overrides", [
         {"layer": "L3", "model_pool": "gpt4"},
@@ -1381,9 +1434,9 @@ class TestAnalyze:
             ts = [t for f in sorted(store.glob("vote_*.jsonl")) for t in TranscriptStore(f)]
             ids, rows = spectral.load_embeddings_jsonl(store / "embeddings.jsonl")
             index = dict(zip(ids, range(len(ids))))
-            stores.append((ts, lambda t, index=index, rows=rows: (
+            stores.append((ts, lambda index=index, rows=rows: lambda t: (
                 rows, [index[i] for i in t.embedding_ids()])))
-        summaries = analysis.summarize_table(analysis.TaskScorer(mode).score(stores), mode)
+        summaries = analysis.summarize_table(analysis.score(stores, mode), mode)
         assert [(s.n_agents, s.task_count) for s in summaries] == [(2, 3), (4, 6), (8, 3)]
         files, _ = analysis.report_bundle(summaries, seed=5)
         assert {p.name: p.read_text() for p in out.iterdir()} == files
@@ -1413,6 +1466,40 @@ class TestAnalyze:
                             "--output", str(tmp_path / "out"), capsys=capsys)
         assert code == 2
         assert "no embeddings for task" in out.err
+
+    @pytest.mark.parametrize("mode", ["per-question", "pooled"])
+    @pytest.mark.parametrize("first, second, message", [
+        ({"workflow": "debate", "rounds": 2}, {"workflow": "debate", "rounds": 4},
+         "tasks.jsonl/debate/L1/N4 mixes transcripts whose rounds differ: 2 and 4"),
+        ({"model_pool": ["m1"]}, {"model_pool": ["m9"]},
+         "tasks.jsonl/vote/L1/N4 mixes transcripts whose agent_type_label differ: "
+         "['m1|default|t0.7|p0.95|m1024'] and ['m9|default|t0.7|p0.95|m1024']"),
+    ], ids=["rounds", "model-pool"])
+    def test_merge_of_two_configs_of_one_key_exits_2_naming_the_field(
+            self, tmp_path, capsys, mode, first, second, message):
+        s1 = self.run_store(tmp_path / "a", n_agents_list=[4], **first)
+        s2 = self.run_store(tmp_path / "b", n_agents_list=[4], **second)
+        code, out = run_cli("analyze", str(s1), "--merge", str(s2), "--mode", mode,
+                            "--output", str(tmp_path / "out"), capsys=capsys)
+        assert code == 2
+        assert out.err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_store_of_only_invalid_transcripts_is_not_decoded(self, tmp_path, capsys):
+        # run writes no rows for an invalid transcript; a hand-made store that
+        # has some anyway, and malformed, is never read, as its rows score nothing
+        good = self.run_store(tmp_path / "good", n_agents_list=[2])
+        bad = self.run_store(tmp_path / "bad", n_agents_list=[2], seed=12)
+        path = bad / "vote_L1_N2.jsonl"
+        path.write_text(path.read_text().replace('"invalid": false', '"invalid": true'))
+        (bad / "embeddings.jsonl").write_text('{"id": "t0:0", "vector": [1.0,\n')
+        assert main(["analyze", str(good), "--output", str(tmp_path / "alone")]) == 0
+        code, out = run_cli("analyze", str(good), "--merge", str(bad),
+                            "--output", str(tmp_path / "merged"), capsys=capsys)
+        assert code == 0
+        assert not (bad / "embeddings.cache").exists()
+        assert ({p.name: p.read_text() for p in (tmp_path / "merged").iterdir()}
+                == {p.name: p.read_text() for p in (tmp_path / "alone").iterdir()})
 
     @pytest.mark.parametrize("fault, message", [
         ("bad-row", "malformed embedding row at line 7: "),

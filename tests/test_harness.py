@@ -291,6 +291,17 @@ class TestVote:
         assert not t.tie
         assert len(t.calls) == 3
 
+    @pytest.mark.parametrize("task, reply, answer", [
+        ({"question": "2 + 2?", "format": "mc"}, "the answer is (B)", "B"),
+        ({**TASK_MC, "format": "numeric"}, "Answer: 42", "42"),
+    ], ids=["mc-without-choices", "numeric-with-choices"])
+    def test_explicit_format_decides_extraction(self, pool, task, reply, answer):
+        task = {"id": "t1", "answer": answer, **task}
+        t = run_workflow(task, WorkflowSpec("vote", 2), make_plan(),
+                         ScriptedChatBackend([reply, reply]), pool)
+        assert [c["extracted_answer"] for c in t.calls] == [answer, answer]
+        assert t.final_answer == answer
+
     def test_tie_flagged(self, pool):
         backend = ScriptedChatBackend(["(A)", "(B)"])
         t = run_workflow(TASK_MC, WorkflowSpec("vote", 2), make_plan(), backend, pool)

@@ -7,7 +7,7 @@ import pytest
 
 from masinfo import spectral
 from masinfo import store as store_module
-from masinfo.analysis import TaskScorer
+from masinfo.analysis import score
 from masinfo.backends import MockChatBackend
 from masinfo.harness import WorkflowSpec, run_workflow
 from masinfo.store import RunStore, load_store_embeddings
@@ -107,7 +107,7 @@ class TestResidentRows:
     def test_scored_rows_are_let_go(self, store):
         run = RunStore(store)
         lookup = run.rows()  # held, so the mapping outlives the scoring
-        table = TaskScorer().score([(run.transcripts(), lookup)])
+        table = score([(run.transcripts(), lambda: lookup)])
         assert [r.task_id for r in table] == [f"t{i}" for i in range(6)]
         assert all(r.k_star is not None for r in table)
         assert mapped_rss_kb(store / "embeddings.cache") == 0
