@@ -115,9 +115,13 @@ def score(stores, mode="per-question"):
     of one config, whose call rows are stacked into one set.  ValueError
     refuses a config whose transcripts differ in rounds or agent types.
 
-    Units are scored in the order of their first store: a store's rows() is
-    called at its first unit and let go after its last, and never for a store
-    without a valid transcript.  One buffer takes the rows of every unit.
+    Units are scored linked set by linked set, a linked set being the stores
+    joined by sharing a pooled group (a per-question unit is one store): the
+    sets in the order of their first store, the units of one in the order of
+    their own first store.  A store's rows() is called at its first unit and
+    let go after its last, so the lookups alive at once are those of one
+    linked set, and is never called for a store without a valid transcript.
+    One buffer takes the rows of every unit.
     """
     if mode not in ("per-question", "pooled"):
         raise ValueError("mode must be 'per-question' or 'pooled'")
@@ -137,7 +141,18 @@ def score(stores, mode="per-question"):
     per_question = mode == "per-question"
     units = [(key, u) for key, members in sorted(groups.items(), key=_config_order)
              for u in ([[m] for m in members] if per_question else [members])]
-    order = sorted(range(len(units)), key=lambda j: units[j][1][0][0])
+    linked = list(range(len(stores)))  # a store's link toward its set's first store
+
+    def first(s):
+        while linked[s] != s:
+            s = linked[s]
+        return s
+
+    for _, u in units:
+        roots = {first(s) for s, _ in u}
+        for r in roots:
+            linked[r] = min(roots)
+    order = sorted(range(len(units)), key=lambda j: (first(units[j][1][0][0]), units[j][1][0][0]))
     last = {s: i for i, j in enumerate(order) for s, _ in units[j][1]}
     spectral = any(rows is not None for _, rows in stores)
     # the one buffer, in a list so that _columns drops a smaller one as it grows it

@@ -16,7 +16,8 @@ import time
 
 import numpy as np
 
-from masinfo.harness import BackendError, extract_answer, is_count, majority_answer
+from masinfo.harness import (DEBATE_MARKER, BackendError, extract_answer, is_count,
+                             majority_answer)
 
 
 class TransientBackendError(BackendError):
@@ -31,6 +32,10 @@ class TransientBackendError(BackendError):
 
 class MockChatBackend:
     """Deterministic in-process chat backend.
+
+    `messages` has the shape harness._issue_round sends, an agent's system
+    messages then one user message: the user text is the last message's, and
+    the system text the first message's when there are two or more.
 
     Round-1 answers come from `initial_answers` when given, otherwise from
     a seeded hash of the full prompt.  In later debate rounds the mock
@@ -59,10 +64,11 @@ class MockChatBackend:
         return self.choices[int.from_bytes(digest[:8], "big") % len(self.choices)]
 
     def chat(self, messages, model, decoding):
-        user = next((m["content"] for m in messages if m["role"] == "user"), "")
-        system = next((m["content"] for m in messages if m["role"] == "system"), "")
-        if "Other agents answered:" in user:
-            block = user.split("Other agents answered:", 1)[1]
+        user = messages[-1]["content"]
+        system = messages[0]["content"] if len(messages) > 1 else ""
+        at = user.find(DEBATE_MARKER)
+        if at != -1:
+            block = user[at + len(DEBATE_MARKER):]
             last = self._last_block
             if last[0] != block:
                 prev = [extract_answer(line, "mc") for line in block.splitlines()]

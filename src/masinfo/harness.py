@@ -386,6 +386,10 @@ def _timestamp(backend):
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
+# what each later debate round's prompt puts before the previous round's outputs
+DEBATE_MARKER = "Other agents answered:"
+
+
 def _issue_round(agents, prompt, backend, pool):
     """Run one round of calls on `pool`, each agent's system messages then
     `prompt`; (raw, error, latency_ms) ordered by agent index."""
@@ -430,7 +434,7 @@ def run_workflow(task, spec: WorkflowSpec, plan: DiversityPlan, backend, pool, d
         if r > 1:
             block = "\n".join(f"Agent {j + 1}: {raw}"
                               for j, (raw, _, _) in enumerate(results) if raw is not None)
-            prompt = (base_prompt + "\n\nOther agents answered:\n" + block
+            prompt = (base_prompt + f"\n\n{DEBATE_MARKER}\n" + block
                       + "\n\nReconsider and state your final answer.")
         results = _issue_round(agents, prompt, backend, pool)
         round_answers = []
@@ -524,6 +528,11 @@ def run_tasks(jobs, plan: DiversityPlan, backend, embedder=None, concurrency=4, 
 # persistence
 
 
+# the encoder json.dumps(obj, sort_keys=True) builds, shared by every line.  A
+# transcript holds what run_workflow and JSON decoding make, which has no cycle to check for.
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+
 class TranscriptStore:
     """Append-only JSONL store of transcripts, one per line.
 
@@ -539,7 +548,7 @@ class TranscriptStore:
         if self._fh is None:
             self._fh = open(self.path, "a", encoding="utf-8")
         # a dataclass instance's vars are its fields: to_dict less its copy of every call
-        self._fh.write(json.dumps(vars(transcript), sort_keys=True) + "\n")
+        self._fh.write(_ENCODER.encode(vars(transcript)) + "\n")
         self._fh.flush()
 
     def close(self):

@@ -31,6 +31,9 @@ from masinfo import spectral
 from masinfo.harness import TranscriptStore
 
 EMBEDDINGS, MANIFEST = "embeddings.jsonl", "manifest.json"
+# embeddings.jsonl's write buffer: a dim-64 row is about 1.3 kB, so one
+# write call takes some fifty rows, where the default 8 KiB takes six
+_ROW_BUFFER = 1 << 16
 # The store file of one agent count, `<workflow>_<layer>_N<n>.jsonl`: begin()
 # names each by _store_file, and transcripts() reads no file it does not match.
 _STORE_FILE = re.compile(r"[a-z]+_L[0-9]+_N[0-9]+\.jsonl")
@@ -102,7 +105,7 @@ class RunStore:
         """
         if vectors:
             if self._rows is None:
-                self._rows = open(self._path(EMBEDDINGS), "ab")
+                self._rows = open(self._path(EMBEDDINGS), "ab", buffering=_ROW_BUFFER)
             self._rows.writelines(embedding_rows(transcript.embedding_ids(), vectors,
                                                  transcript.n_agents))
             self._rows.flush()
@@ -206,13 +209,15 @@ def embedding_rows(row_ids, vectors, n):
     (fetch_embeddings gives repeated texts one shared vector) is encoded once
     and its bytes reused.
     """
-    encoded = {}  # id(vector) -> (vector, its JSON); holding the vector keeps its id unique
+    # id(vector) -> (vector, its JSON and the row's close); holding the vector keeps its id unique
+    encoded = {}
     quote = json.encoder.encode_basestring_ascii  # what json.dumps runs for a str
+    middle = b', "n": %d, "vector": ' % n
     for row_id, v in zip(row_ids, vectors):
         hit = encoded.get(id(v))
         if hit is None:
-            hit = encoded[id(v)] = (v, _vector_json(v))
-        yield b'{"id": %s, "n": %d, "vector": %s}\n' % (quote(row_id).encode(), n, hit[1])
+            hit = encoded[id(v)] = (v, _vector_json(v) + b"}\n")
+        yield b'{"id": ' + quote(row_id).encode() + middle + hit[1]
 
 
 # Names the cache layout and the decoder that filled it.  Bump it whenever

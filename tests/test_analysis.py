@@ -377,15 +377,16 @@ class TestTaskTable:
                 ts.append(t)
                 lookups.append(rows_of(embeddings_for(t.task_id, rng.standard_normal((calls, 5)))))
         stores = [[0, 2], [1, 3]] if mode == "per-question" else [[0, 1], [2, 3]]
+        # each transcript with its own lookup, as ids repeat across layers
+        whole = score(loaded([([t], lookup) for t, lookup in zip(ts, lookups)]), mode)
         table = []
         for store in stores:
-            # each transcript with its own lookup, as ids repeat across layers
-            pairs = loaded([([ts[i]], lookups[i]) for i in store])
-            part = score(pairs, mode)
-            assert part == score(pairs, mode)
+            part = score(loaded([([ts[i]], lookups[i]) for i in store]), mode)
+            units = {(ts[i].layer, ts[i].task_id if mode == "per-question" else None)
+                     for i in store}
+            assert part == [r for r in whole if (r.config[1], r.task_id) in units]
             table += part
-        assert summarize_table(table, mode) == summarize(
-            [([t], lookup) for t, lookup in zip(ts, lookups)], mode=mode)
+        assert summarize_table(table, mode) == summarize_table(whole, mode)
 
 
 class TestLoadLifetime:
@@ -446,6 +447,30 @@ class TestLoadLifetime:
         # c goes after L1, its only group, and a after L2, before L3 is read
         assert log == [("L1", ("a", "c")), ("L2", ("a", "b")), ("L3", ("b",))]
         assert calls == {"a": 1, "b": 1, "c": 1} and not live
+
+    def test_pooled_holds_one_linked_set_of_stores_at_a_time(self):
+        # a and c share L1/N2, b and d share L2/N2, and c and d each add an N4
+        # group.  In the order of each unit's first store, L2/N2 would load b
+        # and d while c still waits for L1/N4.
+        rng = np.random.default_rng(53)
+        layout = {"a": [("L1", 2, "t0")], "b": [("L2", 2, "t0")],
+                  "c": [("L1", 2, "t1"), ("L1", 4, "t2")],
+                  "d": [("L2", 2, "t1"), ("L2", 4, "t2")]}
+        stores = []
+        for name, members in layout.items():
+            ts, mapping = [], {}
+            for layer, n, task_id in members:
+                ts.append(make_transcript(task_id, ["A", "B"] * (n // 2), layer=layer))
+                mapping.update(embeddings_for(task_id, rng.standard_normal((n, 5))))
+            stores.append((name, ts, rows_of(mapping)))
+        loaders, calls, log, live = self.tracked(stores)
+        table = score(loaders, "pooled")
+        assert max(len(held) for _, held in log) == 2
+        assert log == [("L1", ("a", "c")), ("L1", ("c",)), ("L2", ("b", "d")), ("L2", ("d",))]
+        assert calls == {"a": 1, "b": 1, "c": 1, "d": 1} and not live
+        assert [(r.config[1], r.config[3]) for r in table] == [
+            ("L1", 2), ("L1", 4), ("L2", 2), ("L2", 4)]
+        assert table == score(loaded([(ts, lookup) for _, ts, lookup in stores]), "pooled")
 
     @pytest.mark.parametrize("mode", ["per-question", "pooled"])
     def test_tables_equal_those_of_lookups_loaded_at_once_in_any_store_order(self, mode):

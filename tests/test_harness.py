@@ -644,6 +644,22 @@ class TestTranscriptStore:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed transcript at line 3: "):
             list(store)
 
+    def test_lines_are_json_dumps_byte_for_byte(self, tmp_path, pool):
+        t = run_workflow(TASK_MC, WorkflowSpec("debate", 2, rounds=2), make_plan(),
+                         MockChatBackend(seed=1), pool)
+        t.question = "Quelle réponse? 問題 \U0001f600"
+        t.calls[0]["raw_output"] = "nul\x00 \x1f\x7f\t\r\n\u2028\u2029 \"q\" \\ (A)"
+        t.calls[1].update(raw_output=None, extracted_answer=None, error="lone \ud800 half")
+        path = tmp_path / "s.jsonl"
+        expected = []
+        with contextlib.closing(TranscriptStore(path)) as store:
+            for gold in (1e-05, 2 ** 70, None, ["A", 1.5, {"b": None}]):
+                for dataset in ("d", 3, 2.5):
+                    t.gold_answer, t.dataset = gold, dataset
+                    store.append(t)
+                    expected.append(json.dumps(vars(t), sort_keys=True) + "\n")
+        assert path.read_bytes() == "".join(expected).encode("utf-8")
+
     def test_missing_file_is_empty(self, tmp_path):
         assert list(TranscriptStore(tmp_path / "none.jsonl")) == []
 
