@@ -223,12 +223,12 @@ def _columns(unit, buf):
     return _spectrum(g).k_star, c, w, cos
 
 
-def summarize_table(table, mode="per-question"):
+def summarize_table(table):
     """One RunSummary per config of the score rows `table`, sorted.
 
     Accuracy is the group's correct transcripts over its transcripts; each
     spectral column is the mean over the group's units, in table order, of
-    the unit's value where it has one.
+    the unit's value where it has one; the mode is "pooled" for a unit without task_id.
     """
     groups = {}
     for row in table:
@@ -239,6 +239,7 @@ def summarize_table(table, mode="per-question"):
         acc = sum(r.correct for r in rows) / count
         ks, ks_c, ks_w, cos = (_mean_or_none([getattr(r, c) for r in rows])
                                for c in ("k_star", "k_star_c", "k_star_w", "mean_cosine"))
+        mode = "pooled" if rows[0].task_id is None else "per-question"
         summaries.append(
             RunSummary(dataset, layer, workflow, n, acc, ks, ks_c, ks_w, cos, count, mode))
     return summaries

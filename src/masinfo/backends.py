@@ -91,25 +91,20 @@ class MockEmbeddingBackend:
 
     A text's vector is drawn once and kept for the backend's lifetime, one
     `run`, since a mock run's outputs repeat across its transcripts; each
-    call returns fresh lists, which the caller may change.
+    call returns fresh lists, which the caller may change.  It takes a batch
+    of any size: without `max_batch`, fetch_embeddings sends all texts at once.
     """
 
     deterministic = True
 
-    def __init__(self, dim=8, seed=0, max_batch=None):
+    def __init__(self, dim=8, seed=0):
         if not is_count(dim):
             raise ValueError(f"backend dim must be an integer >= 1, got {dim!r}")
-        if max_batch is not None and not is_count(max_batch):
-            raise ValueError(f"backend max_batch must be None or an integer >= 1, "
-                             f"got {max_batch!r}")
         self.dim = dim
         self.seed = seed
-        self.max_batch = max_batch
         self._vectors = {}  # text -> its vector
 
     def embed(self, texts):
-        if self.max_batch is not None and len(texts) > self.max_batch:
-            raise BackendError(f"batch of {len(texts)} exceeds limit {self.max_batch}")
         new = [t for t in dict.fromkeys(texts) if t not in self._vectors]
         if new:
             # Each text draws what Generator(Philox(key=k)) draws.  Re-keying

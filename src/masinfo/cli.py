@@ -250,15 +250,16 @@ def cmd_run(args):
 def _score_stores(store_dirs, mode):
     """The task table of the stores `store_dirs`, merged: analysis.score of
     each store's transcripts with its own RunStore.rows loader, since ids
-    repeat across stores.  Their transcripts and the scorer's unit buffer go
-    when it returns, so the reports are built without them."""
+    repeat across stores, or None for a store without rows.  Their
+    transcripts and the scorer's unit buffer go when it returns, so the
+    reports are built without them."""
     stores = [(run, run.transcripts()) for run in map(RunStore, store_dirs)]
     if not any(ts for _, ts in stores):
         raise ValueError("store contains no transcripts")
-    spectral = any(ts and run.has_rows() for run, ts in stores)
-    if not spectral:
+    stores = [(ts, run.rows if ts and run.has_rows() else None) for run, ts in stores]
+    if all(rows is None for _, rows in stores):
         print("warning: no embeddings found; spectral columns omitted", file=sys.stderr)
-    return analysis.score([(ts, run.rows if spectral else None) for run, ts in stores], mode)
+    return analysis.score(stores, mode)
 
 
 def cmd_analyze(args):
@@ -272,7 +273,7 @@ def cmd_analyze(args):
         table = _score_stores(store_dirs, args.mode)
     except (analysis.MissingEmbeddings, ValueError) as exc:
         return _fail(str(exc))
-    summaries = analysis.summarize_table(table, args.mode)
+    summaries = analysis.summarize_table(table)
     files, skipped = analysis.report_bundle(summaries, seed=args.seed)
 
     out_dir = args.output or os.path.join(args.store_dir, "reports")

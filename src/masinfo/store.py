@@ -136,22 +136,19 @@ class RunStore:
         reads its own rows.
         A transcript without such rows, as in stores written before rows
         named their N, is looked up by its ids alone.  KeyError for a call
-        without a row, so for all without the file.  A repeated key prints
-        one warning and keeps its last row."""
+        without a row.  A repeated key prints one warning and keeps its last
+        row.  Only for a store that has_rows(): analyze passes None for any other."""
         path = self._path(EMBEDDINGS)
-        index, rows = {}, None
-        if os.path.exists(path):
-            keys, rows = load_store_embeddings(path)
-            index = dict(zip(keys, range(len(keys))))
-            if len(index) < len(keys):
-                # ids without an N repeat across the N of one output_dir, and any
-                # key after a crashed task's rerun
-                repeated = next(k for k, c in collections.Counter(keys).items() if c > 1)
-                print(f"warning: {path} repeats embedding id {repeated!r}; "
-                      "each repeated id keeps its last row", file=sys.stderr)
+        keys, rows = load_store_embeddings(path)
+        index = dict(zip(keys, range(len(keys))))
+        if len(index) < len(keys):
+            # ids without an N repeat across the N of one output_dir, and any
+            # key after a crashed task's rerun
+            repeated = next(k for k, c in collections.Counter(keys).items() if c > 1)
+            print(f"warning: {path} repeats embedding id {repeated!r}; "
+                  "each repeated id keeps its last row", file=sys.stderr)
 
         def rows_of(t):
-            # a stored transcript has at least one call, so an empty index refuses each
             ids = t.embedding_ids()
             try:
                 return rows, [index[t.n_agents, i] for i in ids]

@@ -101,7 +101,7 @@ def loaded(stores):
 def summarize(stores, mode="per-question"):
     """The run summaries of (transcripts, rows_of) pairs as analyze scores them:
     score, then summarize_table."""
-    return summarize_table(score(loaded(stores), mode), mode)
+    return summarize_table(score(loaded(stores), mode))
 
 
 class TestSummarize:
@@ -282,7 +282,7 @@ class TestOnePath:
             order[:8] = [0, 2, 4, 6, 1, 3, 5, 7]
         table = score(loaded([(ts, self.table(ts, raws, order, size))]), mode)
         assert table == score(loaded([(ts, self.table(ts, raws, np.arange(total)))]), mode)
-        (s,) = summarize_table(table, mode)
+        (s,) = summarize_table(table)
         assert (s.k_star, s.k_star_c, s.k_star_w, s.mean_cosine) == self.expected(raws, masks, mode)
 
     @pytest.mark.parametrize("mode", ["per-question", "pooled"])
@@ -386,7 +386,7 @@ class TestTaskTable:
                      for i in store}
             assert part == [r for r in whole if (r.config[1], r.task_id) in units]
             table += part
-        assert summarize_table(table, mode) == summarize_table(whole, mode)
+        assert summarize_table(table) == summarize_table(whole)
 
 
 class TestLoadLifetime:
@@ -481,7 +481,7 @@ class TestLoadLifetime:
             table = score(loaders, mode)
             at_once = score(loaded([(ts, lookup) for _, ts, lookup in order]), mode)
             assert table == at_once
-            assert summarize_table(table, mode) == summarize_table(at_once, mode)
+            assert summarize_table(table) == summarize_table(at_once)
             assert calls == {"a": 1, "b": 1, "c": 1}
 
 

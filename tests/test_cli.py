@@ -1436,7 +1436,7 @@ class TestAnalyze:
             index = dict(zip(ids, range(len(ids))))
             stores.append((ts, lambda index=index, rows=rows: lambda t: (
                 rows, [index[i] for i in t.embedding_ids()])))
-        summaries = analysis.summarize_table(analysis.score(stores, mode), mode)
+        summaries = analysis.summarize_table(analysis.score(stores, mode))
         assert [(s.n_agents, s.task_count) for s in summaries] == [(2, 3), (4, 6), (8, 3)]
         files, _ = analysis.report_bundle(summaries, seed=5)
         assert {p.name: p.read_text() for p in out.iterdir()} == files
@@ -1458,11 +1458,12 @@ class TestAnalyze:
         assert not os.path.exists("out")
         assert not os.path.exists("store/embeddings.cache")
 
-    def test_merged_store_without_embeddings_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["per-question", "pooled"])
+    def test_merged_store_without_embeddings_exits_2(self, tmp_path, capsys, mode):
         s1 = self.run_store(tmp_path / "r1", layer="L1")
         s2 = self.run_store(tmp_path / "r2", layer="L2")
         (s2 / "embeddings.jsonl").unlink()
-        code, out = run_cli("analyze", str(s1), "--merge", str(s2),
+        code, out = run_cli("analyze", str(s1), "--merge", str(s2), "--mode", mode,
                             "--output", str(tmp_path / "out"), capsys=capsys)
         assert code == 2
         assert "no embeddings for task" in out.err

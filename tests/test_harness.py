@@ -414,26 +414,30 @@ class TestEmbeddings:
         with pytest.raises(ValueError):
             fetch_embeddings([], MockEmbeddingBackend())
 
+    class Recording(MockEmbeddingBackend):
+        """The mock embedder with a batch limit `max_batch`, keeping every
+        batch it is sent and refusing one above the limit."""
+
+        def __init__(self, max_batch=None, **kwargs):
+            super().__init__(**kwargs)
+            self.max_batch = max_batch
+            self.batches = []
+
+        def embed(self, texts):
+            if self.max_batch is not None and len(texts) > self.max_batch:
+                raise BackendError(f"batch of {len(texts)} exceeds limit {self.max_batch}")
+            self.batches.append(list(texts))
+            return super().embed(texts)
+
     def test_chunking_matches_single_shot(self):
         texts = [f"text {i}" for i in range(10)]
-        whole = fetch_embeddings(texts, MockEmbeddingBackend(dim=4, max_batch=None))
-        chunked = fetch_embeddings(texts, MockEmbeddingBackend(dim=4, max_batch=3))
+        whole = fetch_embeddings(texts, self.Recording(dim=4, max_batch=None))
+        chunked = fetch_embeddings(texts, self.Recording(dim=4, max_batch=3))
         assert whole == chunked
 
     def test_deterministic_per_text(self):
         b = MockEmbeddingBackend(dim=5, seed=3)
         assert b.embed(["x"]) == b.embed(["x"])
-
-    class Recording(MockEmbeddingBackend):
-        """The mock embedder, keeping every batch it is sent."""
-
-        def __init__(self, **kwargs):
-            super().__init__(**kwargs)
-            self.batches = []
-
-        def embed(self, texts):
-            self.batches.append(list(texts))
-            return super().embed(texts)
 
     # repeats of the kinds run_tasks sends: clone outputs and failed calls ("")
     REPEATED = ["b", "a", "b", "", "c", "a", "", "d", "b", "e"]
@@ -447,7 +451,7 @@ class TestEmbeddings:
         assert backend.batches == [distinct[k:k + limit] for k in range(0, len(distinct), limit)]
 
     def test_repeats_share_the_vector_a_per_text_call_gives(self):
-        backend = MockEmbeddingBackend(dim=5, seed=2, max_batch=3)
+        backend = self.Recording(dim=5, seed=2, max_batch=3)
         vectors = fetch_embeddings(self.REPEATED, backend)
         assert vectors == [backend.embed([t])[0] for t in self.REPEATED]
         for t, v in zip(self.REPEATED, vectors):
