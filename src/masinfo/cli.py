@@ -282,6 +282,9 @@ def cmd_analyze(args):
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(text)
     for name, reason in skipped.items():
+        # a report an earlier analyze wrote here would stand beside summaries it does not match
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
         print(f"note: {name} skipped: {reason}", file=sys.stderr)
     return EXIT_OK
 

@@ -167,10 +167,13 @@ class WorkflowSpec:
 # answer extraction
 
 
+# The letters _question_text labels choices with and the only ones extract_answer
+# reads, so load_tasks_jsonl refuses a task with more choices than letters.
+_MC_LETTERS = "ABCDEFGHIJ"
 _MC_PATTERNS = [
-    re.compile(r"answer\s*(?:is|:)?\s*\(?([A-J])\)?(?![A-Za-z])", re.IGNORECASE),
-    re.compile(r"\(([A-J])\)"),
-    re.compile(r"^\s*([A-J])\s*[.)]?\s*$", re.MULTILINE),
+    re.compile(rf"answer\s*(?:is|:)?\s*\(?([{_MC_LETTERS}])\)?(?![A-Za-z])", re.IGNORECASE),
+    re.compile(rf"\(([{_MC_LETTERS}])\)"),
+    re.compile(rf"^\s*([{_MC_LETTERS}])\s*[.)]?\s*$", re.MULTILINE),
 ]
 _NUMBER = r"-?[\d][\d,]*(?:\.\d+)?"
 _NUM_PATTERNS = [
@@ -372,8 +375,7 @@ def _question_text(task):
     q = task["question"]
     choices = task.get("choices")
     if choices:
-        letters = [chr(ord("A") + i) for i in range(len(choices))]
-        lines = [q, ""] + [f"({l}) {c}" for l, c in zip(letters, choices)]
+        lines = [q, ""] + [f"({_MC_LETTERS[i]}) {c}" for i, c in enumerate(choices)]
         lines.append("")
         lines.append("State your final answer as a single letter in parentheses.")
         return "\n".join(lines)
@@ -579,7 +581,8 @@ def load_tasks_jsonl(path):
 
     Ids must be unique: they name the task's transcript and its embedding rows.
     The question must be a string and the choices, when given, a list: a
-    string would be split into one-letter options.
+    string would be split into one-letter options.  A list of more choices
+    than _MC_LETTERS is refused, since extract_answer reads no further letter.
     """
     tasks, seen = [], set()
     with open(path, encoding="utf-8") as fh:
@@ -598,6 +601,9 @@ def load_tasks_jsonl(path):
                     raise TypeError(f"choices must be a list, got {obj['choices']!r}")
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"malformed task at line {lineno}: {exc}") from exc
+            if len(obj.get("choices") or ()) > len(_MC_LETTERS):
+                raise ValueError(f"task at line {lineno} has {len(obj['choices'])} choices, "
+                                 f"more than the {len(_MC_LETTERS)} letters {_MC_LETTERS}")
             if str(obj["id"]) in seen:
                 raise ValueError(f"task at line {lineno} repeats id {obj['id']!r}")
             seen.add(str(obj["id"]))

@@ -201,11 +201,12 @@ def load_embeddings_jsonl(path, keys=False):
     With `keys`, such a row's id is returned as its key (n, id); without,
     the field is not read.
 
-    Each vector must pass is_finite_number_list: `null`, `NaN`, `Infinity`,
-    a literal that overflows a double (`1e400`), a boolean, a string or a
-    nested list is rejected.  Raises ValueError naming the offending line
-    number on malformed input.  `path` may also be a binary file open for
-    reading, which is read from where it stands and left open.
+    Each vector must pass is_finite_number_list and be nonempty: `null`,
+    `NaN`, `Infinity`, a literal that overflows a double (`1e400`), a
+    boolean, a string, a nested list or `[]` is rejected.  Raises ValueError
+    naming the offending line number on malformed input.  `path` may also be
+    a binary file open for reading, which is read from where it stands and
+    left open.
     """
     # imported here, so processes that never read embeddings do not load it
     import orjson
@@ -230,6 +231,8 @@ def load_embeddings_jsonl(path, keys=False):
             if not is_finite_number_list(vec):
                 raise ValueError(f"malformed embedding row at line {lineno}: "
                                  "vector must be a flat list of finite numbers")
+            if not vec:
+                raise ValueError(f"malformed embedding row at line {lineno}: vector is empty")
             rows.append(np.array(vec, dtype=float))
     if not rows:
         raise ValueError("embedding file is empty")

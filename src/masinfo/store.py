@@ -221,8 +221,9 @@ def embedding_rows(row_ids, vectors, n):
 # the layout changes or load_embeddings_jsonl accepts, rejects or returns
 # anything differently, so that caches an older version wrote are read as
 # misses.  Format 6 keys the rows by the JSONL's stat stamp alone; format 7
-# holds each row's key, (n, id) for a row that names its N and its id otherwise.
-_CACHE_FORMAT = 7
+# holds each row's key, (n, id) for a row that names its N and its id otherwise;
+# format 8 is the decoder that rejects an empty vector.
+_CACHE_FORMAT = 8
 _READ_CHUNK = 1 << 18
 # A stat stamp proves a file unchanged only where ctime is the inode's change
 # time, which no user-space call can set; on Windows it is the creation time.

@@ -957,6 +957,9 @@ class TestConfigValidation:
          "line 2: question must be a string, got 5"),
         ('{"id": "t0", "question": "Q?", "choices": "ab"}\n', None,
          "line 1: choices must be a list, got 'ab'"),
+        ('{"id": "t0", "question": "Q?", "choices": ["a", "b"]}\n'
+         + json.dumps({"id": "t1", "question": "Q?", "choices": list("abcdefghijkl")}) + "\n",
+         None, "task at line 2 has 12 choices, more than the 10 letters ABCDEFGHIJ"),
         ("", None, "holds no tasks"),
         ("\n\n", None, "holds no tasks"),
         (None, {"kind": "openai"}, "chat_url"),
@@ -968,7 +971,7 @@ class TestConfigValidation:
         (None, {"kind": "openai", "chat_url": "http://127.0.0.1:9/v1", "api_key_env": 5},
          "backend api_key_env must be a string"),
     ], ids=["task-not-object", "task-id-repeated", "question-number", "choices-string",
-            "no-tasks", "blank-lines-only",
+            "twelve-choices", "no-tasks", "blank-lines-only",
             "openai-without-chat-url",
             "unknown-backend-kind", "backend-string", "mock-dim-string", "mock-dim-zero",
             "chat-url-number", "api-key-env-number"])
@@ -1314,6 +1317,41 @@ class TestAnalyze:
         for name in ("permutation_report.json", "regression_report.json"):
             assert f"note: {name} skipped: 2 configs with K*, need at least 5" in out.err
             assert not (store / "reports" / name).exists()
+
+    def test_skipped_reports_leave_no_stale_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        stats = ["permutation_report.json", "regression_report.json"]
+        spectral = ["boundary.csv", "kstar_vs_accuracy.csv"]
+        ten = [self.run_store(tmp_path / layer, n_tasks=8, layer=layer,
+                              n_agents_list=[2, 3, 4, 5, 6], model_pool=["m1", "m2"])
+               for layer in ("L2", "L4")]
+        assert main(["analyze", str(ten[0]), "--merge", str(ten[1]), "--output", str(out)]) == 0
+        assert all((out / name).exists() for name in stats + spectral)
+        (out / "notes.txt").write_text("not a report")
+        # two configs with K*: the stats reports of the ten are stale
+        two = self.run_store(tmp_path / "two")
+        code, _ = run_cli("analyze", str(two), "--output", str(out), capsys=capsys)
+        assert code == 0
+        assert [name for name in stats + spectral if (out / name).exists()] == spectral
+        # no K* at all: nor do the spectral reports of the two stand
+        (two / "embeddings.jsonl").unlink()
+        code, _ = run_cli("analyze", str(two), "--output", str(out), capsys=capsys)
+        assert code == 0
+        assert not any((out / name).exists() for name in stats + spectral)
+        assert (out / "notes.txt").read_text() == "not a report"
+        assert all(r["k_star"] is None for r in json.loads((out / "summaries.json").read_text()))
+
+    def test_empty_vectors_named_by_line_and_never_cached(self, tmp_path, capsys):
+        store = self.run_store(tmp_path)
+        emb = store / "embeddings.jsonl"
+        rows = [{**json.loads(line), "vector": []} for line in emb.read_text().splitlines()]
+        write_jsonl(emb, rows)
+        message = "malformed embedding row at line 1: vector is empty"
+        code, out = run_cli("kstar", str(emb), capsys=capsys)
+        assert (code, out.err) == (2, f"error: {message}\n")
+        code, out = run_cli("analyze", str(store), capsys=capsys)
+        assert (code, out.err) == (2, f"error: {emb}: {message}\n")
+        assert not any("cache" in p.name for p in store.iterdir())
 
     def test_no_embeddings_warns_but_reports_accuracy(self, tmp_path, capsys):
         store = self.run_store(tmp_path)

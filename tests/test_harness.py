@@ -232,6 +232,16 @@ class TestExtractAnswer:
         text = "Could be (A) or (C); final answer is (C)."
         assert extract_answer(text, "mc") == extract_answer(text, "mc") == "C"
 
+    def test_every_letter_a_loaded_task_offers_is_read(self, tmp_path):
+        path = tmp_path / "tasks.jsonl"
+        path.write_text(json.dumps({"id": "t", "question": "Q?",
+                                    "choices": [f"c{i}" for i in range(10)]}) + "\n")
+        (task,) = load_tasks_jsonl(path)
+        offered = re.findall(r"^\((.)\) c", harness._question_text(task), re.MULTILINE)
+        assert "".join(offered) == "ABCDEFGHIJ"
+        for letter in offered:
+            assert extract_answer(f"The answer is ({letter}).", "mc") == letter
+
 
 class TestAnswerMatches:
     @pytest.mark.parametrize("answer, gold", [

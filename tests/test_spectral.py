@@ -397,8 +397,9 @@ class TestJsonlDecoding:
         '{"id": "b", "vector": [true, false]}',
         '{"id": "b", "vector": ["2", 1.0]}',
         '{"id": "b", "vector": [true, 1.5]}',
+        '{"id": "b", "vector": []}',
     ], ids=["null", "nan", "infinity", "minus-infinity", "overflow", "nested", "scalar",
-            "string", "missing-vector", "boolean", "numeric-string", "mixed"])
+            "string", "missing-vector", "boolean", "numeric-string", "mixed", "empty"])
     def test_bad_row_names_line(self, tmp_path, row):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id": "a", "vector": [1.0, 0.0]}\n' + row + "\n")
